@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s ./internal/env/
+	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s ./internal/soc/
 
 # bench regenerates every paper table/figure as a benchmark (minutes).
 bench:

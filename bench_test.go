@@ -25,6 +25,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ort"
 	"repro/internal/packet"
+	"repro/internal/soc"
 	"repro/internal/world"
 )
 
@@ -436,6 +437,53 @@ func BenchmarkQuantumTCPResilient(b *testing.B) {
 		RPCTimeout: 30 * time.Second,
 		CRCPayload: true,
 	})
+}
+
+// BenchmarkQuantumRemoteRTL is one quantum's RTL traffic against a
+// loopback soc.Server, issued as the synchronizer issues it on a quantum
+// with no packets in flight: an empty push, the step grant, and the drain.
+// The target program computes without I/O. 0 allocs/op across both
+// endpoints is part of the perf contract (DESIGN.md §4.7).
+func BenchmarkQuantumRemoteRTL(b *testing.B) {
+	m := soc.NewMachine(config.A.SoCConfig(), func(rt *soc.Runtime) error {
+		for {
+			rt.Compute(1_000_000)
+		}
+	})
+	defer m.Close()
+	srv, err := soc.NewServer(m, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve()
+	r, err := soc.DialRTL(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+
+	quantum := func() {
+		if err := r.Push(nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Step(1_000_000); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Pull(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm the client arena, the server's per-connection scratch and the
+	// socket buffers before measuring the steady state.
+	for i := 0; i < 16; i++ {
+		quantum()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quantum()
+	}
 }
 
 // benchLogEvent measures one structured log call with typical quantum

@@ -95,6 +95,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The FPGA host keeps no suite of its own in this demo; its server's
+	// accept failures and checksum drops land in the synchronizer's log.
+	rtlSrv.SetLog(simSuite.Log)
 	go rtlSrv.Serve()
 	defer rtlSrv.Close()
 

@@ -149,6 +149,10 @@ func TestWatchdogBlackboxOnHungEnvServer(t *testing.T) {
 
 	proxy.Freeze()
 	waitFor("watchdog dump", func() bool { return suite.Recorder.WatchdogDumps.Value() >= 1 })
+	// The counter moves when the watchdog fires, before the dump is
+	// written; stopping the watchdog waits for its goroutine, and so for
+	// the dump, to finish.
+	suite.Recorder.StopWatchdog()
 
 	data, err := os.ReadFile(bbPath)
 	if err != nil {

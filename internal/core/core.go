@@ -500,7 +500,7 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 		// the live analogue of the offline trajectory byte-compare, so it
 		// must not depend on observability wiring. Every input is identical
 		// local vs remote — telemetry is env-side, and the engine counters /
-		// cycle / energy ride the RTLStatus reply for a remote RTL.
+		// cycle / energy ride every RTLStepped reply for a remote RTL.
 		fp := s.st.fprint
 		if fp == 0 {
 			fp = fprint.Init

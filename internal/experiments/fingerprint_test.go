@@ -65,7 +65,7 @@ func TestFirstDivergentQuantum(t *testing.T) {
 // TestFingerprintParityLocalRemote is the `make fingerparity` assertion:
 // the same mission run with an in-process engine and with the engine behind
 // a TCP RTL server must produce identical per-quantum fingerprint chains —
-// the engine's rolling fingerprint rides the RTLStatus reply, so remote ≡
+// the engine's rolling fingerprint rides every RTLStepped reply, so remote ≡
 // local is checked live at every quantum, not only at mission end.
 func TestFingerprintParityLocalRemote(t *testing.T) {
 	spec := paritySpec("tunnel", core.OverlapOn)
@@ -105,13 +105,15 @@ func TestLiveDivergenceRemoteRTL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The client writes five frames per quantum (step, status, pull, status,
-	// push); RTLStep frames land on ops ≡ 0 mod 5 and carry the quantum's
-	// cycle count as an 8-byte payload. Corrupt one of those mid-mission:
-	// the pinned seed's bit selector (first PRNG draw % 128 bits) hits cycle
-	// bit 18 of the 16-byte frame — a ±262144-cycle step, a real silent
-	// engine divergence, not a framing error. Everything downstream is
-	// deterministic.
+	// The client makes two writes per quantum. Write op 0 is the dial's
+	// RTLStatus; quantum k then writes its pull at op 2k+1 and, at op 2k+2,
+	// its deferred push flushed together with its RTLStep, whose 8-byte
+	// payload is the quantum's cycle count. Corrupt one of those
+	// push+step writes mid-mission: on a quiet quantum it is an empty
+	// 8-byte push frame plus the 16-byte step frame, and the pinned seed's
+	// bit selector (first PRNG draw % 192 bits) hits cycle bit 18 of the
+	// step — a ±262144-cycle step, a real silent engine divergence, not a
+	// framing error. Everything downstream is deterministic.
 	const corruptOp = 300
 	inj := faultnet.New(faultnet.Config{
 		Seed:   1,
@@ -143,9 +145,9 @@ func TestLiveDivergenceRemoteRTL(t *testing.T) {
 	}
 	t.Logf("%s", DivergenceReport("clean", ref.Result.Fingerprints, "faulted", faulty.Fingerprints))
 
-	// Localization: the corruption landed in quantum ~corruptOp/5; the chain
-	// must pin the divergence there, not at mission end.
-	wantQuantum := corruptOp / 5
+	// Localization: the corruption landed in quantum (corruptOp-2)/2; the
+	// chain must pin the divergence there, not at mission end.
+	wantQuantum := (corruptOp - 2) / 2
 	if q < wantQuantum-2 || q > wantQuantum+2 {
 		t.Errorf("divergence localized at quantum %d, expected within 2 of %d", q, wantQuantum)
 	}

@@ -163,6 +163,17 @@ func (p Packet) Encode(dst []byte) ([]byte, error) {
 // (FlagResil) extensions are consumed and discarded; use Reader to observe
 // them.
 func Decode(buf []byte) (Packet, int, error) {
+	p, n, err := decodeView(buf)
+	if err != nil {
+		return Packet{}, 0, err
+	}
+	payload := make([]byte, len(p.Payload))
+	copy(payload, p.Payload)
+	return Packet{Type: p.Type, Payload: payload}, n, nil
+}
+
+// decodeView is Decode with the returned Payload aliasing buf.
+func decodeView(buf []byte) (Packet, int, error) {
 	if len(buf) < HeaderSize {
 		return Packet{}, 0, fmt.Errorf("packet: %w: need header", io.ErrShortBuffer)
 	}
@@ -183,9 +194,7 @@ func Decode(buf []byte) (Packet, int, error) {
 	if len(buf) < total {
 		return Packet{}, 0, fmt.Errorf("packet: %w: need %d bytes", io.ErrShortBuffer, total)
 	}
-	payload := make([]byte, n)
-	copy(payload, buf[HeaderSize+ext:total])
-	return Packet{Type: t, Payload: payload}, total, nil
+	return Packet{Type: t, Payload: buf[HeaderSize+ext : total]}, total, nil
 }
 
 // Write writes the packet to w in wire format.

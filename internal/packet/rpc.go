@@ -6,7 +6,11 @@ package packet
 // used only on the synchronizer↔environment link, never on the bridge.
 //
 // Remote-RTL types (0x03xx) carry the synchronizer↔FireSim TCP protocol
-// (§3.4.1): cycle grants and boundary packet batches.
+// (§3.4.1): cycle grants and boundary packet batches. Every RTLStepped,
+// RTLBatch and RTLStatusReply payload carries the machine status — cycle,
+// done flag, engine stats and energy breakdown — in soc's fixed-width
+// little-endian status codec (DESIGN.md §4.7), so a quantum needs no
+// separate status round trip.
 const (
 	// RPCStepFrames requests n environment frames (uint64 payload).
 	RPCStepFrames Type = 0x0201
@@ -25,22 +29,25 @@ const (
 	RPCError Type = 0x0206
 
 	// RTLStep grants a cycle quantum to a remote RTL simulation (uint64);
-	// the response is an RTLStepped with the cycles consumed.
+	// the response is an RTLStepped.
 	RTLStep Type = 0x0301
-	// RTLStepped acknowledges RTLStep (uint64 cycles consumed).
+	// RTLStepped answers RTLStep: the cycles consumed (uint64), then the
+	// machine status after the quantum.
 	RTLStepped Type = 0x0302
 	// RTLPush delivers a batch of packets to the remote bridge; the
-	// payload is the concatenated wire encoding of the batch.
+	// payload is the concatenated wire encoding of the batch and the
+	// response is an RPCAck.
 	RTLPush Type = 0x0303
 	// RTLPull drains the remote bridge's SoC→host queue; the response is
 	// an RTLBatch.
 	RTLPull Type = 0x0304
-	// RTLBatch carries a concatenated packet batch.
+	// RTLBatch answers RTLPull: the machine status after the drain, then
+	// the concatenated packet batch.
 	RTLBatch Type = 0x0305
-	// RTLStatus queries cycle count, done flag, and engine stats; the
-	// response payload is gob-encoded soc.Stats plus the cycle/done header.
+	// RTLStatus queries the machine status outside the quantum loop (on
+	// connect and after a restore).
 	RTLStatus Type = 0x0306
-	// RTLStatusReply answers RTLStatus.
+	// RTLStatusReply answers RTLStatus; the payload is the status alone.
 	RTLStatusReply Type = 0x0307
 	// RTLSnap asks the remote RTL server to capture its machine; the
 	// response is an RTLSnapData carrying the gob-encoded soc.SnapState.
@@ -53,20 +60,21 @@ const (
 	RTLRestore Type = 0x030A
 )
 
-// EncodeBatch concatenates packets into one payload for RTLPush/RTLBatch.
-func EncodeBatch(pkts []Packet) ([]byte, error) {
-	var buf []byte
+// AppendBatch appends the concatenated wire encoding of pkts — the
+// RTLPush/RTLBatch payload — to dst. Senders pass reused scratch so a batch
+// costs no allocation.
+func AppendBatch(dst []byte, pkts []Packet) ([]byte, error) {
 	for _, p := range pkts {
 		var err error
-		buf, err = p.Encode(buf)
-		if err != nil {
+		if dst, err = p.Encode(dst); err != nil {
 			return nil, err
 		}
 	}
-	return buf, nil
+	return dst, nil
 }
 
-// DecodeBatch splits a concatenated payload back into packets.
+// DecodeBatch splits a concatenated payload back into packets, each
+// holding its own copy of its payload bytes.
 func DecodeBatch(buf []byte) ([]Packet, error) {
 	var out []Packet
 	for len(buf) > 0 {
@@ -78,4 +86,19 @@ func DecodeBatch(buf []byte) ([]Packet, error) {
 		buf = buf[n:]
 	}
 	return out, nil
+}
+
+// SplitBatch is DecodeBatch without the copies: it appends the packets of
+// a concatenated payload to dst with every Payload aliasing buf, for
+// receivers that keep the batch bytes in an arena they own.
+func SplitBatch(dst []Packet, buf []byte) ([]Packet, error) {
+	for len(buf) > 0 {
+		p, n, err := decodeView(buf)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, p)
+		buf = buf[n:]
+	}
+	return dst, nil
 }

@@ -267,9 +267,11 @@ type Stats struct {
 	// Fingerprint is the engine's rolling determinism fingerprint
 	// (internal/fprint), advanced at the end of every Step over the cycle,
 	// packet, and energy counters above. Two engines that executed the same
-	// quanta hold the same chain; it rides the Stats gob so RTLStatus
-	// replies and snapshots carry it for free. Pre-fingerprint snapshot
-	// images decode it as 0 and the chain restarts from the FNV basis.
+	// quanta hold the same chain. It is a Stats field, so the remote-RTL
+	// status codec on every RTLStepped/RTLBatch reply and the gob of a
+	// snapshot image carry it with the other counters. Pre-fingerprint
+	// snapshot images decode it as 0 and the chain restarts from the FNV
+	// basis.
 	Fingerprint uint64
 }
 

@@ -76,13 +76,15 @@ echo "== scenario fuzz (bounded) =="
 ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 \
     -run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
-echo "== fuzz smoke (30s) =="
+echo "== fuzz smoke (40s) =="
 # A short native-fuzzing burst per wire-facing decoder: packet framing
-# (buffer and stream decoders, including the resilience extension + CRC)
-# and the telemetry codec. Each -fuzz pattern must match exactly one target.
+# (buffer and stream decoders, including the resilience extension + CRC),
+# the telemetry codec, and the remote-RTL reply payloads (status codec and
+# packet batch). Each -fuzz pattern must match exactly one target.
 go test -run xxx -fuzz 'FuzzDecode$' -fuzztime 10s ./internal/packet/
 go test -run xxx -fuzz 'FuzzReaderNext$' -fuzztime 10s ./internal/packet/
 go test -run xxx -fuzz 'FuzzDecodeTelemetry$' -fuzztime 10s ./internal/env/
+go test -run xxx -fuzz 'FuzzRTLReply$' -fuzztime 10s ./internal/soc/
 
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
@@ -92,11 +94,12 @@ go test -run xxx -bench 'BenchmarkRender' -benchtime 1x -benchmem ./internal/ren
 go test -run xxx -bench 'BenchmarkQuantumTCP' -benchtime 100x -benchmem .
 
 echo "== allocation gate (0 allocs/op hot paths) =="
-# The hot-path allocation contract (DESIGN.md §6, §11): one synchronization
-# quantum — render, bridge exchange, inference, physics, always-on
-# fingerprint fold — must not allocate with observability disabled, in both
-# harnesses: the TCP-remote exchange benchmark and the fully assembled
-# steady-state mission quantum. Any alloc/op above 0 fails the gate.
+# The hot-path allocation contract (DESIGN.md §4.7, §6, §11): one
+# synchronization quantum — render, bridge exchange, inference, physics,
+# always-on fingerprint fold — must not allocate with observability
+# disabled, in every harness: the TCP-remote env exchange, the TCP-remote
+# RTL quantum, and the fully assembled steady-state mission quantum. Any
+# alloc/op above 0 fails the gate.
 alloc_gate() {
     pkg=$1; bench=$2; times=$3
     out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$pkg")
@@ -114,6 +117,7 @@ alloc_gate() {
     fi
 }
 alloc_gate . 'BenchmarkQuantumTCP$' 200x
+alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
 
 echo "check: OK"
