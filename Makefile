@@ -44,18 +44,19 @@ parity:
 
 # snapparity proves the warm-start contract: snapshot -> restore -> run is
 # byte-identical to the uninterrupted mission across {tunnel, s-shape} x
-# {overlap, serial} locally and across the TCP-remote RTL, under the race
-# detector; make check runs the same matrix.
+# {overlap, serial} locally and across the TCP-remote RTL, and a fork of a
+# degraded-sensor patrol equals its cold replay under every sensor seed,
+# under the race detector; make check runs the same matrix.
 snapparity:
-	$(GO) test -race -count=1 -run 'TestSnapshotParity' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestSnapshotParity|TestWarmColdParityPatrol' ./internal/experiments/
 
 # energyparity proves the energy ledger's determinism contract: identical
 # EnergyBreakdown totals across {overlap, serial} x {local, TCP-remote RTL},
-# snapshot -> restore -> run equal to uninterrupted (the snapshot parity
-# matrix asserts energy too), pre-energy images restored with a warning, and
-# the EnergyOff knob leaving timing untouched; make check runs the same set.
+# and the EnergyOff knob leaving timing untouched; snapshot -> restore -> run
+# equal to uninterrupted is asserted by the snapshot parity matrix. make
+# check runs the same set.
 energyparity:
-	$(GO) test -race -count=1 -run 'TestEnergy|TestRestorePreEnergyImage' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestEnergy' ./internal/experiments/
 
 # fingerparity proves the determinism-fingerprint contract: the rolling
 # per-quantum FNV-1a chain is identical for a local machine and a TCP-remote
@@ -76,12 +77,14 @@ scenariofuzz:
 	ROSE_SCENARIOFUZZ_SEEDS=16 $(GO) test -race -count=1 -v \
 		-run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
-# fuzz gives each framing/codec fuzz target a short native-fuzzing burst.
+# fuzz gives each framing/codec fuzz target a short native-fuzzing burst
+# (snapshot minimization capped at 1s, as in scripts/check.sh).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s ./internal/env/
 	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzImageDecode$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
 
 # bench regenerates every paper table/figure as a benchmark (minutes).
 bench:

@@ -72,7 +72,7 @@ func benchMission(b *testing.B, overlap core.OverlapMode, suite *obs.Suite, ener
 	pretrain(b, "ResNet6")
 	spec := experiments.MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
-		VForward: 3, MaxSimSec: 2, Overlap: overlap, Obs: suite,
+		VForward: 3, MaxSimSec: 2, Overlap: overlap, Obs: suite.Parent(),
 		EnergyOff: energyOff,
 	}
 	// Warm the shared trained-model cache and the world registry outside the
@@ -167,7 +167,7 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 	}
 	suite := obs.New(0)
 	instr := bare
-	instr.Obs = suite
+	instr.Obs = suite.Parent()
 	instr.RecordFingerprints = true
 	// The attached subscriber drains like a live rose-top: frames are
 	// consumed, so Publish takes the send path, not the drop path.

@@ -205,7 +205,7 @@ func main() {
 		Seed:               *seed,
 		Scenario:           *scenario,
 		Overlap:            overlapMode(*serial),
-		Obs:                suite,
+		Obs:                suite.Parent(),
 		Precision:          precision,
 		EnvAddr:            *envAddr,
 		RecordFingerprints: *fpLog != "",
@@ -221,10 +221,7 @@ func main() {
 	switch {
 	case restoreImg != nil:
 		fmt.Printf("restoring mission from %s (captured at quantum %d)\n", *restore, restoreImg.Meta.Quantum)
-		if !restoreImg.HasEnergy {
-			fmt.Println("warning: image predates the energy ledger; energy totals cover only the resumed portion")
-		}
-		out, err = experiments.ResumeMission(restoreImg, suite, *fpLog != "")
+		out, err = experiments.ResumeMission(restoreImg, suite.Parent(), *fpLog != "")
 		if err != nil {
 			log.Fatal(err)
 		}

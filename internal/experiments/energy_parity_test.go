@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/soc"
 )
 
 // TestEnergyParity: the energy ledger is as deterministic as the cycle
@@ -60,40 +59,6 @@ func TestEnergyParity(t *testing.T) {
 					b, cell.name, res.Energy)
 			}
 		})
-	}
-}
-
-// TestRestorePreEnergyImage: restoring an image that predates the energy
-// ledger (no "nrgy" section → HasEnergy == false, zeroed ledger) must work —
-// warn, restart accounting from zero — never fail. The restored run's total
-// covers only the resumed portion, so it lands strictly below the
-// uninterrupted run's.
-func TestRestorePreEnergyImage(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
-	ref := runUninterrupted(t, spec)
-	img := captureEncoded(t, spec)
-
-	// Decode of a stripped pre-energy image yields exactly this state (the
-	// container-level strip is covered in internal/snapshot).
-	img.HasEnergy = false
-	img.SoC.Stats.Energy = soc.EnergyLedger{}
-
-	ms, err := assemble(spec, nil, img)
-	if err != nil {
-		t.Fatalf("pre-energy restore failed: %v", err)
-	}
-	defer ms.close()
-	got, err := ms.run()
-	if err != nil {
-		t.Fatalf("restored run: %v", err)
-	}
-	// Trajectory parity is unaffected — the ledger is observation-only.
-	checkTrajectory(t, ref, got)
-	if !got.Result.HasEnergy {
-		t.Fatal("resumed portion accumulated no energy")
-	}
-	if got, want := got.Result.Energy.Dynamic.TotalPJ(), ref.Result.Energy.Dynamic.TotalPJ(); got >= want {
-		t.Errorf("post-restore dynamic energy %d pJ not below uninterrupted %d pJ", got, want)
 	}
 }
 

@@ -86,15 +86,14 @@ type MissionSpec struct {
 	// runtime interleaves two models per iteration.
 	Batch *ort.BatchGroup
 	// Obs instruments the run: synchronizer phases, bridge queues, SoC
-	// counters, and app inference latency feed the suite's registry and
-	// tracer. Nil (the default) keeps every hook a no-op nil check.
-	Obs *obs.Suite
-	// ObsMission, when set alongside Obs, routes this mission's instruments
-	// through a per-mission scope (labeled series under the suite registry)
-	// instead of the suite's parent bundles — how sweeps and fleets keep N
-	// concurrent missions' metrics apart while /metrics still exposes the
-	// aggregates. Options.stamp assigns one per spec automatically.
-	ObsMission *obs.MissionObs
+	// counters, and app inference latency feed one instrument set. A
+	// single-mission run takes the suite's unlabeled bundles
+	// (obs.Suite.Parent); sweeps and fleets take a labeled per-mission
+	// scope (obs.Suite.Mission, assigned per spec by Options.stamp), which
+	// keeps N concurrent missions' series apart while /metrics still
+	// exposes the aggregates. Nil (the default) keeps every hook a no-op
+	// nil check.
+	Obs *obs.MissionObs
 	// EnvAddr, when set, runs the mission against a remote environment
 	// server (rose-env-server) at this address instead of an in-process
 	// simulator. The client resets the remote vehicle to the spec's start
@@ -148,66 +147,14 @@ func (spec MissionSpec) withDefaults() MissionSpec {
 	return spec
 }
 
-// Per-subsystem instrument selection: the mission scope's bundle when one
-// was assigned, the suite's parent bundle otherwise, nil when observability
-// is off. Every returned bundle is nil-safe.
-
-func (spec MissionSpec) obsCore() *obs.CoreObs {
-	if spec.ObsMission != nil {
-		return spec.ObsMission.Core
-	}
-	if spec.Obs != nil {
-		return spec.Obs.Core
-	}
-	return nil
-}
-
-func (spec MissionSpec) obsRPC() *obs.RPCObs {
-	if spec.ObsMission != nil {
-		return spec.ObsMission.RPC
-	}
-	if spec.Obs != nil {
-		return spec.Obs.RPC
-	}
-	return nil
-}
-
-func (spec MissionSpec) obsBridge() *obs.BridgeObs {
-	if spec.ObsMission != nil {
-		return spec.ObsMission.Bridge
-	}
-	if spec.Obs != nil {
-		return spec.Obs.Bridge
-	}
-	return nil
-}
-
-func (spec MissionSpec) obsSoC() *obs.SoCObs {
-	if spec.ObsMission != nil {
-		return spec.ObsMission.SoC
-	}
-	if spec.Obs != nil {
-		return spec.Obs.SoC
-	}
-	return nil
-}
-
-func (spec MissionSpec) obsApp() *obs.AppObs {
-	if spec.ObsMission != nil {
-		return spec.ObsMission.App
-	}
-	if spec.Obs != nil {
-		return spec.Obs.App
-	}
-	return nil
-}
-
 // socConfig derives the SoC engine configuration from the spec.
 func (spec MissionSpec) socConfig() soc.Config {
 	cfg := spec.HW.SoCConfig()
 	cfg.RxQueueBytes = spec.RxQueueBytes
 	cfg.EnergyOff = spec.EnergyOff
-	cfg.Obs = spec.obsSoC()
+	if spec.Obs != nil {
+		cfg.Obs = spec.Obs.SoC
+	}
 	return cfg
 }
 
@@ -218,7 +165,9 @@ func (spec MissionSpec) coreConfig() core.Config {
 	cfg.MaxSimSeconds = spec.MaxSimSec
 	cfg.ExchangeEveryN = spec.ExchangeEveryN
 	cfg.Overlap = spec.Overlap
-	cfg.Obs = spec.obsCore()
+	if spec.Obs != nil {
+		cfg.Obs = spec.Obs.Core
+	}
 	cfg.RecordFingerprints = spec.RecordFingerprints
 	return cfg
 }
@@ -292,48 +241,50 @@ func (spec MissionSpec) newController(log *app.Log, scn *scenario.Spec) (soc.Sta
 	return app.NewStaticLoop(bigSess, ctrl, log), nil
 }
 
-// mission is one assembled co-simulation, ready to run — either one-shot
-// via run(), or stepwise via sy.Start/StepQuanta/Finish with a snapshot
-// captured in between.
-type mission struct {
+// Mission is one assembled co-simulation, driven stepwise through the
+// synchronizer's lockstep loop (Algorithm 1): NewMission → Step → Capture /
+// Finish, with Close releasing it. Every mission entry point in this
+// package is a short caller of it.
+type Mission struct {
 	spec MissionSpec
-	m    *world.Map
 	sim  *env.Sim // non-nil for in-process environments
-	loop soc.StateProgram
 	log  *app.Log
 	mach *soc.Machine
 	sy   *core.Synchronizer
-	// closers run LIFO on close(): machine teardown before transport
-	// close, batch departure last — so a program parked in the batch
-	// collector is killed before the group shrinks.
+	// started/finished track the synchronizer's Start and Finish, so Close
+	// knows whether the overlap env worker is still running.
+	started, finished bool
+	// closers run LIFO on Close: machine teardown before transport close,
+	// batch departure last — so a program parked in the batch collector is
+	// killed before the group shrinks.
 	closers []func()
 }
 
-func (ms *mission) close() {
-	for i := len(ms.closers) - 1; i >= 0; i-- {
-		ms.closers[i]()
-	}
-	ms.closers = nil
-}
-
-// assemble builds a mission from its spec. sharedMap, when non-nil, is used
-// instead of a fresh world.ByName lookup — the fork path passes one map
+// NewMission assembles a mission from its spec. sharedMap, when non-nil, is
+// used instead of a fresh world.ByName lookup — the fork path passes one map
 // pointer to every child, sharing the read-only geometry copy-on-write.
 // img, when non-nil, restores every layer from the snapshot instead of
 // starting from reset: the simulator rewinds to the captured state, the SoC
 // machine is rebuilt mid-request via soc.RestoreMachine, and the
-// synchronizer continues the captured loop progress.
-func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *mission, err error) {
+// synchronizer continues the captured loop progress. The caller must Close
+// the returned mission.
+func NewMission(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *Mission, err error) {
 	spec = spec.withDefaults()
-	ms = &mission{spec: spec}
+	ms = &Mission{spec: spec}
 	// Close over a copy of the pointer: error returns write nil to the named
 	// return, but the closers appended so far must still run.
 	built := ms
 	defer func() {
 		if err != nil {
-			built.close()
+			built.Close()
 		}
 	}()
+	// With observability off every bundle below is nil, and every hook a
+	// no-op nil check.
+	o := spec.Obs
+	if o == nil {
+		o = &obs.MissionObs{}
+	}
 
 	if spec.Batch != nil {
 		// The group registered this mission at construction; every exit
@@ -346,10 +297,9 @@ func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *
 			return nil, fmt.Errorf("experiments: batched missions cannot restore from a snapshot (program parks outside the engine)")
 		}
 	}
-	ms.m = sharedMap
-	if ms.m == nil {
-		ms.m = world.ByName(spec.Map)
-		if ms.m == nil {
+	m := sharedMap
+	if m == nil {
+		if m = world.ByName(spec.Map); m == nil {
 			return nil, fmt.Errorf("experiments: unknown map %q", spec.Map)
 		}
 	}
@@ -371,16 +321,14 @@ func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *
 			return nil, err
 		}
 		ms.closers = append(ms.closers, func() { client.Close() })
-		if spec.Obs != nil {
-			client.SetObs(spec.obsRPC())
-			client.SetTrace(spec.Obs.Run)
-		}
+		client.SetObs(o.RPC)
+		client.SetTrace(o.Run)
 		if err := client.Reset(spec.StartX, 0, 0, vec.Deg(spec.StartYawDeg)); err != nil {
 			return nil, fmt.Errorf("experiments: resetting remote env: %w", err)
 		}
 		e = client
 	} else {
-		sim, err := spec.newSim(ms.m, scn)
+		sim, err := spec.newSim(m, scn)
 		if err != nil {
 			return nil, err
 		}
@@ -391,31 +339,23 @@ func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *
 		e = sim
 	}
 
-	ms.log = &app.Log{}
-	ms.log.Obs = spec.obsApp()
-	ms.loop, err = spec.newController(ms.log, scn)
+	ms.log = &app.Log{Obs: o.App}
+	loop, err := spec.newController(ms.log, scn)
 	if err != nil {
 		return nil, err
 	}
 
 	if img != nil {
-		if !img.HasEnergy {
-			// A pre-energy image: restore proceeds with a zeroed ledger, so
-			// post-restore energy totals cover only the resumed portion.
-			spec.Obs.Logger().Warn("snapshot image predates the energy ledger; energy accounting restarts from zero")
-		}
-		ms.mach, err = soc.RestoreMachine(spec.socConfig(), ms.loop, &img.SoC)
+		ms.mach, err = soc.RestoreMachine(spec.socConfig(), loop, &img.SoC)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		ms.mach = soc.NewStateMachine(spec.socConfig(), ms.loop)
+		ms.mach = soc.NewStateMachine(spec.socConfig(), loop)
 	}
 	ms.closers = append(ms.closers, ms.mach.Close)
-	if spec.Obs != nil {
-		ms.mach.Bridge().SetObs(spec.obsBridge())
-		ms.mach.Bridge().SetLog(spec.Obs.Log)
-	}
+	ms.mach.Bridge().SetObs(o.Bridge)
+	ms.mach.Bridge().SetLog(o.Log)
 
 	ms.sy, err = core.New(e, ms.mach, spec.coreConfig())
 	if err != nil {
@@ -425,30 +365,102 @@ func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *
 		if err := ms.sy.RestoreState(img.Core); err != nil {
 			return nil, err
 		}
-		if spec.Obs != nil {
-			spec.Obs.Run.FastForward(img.Meta.TraceSeq)
-		}
+		o.Run.FastForward(img.Meta.TraceSeq)
 	}
 	return ms, nil
 }
 
-// run drives an assembled mission to completion and packages the outcome.
-func (ms *mission) run() (*MissionOutcome, error) {
-	res, err := ms.sy.Run()
+// start launches the synchronizer (and, overlapped, its env worker) once.
+func (ms *Mission) start() error {
+	if ms.started {
+		return nil
+	}
+	if err := ms.sy.Start(); err != nil {
+		return err
+	}
+	ms.started = true
+	return nil
+}
+
+// Step starts the mission on its first call and advances it by up to n
+// synchronization quanta; n <= 0 steps nothing. done reports that the loop
+// hit a terminal condition (time budget, completion, collision limit) and
+// will not advance further. The boundary after Step is a legal snapshot
+// point.
+func (ms *Mission) Step(n int) (done bool, err error) {
+	if err := ms.start(); err != nil {
+		return false, err
+	}
+	if n <= 0 {
+		return false, nil
+	}
+	return ms.sy.StepQuanta(n)
+}
+
+// Sim returns the in-process environment simulator — the hook for sensor
+// reseeds, fault injection, and swarm peer exchange between Steps. Nil for
+// a remote environment.
+func (ms *Mission) Sim() *env.Sim { return ms.sim }
+
+// Capture snapshots the mission at the current quantum boundary. It is
+// non-destructive: the mission can keep stepping afterwards.
+func (ms *Mission) Capture() (*snapshot.Image, error) {
+	if ms.sim == nil {
+		return nil, errRemoteEnv
+	}
+	if err := ms.start(); err != nil {
+		return nil, err
+	}
+	rawSpec, err := ms.spec.MetaSpec()
+	if err != nil {
+		return nil, err
+	}
+	meta := snapshot.Meta{Spec: rawSpec}
+	if ms.spec.Obs != nil {
+		meta.TraceSeq = ms.spec.Obs.Run.Seq()
+	}
+	return snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
+}
+
+// Finish runs the mission to its end and packages the outcome. Close must
+// still be called to release the machine and transports.
+func (ms *Mission) Finish() (*MissionOutcome, error) {
+	if err := ms.start(); err != nil {
+		return nil, err
+	}
+	if _, err := ms.sy.StepQuanta(0); err != nil {
+		return nil, err
+	}
+	ms.finished = true
+	res, err := ms.sy.Finish()
 	if err != nil {
 		return nil, err
 	}
 	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
 }
 
+// Close releases the mission: it stops the overlap env worker of a mission
+// that was started but not finished, then runs the closers. Safe to call
+// more than once.
+func (ms *Mission) Close() {
+	if ms.started && !ms.finished {
+		ms.finished = true
+		_, _ = ms.sy.Finish()
+	}
+	for i := len(ms.closers) - 1; i >= 0; i-- {
+		ms.closers[i]()
+	}
+	ms.closers = nil
+}
+
 // RunMission executes one co-simulated mission with trained controllers.
 func RunMission(spec MissionSpec) (*MissionOutcome, error) {
-	ms, err := assemble(spec, nil, nil)
+	ms, err := NewMission(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.close()
-	return ms.run()
+	defer ms.Close()
+	return ms.Finish()
 }
 
 // Options scales experiment cost. Quick mode shortens missions and skips
@@ -485,61 +497,55 @@ type Options struct {
 func (o Options) stamp(specs []MissionSpec) []MissionSpec {
 	for i := range specs {
 		specs[i].Overlap = o.Overlap
-		specs[i].Obs = o.Obs
 		specs[i].Precision = o.Precision
 		if o.Scenario != "" {
 			specs[i].Scenario = o.Scenario
 		}
-		if o.Obs != nil {
-			scnLabel := specs[i].Scenario
-			if scnLabel == "" {
-				scnLabel = "calm"
-			}
-			specs[i].ObsMission = o.Obs.Mission("",
-				[2]string{"map", specs[i].Map},
-				[2]string{"hw", specs[i].HW.Name},
-				[2]string{"precision", o.Precision.String()},
-				[2]string{"scenario", scnLabel})
+		scnLabel := specs[i].Scenario
+		if scnLabel == "" {
+			scnLabel = "calm"
 		}
+		specs[i].Obs = o.Obs.Mission("",
+			[2]string{"map", specs[i].Map},
+			[2]string{"hw", specs[i].HW.Name},
+			[2]string{"precision", o.Precision.String()},
+			[2]string{"scenario", scnLabel})
 	}
 	return specs
 }
 
-// runMissions executes the specs on a bounded worker pool and returns the
-// outcomes indexed exactly like specs. Every spec is attempted; the first
-// error in spec order (not completion order) is returned, keeping failure
-// reporting deterministic too.
+// runMissions executes the specs on the worker pool and returns the
+// outcomes indexed exactly like specs.
 func runMissions(specs []MissionSpec, workers int) ([]*MissionOutcome, error) {
-	outs := make([]*MissionOutcome, len(specs))
-	errs := make([]error, len(specs))
+	return pool(len(specs), workers, func(i int) (*MissionOutcome, error) { return RunMission(specs[i]) })
+}
+
+// pool runs job(0..n-1) on a bounded worker pool (workers <= 0 means
+// GOMAXPROCS, 1 is serial) and returns the outcomes indexed like the jobs.
+// Every job is attempted; the first error in index order (not completion
+// order) is returned, keeping failure reporting deterministic too.
+func pool(n, workers int, job func(i int) (*MissionOutcome, error)) ([]*MissionOutcome, error) {
+	outs := make([]*MissionOutcome, n)
+	errs := make([]error, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				outs[i], errs[i] = job(i)
+			}
+		}()
 	}
-	if workers <= 1 {
-		for i, sp := range specs {
-			outs[i], errs[i] = RunMission(sp)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = RunMission(specs[i])
-				}
-			}()
-		}
-		for i := range specs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for i := 0; i < n; i++ {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

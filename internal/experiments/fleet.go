@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -105,29 +104,12 @@ func Fleet(opt Options) (*Report, error) {
 	return r, nil
 }
 
-// runFleetConcurrent runs every spec in its own goroutine — mandatory for
+// runFleetConcurrent runs every spec on its own worker — mandatory for
 // batch members (a mission parked in the collector blocks its Machine.Step
 // until the whole round arrives) and the fair baseline for solo mode — and
 // returns the outcomes with the fleet's wall-clock seconds.
 func runFleetConcurrent(specs []MissionSpec) ([]*MissionOutcome, float64, error) {
-	outs := make([]*MissionOutcome, len(specs))
-	errs := make([]error, len(specs))
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = RunMission(specs[i])
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return outs, wall, nil
+	outs, err := runMissions(specs, len(specs))
+	return outs, time.Since(start).Seconds(), err
 }

@@ -28,7 +28,7 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 	}
 	specs = opt.stamp(specs)
 	for i := range specs {
-		if specs[i].ObsMission == nil {
+		if specs[i].Obs == nil {
 			t.Fatalf("stamp left spec %d without a mission scope", i)
 		}
 	}
@@ -42,7 +42,7 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 	sumOver := func(per func(m *obs.MissionObs) uint64, parent uint64) uint64 {
 		total := parent
 		for i := range specs {
-			total += per(specs[i].ObsMission)
+			total += per(specs[i].Obs)
 		}
 		return total
 	}
@@ -71,7 +71,7 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 	// scopes kept the fleet's missions apart, not just their total right.
 	var cycleSum uint64
 	for i, out := range outs {
-		if got := specs[i].ObsMission.SoC.Cycles.Value(); got != out.Result.Cycles {
+		if got := specs[i].Obs.SoC.Cycles.Value(); got != out.Result.Cycles {
 			t.Errorf("mission %d scoped cycles = %d, want result %d", i, got, out.Result.Cycles)
 		}
 		cycleSum += out.Result.Cycles
@@ -87,8 +87,8 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 	text := b.String()
 	for _, line := range []string{
 		"rose_cosim_quanta_total ",
-		`mission_id="` + specs[0].ObsMission.ID + `"`,
-		`mission_id="` + specs[3].ObsMission.ID + `"`,
+		`mission_id="` + specs[0].Obs.ID + `"`,
+		`mission_id="` + specs[3].Obs.ID + `"`,
 		`map="tunnel"`,
 		`hw="A"`,
 	} {

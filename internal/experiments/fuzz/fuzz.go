@@ -3,10 +3,10 @@
 // co-simulation's structural invariants on every mission — no tunneling
 // through static geometry, positions inside the world's failsafe bounds,
 // speed under the analytic physics bound plus the scenario's wind budget,
-// fingerprint-identical replay of the same seed, and mid-scenario
-// snapshot/restore parity. A violation carries the scenario name, the first
-// offending quantum, and a one-line repro command, so every failure is a
-// seed away from a debugger.
+// an exact energy ledger, fingerprint-identical replay of the same seed,
+// and mid-scenario snapshot/restore parity. A violation carries the
+// scenario name, the first offending quantum, and a one-line repro command,
+// so every failure is a seed away from a debugger.
 package fuzz
 
 import (
@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/physics"
 	"repro/internal/scenario"
+	"repro/internal/soc"
 	"repro/internal/world"
 )
 
@@ -245,6 +246,7 @@ func fuzzOne(cfg Config, scenarioName, mapName string) (missions int, vs []Viola
 		if err != nil {
 			return missions, vs, err
 		}
+		checkEnergy(spec, base.Result, img.SoC.Stats.Energy, half, report)
 		resumed, err := experiments.ResumeMission(img, nil, true)
 		if err != nil {
 			return missions, vs, err
@@ -289,7 +291,7 @@ func checkPhysical(out *experiments.MissionOutcome, scn *scenario.Spec, report f
 
 	for i, tel := range tr {
 		if v := tel.Vel.Norm(); v > bound || math.IsNaN(v) {
-			report("bounded-energy", fmt.Sprintf("|v|=%.2f m/s exceeds bound %.2f", v, bound), i)
+			report("bounded-speed", fmt.Sprintf("|v|=%.2f m/s exceeds bound %.2f", v, bound), i)
 			return
 		}
 		pos := tel.Pos
@@ -306,6 +308,25 @@ func checkPhysical(out *experiments.MissionOutcome, scn *scenario.Spec, report f
 			report("no-tunneling", det, i)
 			return
 		}
+	}
+}
+
+// checkEnergy asserts the energy-ledger invariants of one single-drone
+// outcome: accounting is on, the static term is exactly the configured
+// leakage over the elapsed cycles (per domain), and no dynamic domain shrank
+// between the mid-mission capture at quantum mid (whose ledger is midPJ)
+// and the end.
+func checkEnergy(spec experiments.MissionSpec, res *core.Result, midPJ soc.EnergyLedger, mid int, report func(inv, det string, quantum int)) {
+	if !res.HasEnergy {
+		report("energy-ledger", "mission reported no energy breakdown", -1)
+		return
+	}
+	cfg := spec.HW.SoCConfig()
+	if want := soc.EnergyFor(cfg.Core, cfg.Gemmini).Static(res.Cycles); res.Energy.Static != want {
+		report("energy-ledger", fmt.Sprintf("static %+v != leakage %+v over %d cycles", res.Energy.Static, want, res.Cycles), -1)
+	}
+	if d := res.Energy.Dynamic; d.CorePJ < midPJ.CorePJ || d.AccelPJ < midPJ.AccelPJ || d.MemPJ < midPJ.MemPJ {
+		report("energy-ledger", fmt.Sprintf("dynamic ledger shrank from %+v to %+v", midPJ, d), mid)
 	}
 }
 

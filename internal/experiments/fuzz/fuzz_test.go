@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/env"
 	"repro/internal/experiments"
 	"repro/internal/vec"
 )
@@ -55,9 +54,16 @@ func TestInjectedFaultLocalizedToQuantum(t *testing.T) {
 		t.Fatalf("mission too short for the fault quantum: %d quanta", len(clean.Result.Fingerprints))
 	}
 
-	faulted, err := experiments.RunMissionWithFault(spec, faultQuantum, func(s *env.Sim) {
-		s.InjectImpulse(vec.V3(0, 1.5, 0))
-	})
+	ms, err := experiments.NewMission(spec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	if done, err := ms.Step(faultQuantum); err != nil || done {
+		t.Fatalf("stepping to the fault quantum: done=%v err=%v", done, err)
+	}
+	ms.Sim().InjectImpulse(vec.V3(0, 1.5, 0))
+	faulted, err := ms.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func Pareto(opt Options) (*Report, error) {
 					Seed:      7,
 					MaxSimSec: opt.maxSimSec(),
 					Overlap:   opt.Overlap,
-					Obs:       opt.Obs,
+					Obs:       opt.Obs.Parent(),
 					Precision: p,
 				})
 				pts = append(pts, point{hw, mp, p})

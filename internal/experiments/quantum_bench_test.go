@@ -43,29 +43,24 @@ func BenchmarkMissionQuantumScenario(b *testing.B) {
 }
 
 func benchMissionQuantum(b *testing.B, spec MissionSpec) {
-	newMission := func() *mission {
-		ms, err := assemble(spec, nil, nil)
+	newMission := func() *Mission {
+		ms, err := NewMission(spec, nil, nil)
 		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ms.sy.Start(); err != nil {
 			b.Fatal(err)
 		}
 		// Warm every scratch buffer (inference workspaces, bridge queues,
 		// telemetry codec) before the measured steady state.
-		for i := 0; i < 16; i++ {
-			if _, err := ms.sy.StepQuanta(1); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := ms.Step(16); err != nil {
+			b.Fatal(err)
 		}
 		return ms
 	}
 	ms := newMission()
-	defer func() { ms.close() }()
+	defer func() { ms.Close() }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		done, err := ms.sy.StepQuanta(1)
+		done, err := ms.Step(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +68,7 @@ func benchMissionQuantum(b *testing.B, spec MissionSpec) {
 			// The vehicle reached the tunnel end: rebuild outside the
 			// timer (StopTimer also pauses allocation accounting).
 			b.StopTimer()
-			ms.close()
+			ms.Close()
 			ms = newMission()
 			b.StartTimer()
 		}

@@ -61,19 +61,6 @@ func captureEncoded(t *testing.T, spec MissionSpec) *snapshot.Image {
 
 func checkParity(t *testing.T, ref, got *MissionOutcome) {
 	t.Helper()
-	checkTrajectory(t, ref, got)
-	// The energy ledger is part of the parity contract: a restored mission's
-	// final breakdown must equal the uninterrupted run's, pJ for pJ.
-	if got.Result.HasEnergy != ref.Result.HasEnergy || got.Result.Energy != ref.Result.Energy {
-		t.Errorf("energy differs:\n  uninterrupted %+v (hasEnergy=%v)\n  restored      %+v (hasEnergy=%v)",
-			ref.Result.Energy, ref.Result.HasEnergy, got.Result.Energy, got.Result.HasEnergy)
-	}
-}
-
-// checkTrajectory asserts outcome parity without the energy clause — the
-// pre-energy-image compat test needs exactly that split.
-func checkTrajectory(t *testing.T, ref, got *MissionOutcome) {
-	t.Helper()
 	if len(got.Result.Trajectory) != len(ref.Result.Trajectory) {
 		t.Fatalf("trajectory length %d, uninterrupted %d",
 			len(got.Result.Trajectory), len(ref.Result.Trajectory))
@@ -87,6 +74,12 @@ func checkTrajectory(t *testing.T, ref, got *MissionOutcome) {
 	if got.Result.Collisions != ref.Result.Collisions || got.Result.Completed != ref.Result.Completed {
 		t.Errorf("outcome flags differ: collisions %d/%d completed %v/%v",
 			got.Result.Collisions, ref.Result.Collisions, got.Result.Completed, ref.Result.Completed)
+	}
+	// The energy ledger is part of the parity contract: a restored mission's
+	// final breakdown must equal the uninterrupted run's, pJ for pJ.
+	if got.Result.HasEnergy != ref.Result.HasEnergy || got.Result.Energy != ref.Result.Energy {
+		t.Errorf("energy differs:\n  uninterrupted %+v (hasEnergy=%v)\n  restored      %+v (hasEnergy=%v)",
+			ref.Result.Energy, ref.Result.HasEnergy, got.Result.Energy, got.Result.HasEnergy)
 	}
 }
 
@@ -104,12 +97,12 @@ func TestSnapshotParityLocal(t *testing.T) {
 
 				// Restore continues with the mission's own sensor
 				// streams: a pure suspend/resume, no variant reseed.
-				ms, err := assemble(spec, nil, img)
+				ms, err := NewMission(spec, nil, img)
 				if err != nil {
 					t.Fatalf("restore: %v", err)
 				}
-				defer ms.close()
-				got, err := ms.run()
+				defer ms.Close()
+				got, err := ms.Finish()
 				if err != nil {
 					t.Fatalf("restored run: %v", err)
 				}

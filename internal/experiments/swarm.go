@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/env"
 	"repro/internal/scenario"
 	"repro/internal/world"
 )
@@ -73,22 +72,17 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 		return nil, fmt.Errorf("experiments: unknown map %q", specs[0].Map)
 	}
 
-	missions := make([]*mission, n)
+	missions := make([]*Mission, n)
 	defer func() {
 		for _, ms := range missions {
 			if ms != nil {
-				ms.close()
+				ms.Close()
 			}
 		}
 	}()
 	for i, sp := range specs {
-		ms, err := assemble(sp, m, nil)
-		if err != nil {
+		if missions[i], err = NewMission(sp, m, nil); err != nil {
 			return nil, fmt.Errorf("experiments: assembling drone %d: %w", i, err)
-		}
-		missions[i] = ms
-		if err := ms.sy.Start(); err != nil {
-			return nil, fmt.Errorf("experiments: starting drone %d: %w", i, err)
 		}
 	}
 
@@ -96,7 +90,7 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 	// last completed quantum; peers is the scratch each SetPeers copies from.
 	bodies := make([]world.Body, n)
 	for i, ms := range missions {
-		bodies[i] = ms.sim.BodyState()
+		bodies[i] = ms.Sim().BodyState()
 	}
 	peers := make([]world.Body, 0, n-1)
 	done := make([]bool, n)
@@ -111,8 +105,8 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 					peers = append(peers, bodies[j])
 				}
 			}
-			ms.sim.SetPeers(peers)
-			d, err := ms.sy.StepQuanta(1)
+			ms.Sim().SetPeers(peers)
+			d, err := ms.Step(1)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: drone %d: %w", i, err)
 			}
@@ -122,55 +116,15 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 			}
 		}
 		for i, ms := range missions {
-			bodies[i] = ms.sim.BodyState()
+			bodies[i] = ms.Sim().BodyState()
 		}
 	}
 
 	outs := make([]*MissionOutcome, n)
 	for i, ms := range missions {
-		res, err := ms.sy.Finish()
-		if err != nil {
+		if outs[i], err = ms.Finish(); err != nil {
 			return nil, fmt.Errorf("experiments: finishing drone %d: %w", i, err)
 		}
-		outs[i] = &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}
 	}
 	return outs, nil
-}
-
-// RunMissionWithFault runs one mission stepwise and invokes inject on the
-// live simulator at the given quantum boundary — the seeded fault-injection
-// hook the mission fuzzer uses to prove divergence bisection localizes a
-// perturbation to the quantum it happened in.
-func RunMissionWithFault(spec MissionSpec, faultQuantum int, inject func(*env.Sim)) (*MissionOutcome, error) {
-	if spec.EnvAddr != "" {
-		return nil, fmt.Errorf("experiments: fault injection requires an in-process environment")
-	}
-	ms, err := assemble(spec, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if faultQuantum > 0 {
-		done, err := ms.sy.StepQuanta(faultQuantum)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before fault quantum %d", faultQuantum)
-		}
-	}
-	if inject != nil {
-		inject(ms.sim)
-	}
-	if _, err := ms.sy.StepQuanta(0); err != nil {
-		return nil, err
-	}
-	res, err := ms.sy.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
 }

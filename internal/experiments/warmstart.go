@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -90,46 +90,42 @@ func SpecFromImage(img *snapshot.Image) (MissionSpec, error) {
 	}, nil
 }
 
+// errRemoteEnv refuses the warm-start paths for a mission whose environment
+// is a remote server: its state can be neither captured nor reseeded here.
+var errRemoteEnv = errors.New("experiments: snapshots and sensor reseeds require an in-process environment (remote env state is server-owned)")
+
+// runPrefix assembles a fresh mission and steps its shared prefix of
+// exactly prefixQuanta quanta. A mission that ends first is an error: there
+// would be nothing left to diverge.
+func runPrefix(spec MissionSpec, prefixQuanta uint64) (*Mission, error) {
+	if spec.EnvAddr != "" {
+		return nil, errRemoteEnv
+	}
+	ms, err := NewMission(spec, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	done, err := ms.Step(int(prefixQuanta))
+	if err == nil && done {
+		err = fmt.Errorf("experiments: mission ended before quantum %d", prefixQuanta)
+	}
+	if err != nil {
+		ms.Close()
+		return nil, err
+	}
+	return ms, nil
+}
+
 // CaptureMission runs the mission's shared prefix for prefixQuanta
 // synchronization quanta and captures a snapshot image at that boundary.
 // The prefix mission is then discarded — forks continue from the image.
 func CaptureMission(spec MissionSpec, prefixQuanta uint64) (*snapshot.Image, error) {
-	if spec.EnvAddr != "" {
-		return nil, fmt.Errorf("experiments: snapshot capture requires an in-process environment (remote env state is server-owned)")
-	}
-	ms, err := assemble(spec, nil, nil)
+	ms, err := runPrefix(spec, prefixQuanta)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if prefixQuanta > 0 {
-		done, err := ms.sy.StepQuanta(int(prefixQuanta))
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before the divergence quantum %d", prefixQuanta)
-		}
-	}
-	rawSpec, err := spec.MetaSpec()
-	if err != nil {
-		return nil, err
-	}
-	meta := snapshot.Meta{Spec: rawSpec}
-	if spec.Obs != nil {
-		meta.TraceSeq = spec.Obs.Run.Seq()
-	}
-	img, err := snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
-	if err != nil {
-		return nil, err
-	}
-	// The prefix mission is abandoned here: Finish tears down the
-	// synchronizer's worker before close() kills the machine.
-	_, _ = ms.sy.Finish()
-	return img, nil
+	defer ms.Close()
+	return ms.Capture()
 }
 
 // ResumeMission restores an image into one mission — spec rebuilt from the
@@ -137,19 +133,19 @@ func CaptureMission(spec MissionSpec, prefixQuanta uint64) (*snapshot.Image, err
 // from the restoring process — and runs it to completion: suspend/resume,
 // no variant reseed. With recordFingerprints the resumed run logs its
 // per-quantum chain, continuing from the image's captured fingerprint.
-func ResumeMission(img *snapshot.Image, suite *obs.Suite, recordFingerprints bool) (*MissionOutcome, error) {
+func ResumeMission(img *snapshot.Image, o *obs.MissionObs, recordFingerprints bool) (*MissionOutcome, error) {
 	spec, err := SpecFromImage(img)
 	if err != nil {
 		return nil, err
 	}
-	spec.Obs = suite
+	spec.Obs = o
 	spec.RecordFingerprints = recordFingerprints
-	ms, err := assemble(spec, nil, img)
+	ms, err := NewMission(spec, nil, img)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.close()
-	return ms.run()
+	defer ms.Close()
+	return ms.Finish()
 }
 
 // ForkMission restores one image into an independent mission, reseeds its
@@ -157,129 +153,39 @@ func ResumeMission(img *snapshot.Image, suite *obs.Suite, recordFingerprints boo
 // runs it to completion. sharedMap, when non-nil, is the read-only geometry
 // every fork of the same image shares; nil looks the map up by name.
 func ForkMission(spec MissionSpec, img *snapshot.Image, sharedMap *world.Map, sensorSeed int64) (*MissionOutcome, error) {
-	ms, err := assemble(spec, sharedMap, img)
+	ms, err := NewMission(spec, sharedMap, img)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.close()
-	ms.sim.ReseedSensors(sensorSeed)
-	return ms.run()
+	defer ms.Close()
+	ms.Sim().ReseedSensors(sensorSeed)
+	return ms.Finish()
 }
 
-// Fork restores one image into len(seeds) independent missions on a bounded
+// Fork restores one image into len(seeds) independent missions on the
 // worker pool, one sensor seed per sweep point, sharing the map geometry and
-// model weights across all forks. Outcomes are indexed like seeds; the first
-// error in seed order is returned.
+// model weights across all forks. Outcomes are indexed like seeds.
 func Fork(spec MissionSpec, img *snapshot.Image, seeds []int64, workers int) ([]*MissionOutcome, error) {
-	spec = spec.withDefaults()
-	m := world.ByName(spec.Map)
-	if m == nil {
-		return nil, fmt.Errorf("experiments: unknown map %q", spec.Map)
-	}
-	outs := make([]*MissionOutcome, len(seeds))
-	errs := make([]error, len(seeds))
-	if workers <= 0 || workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers <= 1 {
-		for i, s := range seeds {
-			outs[i], errs[i] = ForkMission(spec, img, m, s)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = ForkMission(spec, img, m, seeds[i])
-				}
-			}()
-		}
-		for i := range seeds {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
-}
-
-// runColdVariant is the cold baseline for one sweep point: replay the whole
-// shared prefix, reseed at the divergence quantum, run to completion. It
-// takes the identical stepwise path as capture+fork so the two modes are
-// bit-comparable.
-func runColdVariant(spec MissionSpec, prefixQuanta uint64, sensorSeed int64) (*MissionOutcome, error) {
-	ms, err := assemble(spec, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if prefixQuanta > 0 {
-		done, err := ms.sy.StepQuanta(int(prefixQuanta))
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before the divergence quantum %d", prefixQuanta)
-		}
-	}
-	ms.sim.ReseedSensors(sensorSeed)
-	if _, err := ms.sy.StepQuanta(0); err != nil {
-		return nil, err
-	}
-	res, err := ms.sy.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
+	m := world.ByName(spec.Map) // nil: each fork reports the unknown map
+	return pool(len(seeds), workers, func(i int) (*MissionOutcome, error) {
+		return ForkMission(spec, img, m, seeds[i])
+	})
 }
 
 // RunColdSweep is the cold baseline at sweep scale: every seed replays the
-// full shared prefix before diverging. Outcomes are indexed like seeds.
+// full shared prefix, reseeds at the divergence quantum — the identical
+// stepwise path as capture + fork, so the two modes are bit-comparable —
+// and runs to completion. Outcomes are indexed like seeds.
 func RunColdSweep(spec MissionSpec, prefixQuanta uint64, seeds []int64, workers int) ([]*MissionOutcome, error) {
-	outs := make([]*MissionOutcome, len(seeds))
-	errs := make([]error, len(seeds))
-	if workers <= 0 || workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers <= 1 {
-		for i, s := range seeds {
-			outs[i], errs[i] = runColdVariant(spec, prefixQuanta, s)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = runColdVariant(spec, prefixQuanta, seeds[i])
-				}
-			}()
-		}
-		for i := range seeds {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
+	return pool(len(seeds), workers, func(i int) (*MissionOutcome, error) {
+		ms, err := runPrefix(spec, prefixQuanta)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return outs, nil
+		defer ms.Close()
+		ms.Sim().ReseedSensors(seeds[i])
+		return ms.Finish()
+	})
 }
 
 // RunWarmSweep is the warm-start path at sweep scale: run the shared prefix

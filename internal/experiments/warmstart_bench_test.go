@@ -15,21 +15,18 @@ var benchSink any
 // the same quantum boundary).
 func BenchmarkSnapshotCapture(b *testing.B) {
 	spec := paritySpec("tunnel", 0)
-	ms, err := assemble(spec, nil, nil)
+	ms, err := NewMission(spec, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if done, err := ms.sy.StepQuanta(parityPrefixQuanta); err != nil || done {
+	defer ms.Close()
+	if done, err := ms.Step(parityPrefixQuanta); err != nil || done {
 		b.Fatalf("prefix: done=%v err=%v", done, err)
 	}
 	var bytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img, err := snapshot.Capture(ms.sy, ms.sim, ms.mach, snapshot.Meta{})
+		img, err := ms.Capture()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +38,6 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(bytes), "image_bytes")
-	_, _ = ms.sy.Finish()
 }
 
 // BenchmarkSnapshotRestore measures the full fork cost: decode the
@@ -64,10 +60,10 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms, err := assemble(spec, m, dec)
+		ms, err := NewMission(spec, m, dec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms.close()
+		ms.Close()
 	}
 }

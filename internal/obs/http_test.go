@@ -156,6 +156,30 @@ func TestNilSuite(t *testing.T) {
 	c.ObserveQuantum(st)
 }
 
+// TestSuiteParent: a single-mission run's instrument set is the suite's
+// own unlabeled bundles plus its trace context and log; a nil suite yields
+// nil (observability off), like Mission.
+func TestSuiteParent(t *testing.T) {
+	s := New(0)
+	p := s.Parent()
+	if p.ID != "" || p.Scope != nil {
+		t.Errorf("parent set is labeled: id %q scope %v", p.ID, p.Scope)
+	}
+	if p.Core != s.Core || p.RPC != s.RPC || p.Bridge != s.Bridge || p.SoC != s.SoC || p.App != s.App {
+		t.Error("parent set does not carry the suite's own bundles")
+	}
+	if p.Run != s.Run || p.Log != s.Log {
+		t.Error("parent set does not reach the suite's trace context and log")
+	}
+	if m := s.Mission(""); m.Run != s.Run || m.Log != s.Log {
+		t.Error("mission scope does not reach the suite's trace context and log")
+	}
+	var nilSuite *Suite
+	if nilSuite.Parent() != nil {
+		t.Error("nil suite must yield a nil parent set")
+	}
+}
+
 func TestSuiteSummary(t *testing.T) {
 	s := New(16)
 	base := time.Now().Add(-10 * time.Millisecond)

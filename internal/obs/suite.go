@@ -83,15 +83,21 @@ func New(traceEvents int) *Suite {
 	return s
 }
 
-// MissionObs is the per-mission instrument set a fleet/sweep mission wires
-// instead of the suite's parent bundles: the same subsystem bundles built
-// against a labeled Scope, sharing the suite's tracer, run context, flight
-// recorder, log, and stream bus. `/metrics` then exposes each mission's
-// series labeled with mission_id (plus map/hw/precision) alongside the
-// parent-side aggregates.
+// MissionObs is the instrument set one mission wires. Suite.Parent hands a
+// single-mission run the suite's own unlabeled bundles; Suite.Mission hands
+// a fleet/sweep mission the same subsystem bundles built against a labeled
+// Scope, so `/metrics` exposes each mission's series labeled with
+// mission_id (plus map/hw/precision) alongside the parent-side aggregates.
+// Either way the bundles share the suite's tracer, flight recorder, stream
+// bus, run context, and log.
 type MissionObs struct {
-	ID    string
-	Scope *Scope
+	ID    string // "" for the suite's parent set
+	Scope *Scope // nil for the suite's parent set
+
+	// Run is the suite's trace context (stamped onto RPCs, carried across
+	// snapshots); Log is the suite's structured event log.
+	Run *TraceContext
+	Log *Logger
 
 	Core   *CoreObs
 	RPC    *RPCObs
@@ -119,6 +125,8 @@ func (s *Suite) Mission(id string, labels ...[2]string) *MissionObs {
 	m := &MissionObs{
 		ID:     id,
 		Scope:  sc,
+		Run:    s.Run,
+		Log:    s.Log,
 		Core:   newCoreObs(sc, s.Tracer, s.Run, s.Recorder, s.Log),
 		RPC:    newRPCObs(sc, s.Tracer),
 		Bridge: newBridgeObs(sc),
@@ -127,6 +135,19 @@ func (s *Suite) Mission(id string, labels ...[2]string) *MissionObs {
 	}
 	m.Core.bindStream(s.Bus, id, m.SoC, m.Bridge, m.App)
 	return m
+}
+
+// Parent returns the suite's unlabeled instrument set — what a
+// single-mission run wires, so its series are the suite's own. Nil-safe: a
+// nil suite yields a nil MissionObs (observability off).
+func (s *Suite) Parent() *MissionObs {
+	if s == nil {
+		return nil
+	}
+	return &MissionObs{
+		Run: s.Run, Log: s.Log,
+		Core: s.Core, RPC: s.RPC, Bridge: s.Bridge, SoC: s.SoC, App: s.App,
+	}
 }
 
 // Logger returns the suite's structured logger. Safe on a nil suite: the

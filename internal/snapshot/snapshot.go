@@ -45,11 +45,10 @@ import (
 // cannot be decoded by older readers must bump the version suffix.
 const Magic = "rose-snap/1\n"
 
-// Section tags. Each appears at most once per image. The energy section is
-// optional within version 1: images written before the energy ledger
-// existed simply lack it (Decode yields a zeroed ledger and
-// Image.HasEnergy == false so callers can warn), and pre-energy readers
-// skip it as an unknown tag — CRC still verified — without failing.
+// Section tags. Each appears exactly once per image, the energy section
+// included: an image written before the energy ledger existed lacks it and
+// fails closed with a missing-section error rather than restoring a mission
+// whose energy totals would silently cover only the resumed portion.
 const (
 	secMeta   = "meta"
 	secCore   = "core"
@@ -90,11 +89,6 @@ type Image struct {
 	Core core.State
 	Env  env.SimState
 	SoC  soc.SnapState
-	// HasEnergy reports whether the image carried the energy section
-	// ("nrgy"). When false — a pre-energy image — SoC.Stats.Energy is
-	// zeroed and restored missions restart energy accounting from zero;
-	// callers should log a warning rather than fail.
-	HasEnergy bool
 }
 
 // RTL is the capture surface a snapshot needs from the SoC side: the local
@@ -158,10 +152,9 @@ func Encode(img *Image) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding env state: %w", err)
 	}
-	// The energy ledger travels in its own optional section: the soc
-	// section is written from a copy with the ledger zeroed, so the "nrgy"
-	// payload is authoritative and a reader that predates it reconstructs
-	// exactly the pre-energy image shape.
+	// The energy ledger travels in its own section: the soc section is
+	// written from a copy with the ledger zeroed, so the "nrgy" payload is
+	// authoritative.
 	socSt := img.SoC
 	ledger := socSt.Stats.Energy
 	socSt.Stats.Energy = soc.EnergyLedger{}
@@ -239,9 +232,7 @@ func Decode(data []byte) (*Image, error) {
 		case secSoC:
 			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.SoC)
 		case secEnergy:
-			if err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&ledger); err == nil {
-				img.HasEnergy = true
-			}
+			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&ledger)
 		default:
 			// Unknown sections are skipped (CRC still verified): room for
 			// forward-compatible extensions within version 1.
@@ -250,15 +241,13 @@ func Decode(data []byte) (*Image, error) {
 			return nil, fmt.Errorf("snapshot: decoding section %q: %w", tag, err)
 		}
 	}
-	for _, tag := range []string{secMeta, secCore, secEnv, secSoC} {
+	for _, tag := range []string{secMeta, secCore, secEnv, secSoC, secEnergy} {
 		if !seen[tag] {
 			return nil, fmt.Errorf("snapshot: image missing section %q", tag)
 		}
 	}
 	// Inject the ledger after the section loop so the result is independent
 	// of the soc/nrgy section order on the wire.
-	if img.HasEnergy {
-		img.SoC.Stats.Energy = ledger
-	}
+	img.SoC.Stats.Energy = ledger
 	return img, nil
 }

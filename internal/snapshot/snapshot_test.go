@@ -78,39 +78,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(img.SoC, dec.SoC) {
 		t.Errorf("soc round trip: want %+v got %+v", img.SoC, dec.SoC)
 	}
-	if !dec.HasEnergy {
-		t.Error("freshly encoded image decoded without the energy section")
-	}
 }
 
-// TestDecodePreEnergyImage: an image without the "nrgy" section — written
-// before the energy ledger existed — must decode cleanly with a zeroed
-// ledger and HasEnergy == false, so restore paths can warn instead of fail.
-func TestDecodePreEnergyImage(t *testing.T) {
-	img := sampleImage()
-	enc, err := Encode(img)
+// TestDecodeRejectsPreEnergyImage: an image without the "nrgy" section —
+// written before the energy ledger existed — fails closed with a
+// missing-section error naming it, rather than restoring a zeroed ledger.
+func TestDecodeRejectsPreEnergyImage(t *testing.T) {
+	enc, err := Encode(sampleImage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := stripSection(t, enc, secEnergy)
-	dec, err := Decode(old)
-	if err != nil {
-		t.Fatalf("pre-energy image rejected: %v", err)
-	}
-	if dec.HasEnergy {
-		t.Error("HasEnergy set on an image with no energy section")
-	}
-	if dec.SoC.Stats.Energy != (soc.EnergyLedger{}) {
-		t.Errorf("pre-energy image decoded a nonzero ledger: %+v", dec.SoC.Stats.Energy)
-	}
-	// Everything else survives unchanged.
-	if dec.SoC.Cycle != img.SoC.Cycle || !reflect.DeepEqual(dec.Core, img.Core) {
-		t.Errorf("pre-energy image lost state: soc cycle %d, core %+v", dec.SoC.Cycle, dec.Core)
+	_, err = Decode(stripSection(t, enc, secEnergy))
+	if err == nil || !strings.Contains(err.Error(), `missing section "nrgy"`) {
+		t.Fatalf("want missing-section error naming nrgy, got %v", err)
 	}
 }
 
-// TestDecodeCorruptEnergySection: the optional section is still
-// CRC-protected — a flipped bit refuses the image rather than silently
+// TestDecodeCorruptEnergySection: the energy section is CRC-protected — a flipped bit refuses the image rather than silently
 // restoring a wrong ledger.
 func TestDecodeCorruptEnergySection(t *testing.T) {
 	enc, err := Encode(sampleImage())

@@ -56,15 +56,16 @@ go test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestLiveDivergence
 echo "== snapshot parity matrix =="
 # Warm-start correctness: snapshot -> restore -> run must be byte-identical
 # to the uninterrupted mission, across maps, overlap modes, and the
-# TCP-remote RTL, raced fresh every time.
-go test -race -count=1 -run 'TestSnapshotParity' ./internal/experiments/
+# TCP-remote RTL, and a forked sensor-seed variant of a degraded-sensor
+# patrol must equal its cold replay quantum for quantum, raced fresh every
+# time.
+go test -race -count=1 -run 'TestSnapshotParity|TestWarmColdParityPatrol' ./internal/experiments/
 
 echo "== energy parity matrix =="
 # The energy ledger's determinism contract: byte-identical EnergyBreakdown
-# totals across {overlap, serial} x {local, TCP-remote RTL}, pre-energy
-# images restoring with a zeroed ledger, and EnergyOff leaving the mission's
-# timing and trajectory untouched.
-go test -race -count=1 -run 'TestEnergy|TestRestorePreEnergyImage' ./internal/experiments/
+# totals across {overlap, serial} x {local, TCP-remote RTL}, and EnergyOff
+# leaving the mission's timing and trajectory untouched.
+go test -race -count=1 -run 'TestEnergy' ./internal/experiments/
 
 echo "== scenario fuzz (bounded) =="
 # The property-based mission sweep on a bounded seed budget: every scenario
@@ -76,15 +77,18 @@ echo "== scenario fuzz (bounded) =="
 ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 \
     -run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
-echo "== fuzz smoke (40s) =="
-# A short native-fuzzing burst per wire-facing decoder: packet framing
+echo "== fuzz smoke (50s) =="
+# A short native-fuzzing burst per decoder of outside bytes: packet framing
 # (buffer and stream decoders, including the resilience extension + CRC),
-# the telemetry codec, and the remote-RTL reply payloads (status codec and
-# packet batch). Each -fuzz pattern must match exactly one target.
+# the telemetry codec, the remote-RTL reply payloads (status codec and
+# packet batch), and rose-snap/1 snapshot images. Each -fuzz pattern must
+# match exactly one target. Snapshot seeds are KiB-sized, so their
+# minimization is capped at 1s; the default 60s would eat the whole burst.
 go test -run xxx -fuzz 'FuzzDecode$' -fuzztime 10s ./internal/packet/
 go test -run xxx -fuzz 'FuzzReaderNext$' -fuzztime 10s ./internal/packet/
 go test -run xxx -fuzz 'FuzzDecodeTelemetry$' -fuzztime 10s ./internal/env/
 go test -run xxx -fuzz 'FuzzRTLReply$' -fuzztime 10s ./internal/soc/
+go test -run xxx -fuzz 'FuzzImageDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
 
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
