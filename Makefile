@@ -30,15 +30,16 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestLink|TestResil|TestReplay|TestChecksum|TestWriterResil|TestAppendFrame' ./internal/packet/
 	$(GO) test -race -count=1 ./internal/faultnet/
 
-# parity re-runs the GEMM numerics contract (float32 bit-identical, int8
-# exactly equal, solo and batched) with each microkernel forced via
-# ROSE_GEMM_KERNEL. Kernels the host lacks skip gracefully, so this is safe
-# on any machine; make check runs the same loop.
+# parity re-runs the GEMM and convolution numerics contract (float32
+# bit-identical, int8 exactly equal, solo and batched, GEMM and conv
+# epilogues against their direct references) with each microkernel forced
+# via ROSE_GEMM_KERNEL. Kernels the host lacks skip gracefully, so this is
+# safe on any machine; make check runs the same loop.
 parity:
 	for k in noasm sse avx2; do \
 		echo "-- ROSE_GEMM_KERNEL=$$k"; \
 		ROSE_GEMM_KERNEL=$$k $(GO) test -race -count=1 \
-			-run 'TestKernel|TestMatMulParity|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
+			-run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
 			./internal/tensor/ ./internal/dnn/ || exit 1; \
 	done
 
@@ -90,7 +91,9 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# bench-kernels times just the perf-critical kernels (seconds).
+# bench-kernels times just the perf-critical kernels and the forward pass
+# missions run (seconds).
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchmem ./internal/tensor/
+	$(GO) test -run xxx -bench 'BenchmarkForward$$' -benchmem ./internal/dnn/
 	$(GO) test -run xxx -bench 'BenchmarkRender' -benchmem ./internal/render/

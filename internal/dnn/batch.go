@@ -158,7 +158,7 @@ func (r *Batcher) bnB(bn *BatchNorm, t *tensor.Tensor, c, h, w int) {
 	sz := c * h * w
 	for b := 0; b < r.b; b++ {
 		v := r.view(3, t.Data[b*sz:(b+1)*sz], c, h, w)
-		tensor.BatchNormInto(v, v, bn.Gamma, bn.Beta, bn.Mean, bn.Var, 1e-5)
+		tensor.BatchNormInto(v, v, bn.Gamma, bn.Beta, bn.Mean, bn.Var, bnEps)
 	}
 }
 
@@ -188,7 +188,7 @@ func (r *Batcher) convB(l *Conv, x *tensor.Tensor, c, h, w int) (*tensor.Tensor,
 			r.scales[b] = qp.Scale
 			tensor.QuantizeInto(qx, xb, qp)
 			band := r.viewI8(qcols.Data[b*m*k:(b+1)*m*k], m, k)
-			tensor.Im2ColI8Into(band, qx, kh, kw, l.Stride, l.Pad)
+			tensor.Im2ColI8Into(ws, band, qx, kh, kw, l.Stride, l.Pad)
 		}
 		ws.PutI8(qx)
 		acc := ws.GetI32(B*m, outC)
@@ -216,7 +216,7 @@ func (r *Batcher) convB(l *Conv, x *tensor.Tensor, c, h, w int) (*tensor.Tensor,
 	for b := 0; b < B; b++ {
 		xb := r.view(0, x.Data[b*sz:(b+1)*sz], c, h, w)
 		band := r.view(1, cols.Data[b*m*k:(b+1)*m*k], m, k)
-		tensor.Im2ColInto(band, xb, kh, kw, l.Stride, l.Pad)
+		tensor.Im2ColInto(ws, band, xb, kh, kw, l.Stride, l.Pad)
 	}
 	prod := ws.Get(B*m, outC)
 	tensor.MatMulInto(prod, cols, l.weightT(), B*m, k, outC)

@@ -101,7 +101,7 @@ func (l *Conv) weightT() *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *Conv) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return tensor.Conv2DWS(ws, x, l.W, l.weightT(), l.Bias, l.Stride, l.Pad)
+	return l.forward(x, ws, PrecisionFP32, nil, false)
 }
 
 // quantWeightT returns the cached int8 quantization of weightT and its
@@ -122,6 +122,21 @@ func (l *Conv) quantWeightT() (*tensor.I8, float32) {
 // kernel-invariant and identical between solo and batched execution, so the
 // whole int8 mode is exactly reproducible everywhere (see tensor/quant.go).
 func (l *Conv) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	return l.forward(x, ws, PrecisionInt8, nil, false)
+}
+
+// forward runs the convolution on the prec datapath and finishes it, in the
+// pass that transposes the GEMM result to CHW, with the bias, then bn (when
+// non-nil), then ReLU (when relu is set): bit-identical to the separate
+// BatchNorm and ReLU layers applied to the plain convolution.
+func (l *Conv) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision, bn *BatchNorm, relu bool) *tensor.Tensor {
+	ep := tensor.Epilogue{Bias: l.Bias, ReLU: relu}
+	if bn != nil {
+		ep.Gamma, ep.Beta, ep.Mean, ep.Var, ep.Eps = bn.Gamma, bn.Beta, bn.Mean, bn.Var, bnEps
+	}
+	if prec != PrecisionInt8 {
+		return tensor.Conv2DWS(ws, x, l.W, l.weightT(), ep, l.Stride, l.Pad)
+	}
 	wq, sw := l.quantWeightT()
 	outC, inC, kh, kw := l.W.Shape[0], l.W.Shape[1], l.W.Shape[2], l.W.Shape[3]
 	if x.Shape[0] != inC {
@@ -131,13 +146,11 @@ func (l *Conv) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	qx := ws.GetI8(x.Shape...)
 	tensor.QuantizeInto(qx, x, qp)
 
-	h, w := x.Shape[1], x.Shape[2]
-	outH := (h+2*l.Pad-kh)/l.Stride + 1
-	outW := (w+2*l.Pad-kw)/l.Stride + 1
+	outH, outW := l.outDims(x.Shape[1], x.Shape[2])
 	m := outH * outW
 	k := inC * kh * kw
 	qcols := ws.GetI8(m, k)
-	tensor.Im2ColI8Into(qcols, qx, kh, kw, l.Stride, l.Pad)
+	tensor.Im2ColI8Into(ws, qcols, qx, kh, kw, l.Stride, l.Pad)
 	ws.PutI8(qx)
 
 	acc := ws.GetI32(m, outC)
@@ -145,25 +158,21 @@ func (l *Conv) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	ws.PutI8(qcols)
 
 	out := ws.Get(outC, outH, outW)
-	d := qp.Scale * sw
-	for o := 0; o < outC; o++ {
-		var b float32
-		if l.Bias != nil {
-			b = l.Bias[o]
-		}
-		for i := 0; i < m; i++ {
-			out.Data[o*m+i] = float32(acc.Data[i*outC+o])*d + b
-		}
-	}
+	ep.Dequantize(out, acc.Data, qp.Scale*sw, m, outC)
 	ws.PutI32(acc)
 	return out
+}
+
+// outDims returns the output extent for an h×w input.
+func (l *Conv) outDims(h, w int) (outH, outW int) {
+	kh, kw := l.W.Shape[2], l.W.Shape[3]
+	return (h+2*l.Pad-kh)/l.Stride + 1, (w+2*l.Pad-kw)/l.Stride + 1
 }
 
 // Describe implements Layer.
 func (l *Conv) Describe(c, h, w int) ([]OpDesc, [3]int) {
 	outC, k := l.W.Shape[0], l.W.Shape[2]
-	outH := (h+2*l.Pad-k)/l.Stride + 1
-	outW := (w+2*l.Pad-k)/l.Stride + 1
+	outH, outW := l.outDims(h, w)
 	m := outH * outW
 	kk := c * k * k
 	ops := []OpDesc{
@@ -173,6 +182,9 @@ func (l *Conv) Describe(c, h, w int) ([]OpDesc, [3]int) {
 	}
 	return ops, [3]int{outC, outH, outW}
 }
+
+// bnEps is the variance epsilon of every batch-norm layer.
+const bnEps = 1e-5
 
 // BatchNorm is inference-mode batch normalization.
 type BatchNorm struct {
@@ -198,7 +210,7 @@ func NewBatchNorm(c int) *BatchNorm {
 // Forward implements Layer.
 func (l *BatchNorm) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	out := ws.Get(x.Shape...)
-	tensor.BatchNormInto(out, x, l.Gamma, l.Beta, l.Mean, l.Var, 1e-5)
+	tensor.BatchNormInto(out, x, l.Gamma, l.Beta, l.Mean, l.Var, bnEps)
 	return out
 }
 
@@ -277,27 +289,9 @@ func NewBlock(rng *rand.Rand, inC, outC, stride int) *Block {
 	return b
 }
 
-// Forward implements Layer. Intermediate activations are ws-owned, so BN,
-// ReLU, and the residual add run in place on them (bit-identical to the
-// out-of-place formulation — same per-element operations and order).
+// Forward implements Layer.
 func (b *Block) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	y := b.Conv1.Forward(x, ws)
-	tensor.BatchNormInto(y, y, b.BN1.Gamma, b.BN1.Beta, b.BN1.Mean, b.BN1.Var, 1e-5)
-	tensor.ReLUInto(y, y)
-	z := b.Conv2.Forward(y, ws)
-	tensor.BatchNormInto(z, z, b.BN2.Gamma, b.BN2.Beta, b.BN2.Mean, b.BN2.Var, 1e-5)
-	ws.Put(y)
-	short := x
-	if b.Down != nil {
-		short = b.Down.Forward(x, ws)
-		tensor.BatchNormInto(short, short, b.DownBN.Gamma, b.DownBN.Beta, b.DownBN.Mean, b.DownBN.Var, 1e-5)
-	}
-	tensor.AddInto(z, z, short)
-	tensor.ReLUInto(z, z)
-	if short != x {
-		ws.Put(short)
-	}
-	return z
+	return b.forward(x, ws, PrecisionFP32)
 }
 
 // ForwardQ is Forward with both branch convolutions (and the projection
@@ -306,19 +300,23 @@ func (b *Block) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 // requantization well-conditioned, mirroring how Gemmini offloads the GEMMs
 // while the host handles the glue ops.
 func (b *Block) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	y := b.Conv1.ForwardQ(x, ws)
-	tensor.BatchNormInto(y, y, b.BN1.Gamma, b.BN1.Beta, b.BN1.Mean, b.BN1.Var, 1e-5)
-	tensor.ReLUInto(y, y)
-	z := b.Conv2.ForwardQ(y, ws)
-	tensor.BatchNormInto(z, z, b.BN2.Gamma, b.BN2.Beta, b.BN2.Mean, b.BN2.Var, 1e-5)
+	return b.forward(x, ws, PrecisionInt8)
+}
+
+// forward runs the block on the prec datapath. Each conv applies its BN
+// (and, on the first branch conv, the ReLU) in its own output pass, and the
+// residual add and final ReLU are one pass: the same per-element operations
+// in the same order as conv → BN → ReLU → conv → BN, add, ReLU, so the
+// result is bit-identical to the unfused layers.
+func (b *Block) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision) *tensor.Tensor {
+	y := b.Conv1.forward(x, ws, prec, b.BN1, true)
+	z := b.Conv2.forward(y, ws, prec, b.BN2, false)
 	ws.Put(y)
 	short := x
 	if b.Down != nil {
-		short = b.Down.ForwardQ(x, ws)
-		tensor.BatchNormInto(short, short, b.DownBN.Gamma, b.DownBN.Beta, b.DownBN.Mean, b.DownBN.Var, 1e-5)
+		short = b.Down.forward(x, ws, prec, b.DownBN, false)
 	}
-	tensor.AddInto(z, z, short)
-	tensor.ReLUInto(z, z)
+	tensor.AddReLUInto(z, z, short)
 	if short != x {
 		ws.Put(short)
 	}

@@ -76,7 +76,7 @@ func BenchmarkConv2DWorkspace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := Conv2DWS(ws, x, w, wt, bias, 1, 1)
+		out := Conv2DWS(ws, x, w, wt, Epilogue{Bias: bias}, 1, 1)
 		ws.Put(out)
 	}
 }

@@ -5,138 +5,90 @@ package tensor
 // scalar code twice-instantiated — results stay bit-identical to the naive
 // triple loop by construction).
 //
-// Two levels of specialization, picked per call in Im2ColInto/Im2ColI8Into:
-//
-//   - im2col3x3s1p1: the ResNet block-conv shape (3×3 kernel, stride 1,
-//     pad 1). Interior output pixels are fully in bounds, so the patch copy
-//     is nine unconditional moves from three contiguous source rows; only
-//     the one-pixel border takes the clipped path.
-//   - im2colRows: every other shape. The per-element bounds test of the
-//     naive loop is hoisted into a per-(pixel,row) run clip — zero-fill the
-//     out-of-range prefix/suffix once, then copy the in-range run with a
-//     tight unconditional loop.
-//
-// Profiles before this existed showed im2col at 60%+ of forward-pass host
-// time, dwarfing the GEMM it feeds; patch extraction is move-bound, so the
-// win comes from deleting branches, not from SIMD.
+// There is one lowering for every shape. A padded convolution first copies
+// its input once into a zero-bordered scratch plane per channel (padInto),
+// so every patch element afterwards is in bounds: each output pixel is
+// lowered with unconditional moves, one kw-long run per (pixel, channel,
+// kernel row), the 3×3 run unrolled. The per-element bounds tests and the
+// separate border path that profiles once showed at a third of the lowering
+// are gone; the padding copy costs one pass over the input.
 
 // im2colElem constrains the element types im2col is instantiated for.
 type im2colElem interface{ ~float32 | ~int8 }
 
-// im2colRows is the general shape: per output pixel and kernel row, clip the
-// kx run against the input width once, then move the run unconditionally.
-func im2colRows[T im2colElem](cd, xd []T, c, h, w, kh, kw, stride, pad, outH, outW int) {
-	kcols := c * kh * kw
-	hw := h * w
-	for oy := 0; oy < outH; oy++ {
-		y0 := oy*stride - pad
-		for ox := 0; ox < outW; ox++ {
-			x0 := ox*stride - pad
-			// Clip the kx run [0,kw) against the input width; with pad
-			// wider than the kernel the whole run can fall outside.
-			lo, hi := 0, kw
-			if x0 < 0 {
-				lo = min(-x0, kw)
-			}
-			if x0+kw > w {
-				hi = w - x0
-			}
-			if hi < lo {
-				hi = lo
-			}
-			idx := (oy*outW + ox) * kcols
-			for ch := 0; ch < c; ch++ {
-				rowOff := ch*hw + y0*w + x0
-				for ky := 0; ky < kh; ky++ {
-					iy := y0 + ky
-					dst := cd[idx : idx+kw : idx+kw]
-					idx += kw
-					if iy < 0 || iy >= h || hi <= lo {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					for i := 0; i < lo; i++ {
-						dst[i] = 0
-					}
-					src := xd[rowOff+ky*w+lo : rowOff+ky*w+hi]
-					for i, v := range src {
-						dst[lo+i] = v
-					}
-					for i := hi; i < kw; i++ {
-						dst[i] = 0
-					}
-				}
-			}
-		}
-	}
-}
-
-// im2col3x3s1p1 is the ResNet block-conv fast path. outH==h, outW==w.
-func im2col3x3s1p1[T im2colElem](cd, xd []T, c, h, w int) {
-	kcols := c * 9
-	hw := h * w
-	for oy := 0; oy < h; oy++ {
-		interior := oy > 0 && oy < h-1
-		// Border columns (ox 0 and w-1) and border rows take the clipped path.
-		if !interior || w < 3 {
-			for ox := 0; ox < w; ox++ {
-				im2colPixel3x3(cd, xd, (oy*w+ox)*kcols, c, h, w, hw, oy, ox)
-			}
-			continue
-		}
-		im2colPixel3x3(cd, xd, (oy*w)*kcols, c, h, w, hw, oy, 0)
-		base := (oy-1)*w - 1
-		for ox := 1; ox < w-1; ox++ {
-			idx := (oy*w + ox) * kcols
-			s := base + ox
-			for ch := 0; ch < c; ch++ {
-				d := cd[idx : idx+9 : idx+9]
-				r0 := xd[s : s+3]
-				r1 := xd[s+w : s+w+3]
-				r2 := xd[s+2*w : s+2*w+3]
-				d[0], d[1], d[2] = r0[0], r0[1], r0[2]
-				d[3], d[4], d[5] = r1[0], r1[1], r1[2]
-				d[6], d[7], d[8] = r2[0], r2[1], r2[2]
-				idx += 9
-				s += hw
-			}
-		}
-		im2colPixel3x3(cd, xd, (oy*w+w-1)*kcols, c, h, w, hw, oy, w-1)
-	}
-}
-
-// im2colPixel3x3 fills one output pixel's c×9 patch with edge clipping.
-func im2colPixel3x3[T im2colElem](cd, xd []T, idx, c, h, w, hw, oy, ox int) {
+// padInto copies the c planes of h×w in x into the zero-bordered
+// (h+2p)×(w+2p) planes of dst. Every element of dst is written, so a
+// recycled workspace buffer needs no prior clearing.
+func padInto[T im2colElem](dst, x []T, c, h, w, p int) {
+	wp := w + 2*p
+	i := 0
 	for ch := 0; ch < c; ch++ {
-		chOff := ch * hw
-		for ky := 0; ky < 3; ky++ {
-			iy := oy + ky - 1
-			dst := cd[idx : idx+3 : idx+3]
-			idx += 3
-			if iy < 0 || iy >= h {
-				dst[0], dst[1], dst[2] = 0, 0, 0
-				continue
-			}
-			rowOff := chOff + iy*w
-			for kx := 0; kx < 3; kx++ {
-				ix := ox + kx - 1
-				if ix >= 0 && ix < w {
-					dst[kx] = xd[rowOff+ix]
-				} else {
-					dst[kx] = 0
-				}
+		clear(dst[i : i+p*wp+p])
+		i += p*wp + p
+		for y := 0; y < h; y++ {
+			src := x[(ch*h+y)*w : (ch*h+y+1)*w]
+			copy(dst[i:i+w], src)
+			i += w
+			if y < h-1 {
+				clear(dst[i : i+2*p])
+				i += 2 * p
 			}
 		}
+		clear(dst[i : i+p+p*wp])
+		i += p + p*wp
 	}
 }
 
-// im2colInto dispatches to the fastest lowering for the requested shape.
-func im2colInto[T im2colElem](cd, xd []T, c, h, w, kh, kw, stride, pad, outH, outW int) {
-	if kh == 3 && kw == 3 && stride == 1 && pad == 1 && h >= 2 {
-		im2col3x3s1p1(cd, xd, c, h, w)
+// lowerInto writes the patch matrix of the c planes of hp×wp in src, which
+// already hold any padding, into cd: row (oy, ox) holds the c·kh·kw window
+// at (oy·stride, ox·stride) in (channel, kernel row, kernel column) order.
+func lowerInto[T im2colElem](cd, src []T, c, hp, wp, kh, kw, stride, outH, outW int) {
+	plane := hp * wp
+	idx := 0
+	if kh == 3 && kw == 3 {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				s := oy*stride*wp + ox*stride
+				for ch := 0; ch < c; ch++ {
+					d := cd[idx : idx+9 : idx+9]
+					r0 := src[s : s+3 : s+3]
+					r1 := src[s+wp : s+wp+3 : s+wp+3]
+					r2 := src[s+2*wp : s+2*wp+3 : s+2*wp+3]
+					d[0], d[1], d[2] = r0[0], r0[1], r0[2]
+					d[3], d[4], d[5] = r1[0], r1[1], r1[2]
+					d[6], d[7], d[8] = r2[0], r2[1], r2[2]
+					idx += 9
+					s += plane
+				}
+			}
+		}
 		return
 	}
-	im2colRows(cd, xd, c, h, w, kh, kw, stride, pad, outH, outW)
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			s0 := oy*stride*wp + ox*stride
+			for ch := 0; ch < c; ch++ {
+				s := s0 + ch*plane
+				for ky := 0; ky < kh; ky++ {
+					d := cd[idx : idx+kw : idx+kw]
+					r := src[s : s+kw : s+kw]
+					for i := range d {
+						d[i] = r[i]
+					}
+					idx += kw
+					s += wp
+				}
+			}
+		}
+	}
+}
+
+// im2col lowers the c×h×w input xd into cd. scratch holds the padded planes
+// when pad > 0 (c·(h+2·pad)·(w+2·pad) elements) and is unused otherwise.
+func im2col[T im2colElem](cd, xd, scratch []T, c, h, w, kh, kw, stride, pad, outH, outW int) {
+	if pad > 0 {
+		padInto(scratch, xd, c, h, w, pad)
+		xd, h, w = scratch, h+2*pad, w+2*pad
+	}
+	lowerInto(cd, xd, c, h, w, kh, kw, stride, outH, outW)
 }

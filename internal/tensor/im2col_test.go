@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -33,16 +34,19 @@ func im2colNaive(cd []float32, xd []float32, c, h, w, kh, kw, stride, pad, outH,
 }
 
 // TestIm2ColMatchesNaive sweeps kernel/stride/pad/shape combinations —
-// including the specialized 3×3/s1/p1 path, 1-pixel-wide inputs, and kernels
-// larger than the padded input edge — and requires bit-identical output from
-// the dispatching Im2ColInto.
+// including the unrolled 3×3 run, 1-pixel-wide inputs, and kernels larger
+// than the padded input edge — and requires bit-identical output from
+// Im2ColInto, with a nil workspace and twice on one whose pooled buffers
+// start out poisoned (the padded copy must clear its border every time).
 func TestIm2ColMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
 	cases := []struct{ c, h, w, kh, kw, stride, pad int }{
-		{1, 48, 64, 3, 3, 1, 1}, // ResNet block conv (fast path)
+		{1, 48, 64, 3, 3, 1, 1}, // ResNet block conv
 		{16, 24, 32, 3, 3, 1, 1},
 		{3, 5, 5, 3, 3, 1, 1},
-		{2, 2, 3, 3, 3, 1, 1},   // minimum height for the fast path
+		{2, 2, 3, 3, 3, 1, 1},
 		{1, 48, 64, 5, 5, 2, 2}, // ResNet stem
 		{4, 9, 7, 1, 1, 1, 0},   // 1×1 projection
 		{4, 9, 7, 1, 1, 2, 0},
@@ -63,29 +67,31 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 			t.Fatalf("case %+v: degenerate output %dx%d", tc, outH, outW)
 		}
 		kcols := tc.c * tc.kh * tc.kw
-		got := New(outH*outW, kcols)
 		want := make([]float32, outH*outW*kcols)
-		// Poison the destination so skipped writes are caught.
-		for i := range got.Data {
-			got.Data[i] = 999
-		}
-		gotH, gotW := Im2ColInto(got, x, tc.kh, tc.kw, tc.stride, tc.pad)
-		if gotH != outH || gotW != outW {
-			t.Fatalf("case %+v: dims %dx%d, want %dx%d", tc, gotH, gotW, outH, outW)
-		}
 		im2colNaive(want, x.Data, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, outH, outW)
-		for i := range want {
-			if got.Data[i] != want[i] {
-				t.Fatalf("case %+v: element %d = %v, want %v", tc, i, got.Data[i], want[i])
+		for _, w := range []*Workspace{nil, ws, ws} {
+			got := w.Get(outH*outW, kcols)
+			// Poison the destination so skipped writes are caught.
+			for i := range got.Data {
+				got.Data[i] = 999
 			}
+			gotH, gotW := Im2ColInto(w, got, x, tc.kh, tc.kw, tc.stride, tc.pad)
+			if gotH != outH || gotW != outW {
+				t.Fatalf("case %+v: dims %dx%d, want %dx%d", tc, gotH, gotW, outH, outW)
+			}
+			assertSameBits(t, fmt.Sprintf("im2col %+v", tc), got.Data, want)
+			w.Put(got)
 		}
 	}
 }
 
 // TestIm2ColI8MatchesFloatLayout checks the int8 instantiation agrees with
 // the float32 one on layout: quantize input, lower both, compare patterns.
+// The int8 lowering draws its padded copy from a poisoned workspace.
 func TestIm2ColI8MatchesFloatLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
 	for _, tc := range []struct{ c, h, w, kh, kw, stride, pad int }{
 		{3, 10, 12, 3, 3, 1, 1},
 		{2, 9, 7, 5, 5, 2, 2},
@@ -102,8 +108,8 @@ func TestIm2ColI8MatchesFloatLayout(t *testing.T) {
 		kcols := tc.c * tc.kh * tc.kw
 		fcols := New(outH*outW, kcols)
 		qcols := NewI8(outH*outW, kcols)
-		Im2ColInto(fcols, x, tc.kh, tc.kw, tc.stride, tc.pad)
-		Im2ColI8Into(qcols, qx, tc.kh, tc.kw, tc.stride, tc.pad)
+		Im2ColInto(nil, fcols, x, tc.kh, tc.kw, tc.stride, tc.pad)
+		Im2ColI8Into(ws, qcols, qx, tc.kh, tc.kw, tc.stride, tc.pad)
 		// Each int8 patch element must be the quantization of the float one.
 		qref := NewI8(outH*outW, kcols)
 		QuantizeInto(qref, fcols, qp)

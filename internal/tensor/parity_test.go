@@ -134,7 +134,7 @@ func TestConv2DWSBitIdenticalAndReused(t *testing.T) {
 			}
 			want := Conv2D(x, w, bias, c.stride, c.pad)
 			wt := ConvWeightT(w)
-			got := Conv2DWS(ws, x, w, wt, bias, c.stride, c.pad)
+			got := Conv2DWS(ws, x, w, wt, Epilogue{Bias: bias}, c.stride, c.pad)
 			assertSameBits(t, "conv2dws", got.Data, want.Data)
 			for i, d := range want.Shape {
 				if got.Shape[i] != d {

@@ -163,23 +163,20 @@ func MatMulI8Into(dst *I32, a, b *I8, m, k, n int) {
 }
 
 // Im2ColI8Into lowers a quantized CHW input for a KH×KW convolution into
-// int8 columns, mirroring Im2ColInto. With zero-point 0, padding positions
-// are exact zeros in the quantized domain, so quantize-then-im2col equals
-// im2col-then-quantize.
-func Im2ColI8Into(cols, x *I8, kh, kw, stride, pad int) (outH, outW int) {
-	if len(x.Shape) != 3 {
-		panic(fmt.Sprintf("tensor: im2col needs CHW input, got %v", x.Shape))
-	}
+// int8 columns, mirroring Im2ColInto, including its zero-bordered scratch
+// drawn from ws. With zero-point 0, padding positions are exact zeros in the
+// quantized domain, so quantize-then-im2col equals im2col-then-quantize.
+func Im2ColI8Into(ws *Workspace, cols, x *I8, kh, kw, stride, pad int) (outH, outW int) {
+	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	outH = (h+2*pad-kh)/stride + 1
-	outW = (w+2*pad-kw)/stride + 1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("tensor: im2col output %dx%d invalid", outH, outW))
+	checkCols(len(cols.Data), c, kh, kw, outH, outW)
+	var padded *I8
+	var scratch []int8
+	if pad > 0 {
+		padded = ws.GetI8(c, h+2*pad, w+2*pad)
+		scratch = padded.Data
 	}
-	kcols := c * kh * kw
-	if len(cols.Data) < outH*outW*kcols {
-		panic(fmt.Sprintf("tensor: im2col dst holds %d elements, need %d", len(cols.Data), outH*outW*kcols))
-	}
-	im2colInto(cols.Data, x.Data, c, h, w, kh, kw, stride, pad, outH, outW)
+	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
+	ws.PutI8(padded)
 	return outH, outW
 }

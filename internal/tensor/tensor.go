@@ -64,18 +64,19 @@ func (t *Tensor) Clone() *Tensor {
 // Im2Col lowers a CHW input for a KH×KW convolution with the given stride
 // and padding into a matrix of shape [outH*outW, C*KH*KW].
 func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
-	outH, outW := convOutDims(x, kh, kw, stride, pad)
+	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
 	cols := New(outH*outW, x.Shape[0]*kh*kw)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
+	Im2ColInto(nil, cols, x, kh, kw, stride, pad)
 	return cols, outH, outW
 }
 
-// convOutDims validates an im2col lowering and returns the output extent.
-func convOutDims(x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
-	if len(x.Shape) != 3 {
-		panic(fmt.Sprintf("tensor: im2col needs CHW input, got %v", x.Shape))
+// convOutDims validates an im2col lowering of a CHW shape and returns the
+// output extent.
+func convOutDims(shape []int, kh, kw, stride, pad int) (outH, outW int) {
+	if len(shape) != 3 {
+		panic(fmt.Sprintf("tensor: im2col needs CHW input, got %v", shape))
 	}
-	h, w := x.Shape[1], x.Shape[2]
+	h, w := shape[1], shape[2]
 	outH = (h+2*pad-kh)/stride + 1
 	outW = (w+2*pad-kw)/stride + 1
 	if outH <= 0 || outW <= 0 {
@@ -84,17 +85,30 @@ func convOutDims(x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
 	return outH, outW
 }
 
-// Im2ColInto lowers x into cols, which must hold outH*outW × C*KH*KW
-// elements. Every element is written (padding positions get explicit
-// zeros), so recycled workspace buffers need no prior clearing.
-func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
-	outH, outW = convOutDims(x, kh, kw, stride, pad)
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	kcols := c * kh * kw
-	if len(cols.Data) < outH*outW*kcols {
-		panic(fmt.Sprintf("tensor: im2col dst holds %d elements, need %d", len(cols.Data), outH*outW*kcols))
+// checkCols panics unless an im2col destination of n elements fits the
+// lowering.
+func checkCols(n, c, kh, kw, outH, outW int) {
+	if need := outH * outW * c * kh * kw; n < need {
+		panic(fmt.Sprintf("tensor: im2col dst holds %d elements, need %d", n, need))
 	}
-	im2colInto(cols.Data, x.Data, c, h, w, kh, kw, stride, pad, outH, outW)
+}
+
+// Im2ColInto lowers x into cols, which must hold outH*outW × C*KH*KW
+// elements. A padded lowering draws its zero-bordered copy of x from ws (nil
+// allocates). Every element of cols and of that copy is written, so
+// recycled workspace buffers need no prior clearing.
+func Im2ColInto(ws *Workspace, cols, x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
+	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	checkCols(len(cols.Data), c, kh, kw, outH, outW)
+	var padded *Tensor
+	var scratch []float32
+	if pad > 0 {
+		padded = ws.Get(c, h+2*pad, w+2*pad)
+		scratch = padded.Data
+	}
+	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
+	ws.Put(padded)
 	return outH, outW
 }
 
@@ -120,14 +134,15 @@ func ConvWeightT(w *Tensor) *Tensor {
 // [outC, inC, KH, KW] and per-channel bias (may be nil), returning a CHW
 // output. Implemented as im2col followed by MatMul.
 func Conv2D(x, w *Tensor, bias []float32, stride, pad int) *Tensor {
-	return Conv2DWS(nil, x, w, nil, bias, stride, pad)
+	return Conv2DWS(nil, x, w, nil, Epilogue{Bias: bias}, stride, pad)
 }
 
 // Conv2DWS is Conv2D drawing its im2col/product scratch and the output from
-// ws (nil ws allocates fresh tensors). wt is the precomputed ConvWeightT(w)
+// ws (nil ws allocates fresh tensors), finishing with ep in the pass that
+// transposes the GEMM product to CHW. wt is the precomputed ConvWeightT(w)
 // transpose, or nil to transpose on the fly. The returned tensor is
 // ws-owned; the caller releases it with ws.Put when done.
-func Conv2DWS(ws *Workspace, x, w, wt *Tensor, bias []float32, stride, pad int) *Tensor {
+func Conv2DWS(ws *Workspace, x, w, wt *Tensor, ep Epilogue, stride, pad int) *Tensor {
 	if len(w.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: conv weights must be OIHW, got %v", w.Shape))
 	}
@@ -135,12 +150,12 @@ func Conv2DWS(ws *Workspace, x, w, wt *Tensor, bias []float32, stride, pad int) 
 	if x.Shape[0] != inC {
 		panic(fmt.Sprintf("tensor: conv input has %d channels, weights expect %d", x.Shape[0], inC))
 	}
-	outH, outW := convOutDims(x, kh, kw, stride, pad)
+	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
 	m := outH * outW
 	k := inC * kh * kw
 
 	cols := ws.Get(m, k)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
+	Im2ColInto(ws, cols, x, kh, kw, stride, pad)
 
 	if wt == nil {
 		wt = ConvWeightT(w)
@@ -151,17 +166,89 @@ func Conv2DWS(ws *Workspace, x, w, wt *Tensor, bias []float32, stride, pad int) 
 	ws.Put(cols)
 
 	out := ws.Get(outC, outH, outW)
-	for o := 0; o < outC; o++ {
-		var b float32
-		if bias != nil {
-			b = bias[o]
-		}
-		for i := 0; i < m; i++ {
-			out.Data[o*m+i] = prod.Data[i*outC+o] + b
-		}
-	}
+	ep.transpose(out, prod.Data, m, outC)
 	ws.Put(prod)
 	return out
+}
+
+// Epilogue is the per-output-channel tail a convolution applies in the one
+// pass that transposes its pixel-major GEMM result to CHW: add the bias,
+// then, when Gamma is set, inference batch norm in BatchNormInto's
+// x*scale + shift form with the same scale and shift, then, when ReLU is
+// set, the rectifier. Each step rounds to float32 in that order, so the
+// fused pass is bit-identical to bias, then BatchNormInto, then ReLUInto.
+type Epilogue struct {
+	Bias                   []float32 // nil adds zero
+	Gamma, Beta, Mean, Var []float32 // batch-norm statistics; nil Gamma skips the norm
+	Eps                    float32
+	ReLU                   bool
+}
+
+// channel returns channel o's bias, its batch-norm scale and shift, and the
+// mask that keeps a value's bits when ReLU is off.
+func (e *Epilogue) channel(o int) (bias, scale, shift float32, pass uint32) {
+	if e.Bias != nil {
+		bias = e.Bias[o]
+	}
+	if e.Gamma != nil {
+		scale, shift = bnScaleShift(e.Gamma[o], e.Beta[o], e.Mean[o], e.Var[o], e.Eps)
+	}
+	if !e.ReLU {
+		pass = ^uint32(0)
+	}
+	return bias, scale, shift, pass
+}
+
+// checkShape panics unless the epilogue's parameters cover n channels and
+// dst holds n×m outputs.
+func (e *Epilogue) checkShape(dst *Tensor, m, n int) {
+	if len(dst.Data) < m*n {
+		panic("tensor: conv epilogue dst too small")
+	}
+	if (e.Bias != nil && len(e.Bias) != n) || (e.Gamma != nil &&
+		(len(e.Gamma) != n || len(e.Beta) != n || len(e.Mean) != n || len(e.Var) != n)) {
+		panic("tensor: conv epilogue parameter length mismatch")
+	}
+}
+
+// transpose writes dst[o][i] = e(prod[i*n+o]) for the m×n float32 GEMM
+// product prod.
+func (e *Epilogue) transpose(dst *Tensor, prod []float32, m, n int) {
+	e.checkShape(dst, m, n)
+	for o := 0; o < n; o++ {
+		b, scale, shift, pass := e.channel(o)
+		row := dst.Data[o*m : (o+1)*m : (o+1)*m]
+		if e.Gamma == nil {
+			for i := range row {
+				row[i] = reluPass(prod[i*n+o]+b, pass)
+			}
+			continue
+		}
+		for i := range row {
+			x := prod[i*n+o] + b
+			row[i] = reluPass(x*scale+shift, pass)
+		}
+	}
+}
+
+// Dequantize is transpose for the m×n int32 accumulator of an int8 GEMM:
+// each sum is first dequantized as float32(acc)*d + bias.
+func (e *Epilogue) Dequantize(dst *Tensor, acc []int32, d float32, m, n int) {
+	e.checkShape(dst, m, n)
+	for o := 0; o < n; o++ {
+		b, scale, shift, pass := e.channel(o)
+		row := dst.Data[o*m : (o+1)*m : (o+1)*m]
+		if e.Gamma == nil {
+			for i := range row {
+				row[i] = reluPass(float32(acc[i*n+o])*d+b, pass)
+			}
+			continue
+		}
+		for i := range row {
+			x := float32(acc[i*n+o])*d + b
+			row[i] = reluPass(x*scale+shift, pass)
+		}
+	}
 }
 
 // BatchNorm applies inference-mode batch normalization per channel:
@@ -183,13 +270,21 @@ func BatchNormInto(dst, x *Tensor, gamma, beta, mean, variance []float32, eps fl
 		panic("tensor: batchnorm dst too small")
 	}
 	for ch := 0; ch < c; ch++ {
-		scale := gamma[ch] / float32(math.Sqrt(float64(variance[ch]+eps)))
-		shift := beta[ch] - mean[ch]*scale
+		scale, shift := bnScaleShift(gamma[ch], beta[ch], mean[ch], variance[ch], eps)
 		base := ch * h * w
 		for i := 0; i < h*w; i++ {
 			dst.Data[base+i] = x.Data[base+i]*scale + shift
 		}
 	}
+}
+
+// bnScaleShift folds one channel of inference batch norm into the affine
+// x*scale + shift that BatchNormInto and the conv Epilogue both apply, so
+// the two cannot drift apart.
+func bnScaleShift(gamma, beta, mean, variance, eps float32) (scale, shift float32) {
+	scale = gamma / float32(math.Sqrt(float64(variance+eps)))
+	shift = beta - mean*scale
+	return scale, shift
 }
 
 // ReLU applies max(0, x) elementwise, in a fresh tensor.
@@ -205,11 +300,19 @@ func ReLUInto(dst, x *Tensor) {
 		panic("tensor: relu dst too small")
 	}
 	for i, v := range x.Data {
-		if v < 0 {
-			v = 0
-		}
-		dst.Data[i] = v
+		dst.Data[i] = reluPass(v, 0)
 	}
+}
+
+// reluPass is the rectifier without a data-dependent branch (a v < 0 test
+// mispredicts on about half of all activations). It zeroes exactly the
+// negative non-NaN values, the bit patterns in (0x80000000, 0xff800000], so
+// -0 and NaN pass through just as they do a v < 0 compare. pass is ORed
+// into the mask: all ones returns v unchanged, zero applies the ReLU.
+func reluPass(v float32, pass uint32) float32 {
+	u := math.Float32bits(v)
+	neg := uint32((uint64(u-0x80000001) - 0x7f800000) >> 63) // 1 iff negative non-NaN
+	return math.Float32frombits(u & ((neg - 1) | pass))
 }
 
 // Add returns x + y elementwise (residual connections); shapes must match.
@@ -229,6 +332,20 @@ func AddInto(dst, x, y *Tensor) {
 	}
 	for i, v := range y.Data {
 		dst.Data[i] = x.Data[i] + v
+	}
+}
+
+// AddReLUInto writes max(0, x + y) into dst in one pass, bit-identical to
+// AddInto then ReLUInto; dst may alias either operand.
+func AddReLUInto(dst, x, y *Tensor) {
+	if len(x.Data) != len(y.Data) {
+		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", x.Shape, y.Shape))
+	}
+	if len(dst.Data) < len(x.Data) {
+		panic("tensor: add dst too small")
+	}
+	for i, v := range y.Data {
+		dst.Data[i] = reluPass(x.Data[i]+v, 0)
 	}
 }
 

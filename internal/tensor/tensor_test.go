@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,35 +98,145 @@ func naiveConv(x, w *Tensor, bias []float32, stride, pad int) *Tensor {
 	return out
 }
 
-func TestConv2DMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, tc := range []struct{ inC, outC, h, w, k, stride, pad int }{
-		{1, 4, 8, 10, 3, 1, 1},
-		{3, 8, 9, 7, 3, 2, 1},
-		{2, 2, 5, 5, 1, 1, 0},
-		{4, 6, 12, 12, 5, 2, 2},
-	} {
-		x := New(tc.inC, tc.h, tc.w)
-		for i := range x.Data {
+// convCase is one convolution shape of the bit-exact reference tests.
+type convCase struct{ inC, outC, h, w, k, stride, pad int }
+
+// convCases covers every ResNet conv shape (stem, block, strided block,
+// projection) and odd ones: pad wider than the kernel, 1-pixel and 1-row
+// inputs, stride 3, and an even kernel.
+var convCases = []convCase{
+	{1, 16, 48, 64, 5, 2, 2},  // stem 5×5/s2/p2
+	{16, 16, 24, 32, 3, 1, 1}, // block conv 3×3/s1/p1
+	{16, 32, 24, 32, 3, 2, 1}, // downsampling block conv 3×3/s2/p1
+	{16, 32, 24, 32, 1, 2, 0}, // projection shortcut 1×1/s2/p0
+	{32, 64, 12, 16, 3, 2, 1},
+	{3, 8, 9, 7, 3, 2, 1},
+	{2, 2, 5, 5, 1, 1, 0},
+	{4, 6, 12, 12, 5, 2, 2},
+	{2, 3, 6, 5, 3, 1, 4}, // pad wider than the kernel
+	{3, 4, 1, 1, 3, 1, 1}, // 1-pixel input
+	{2, 3, 1, 7, 3, 1, 1}, // 1-row input
+	{3, 5, 11, 13, 3, 3, 1},
+	{2, 4, 10, 9, 4, 3, 2}, // even kernel, stride 3
+}
+
+// randConv draws a case's input (about a quarter exact zeros, as after a
+// ReLU), weights and bias.
+func randConv(rng *rand.Rand, tc convCase) (x, w *Tensor, bias []float32) {
+	x = New(tc.inC, tc.h, tc.w)
+	for i := range x.Data {
+		if rng.Intn(4) != 0 {
 			x.Data[i] = rng.Float32()*2 - 1
 		}
-		w := New(tc.outC, tc.inC, tc.k, tc.k)
-		for i := range w.Data {
-			w.Data[i] = rng.Float32()*2 - 1
+	}
+	w = New(tc.outC, tc.inC, tc.k, tc.k)
+	for i := range w.Data {
+		w.Data[i] = rng.Float32()*2 - 1
+	}
+	bias = make([]float32, tc.outC)
+	for i := range bias {
+		bias[i] = rng.Float32() - 0.5
+	}
+	return x, w, bias
+}
+
+// randBN draws batch-norm statistics for c channels, with negative gammas so
+// that a following ReLU sees both signs.
+func randBN(rng *rand.Rand, c int) (gamma, beta, mean, variance []float32) {
+	gamma, beta = make([]float32, c), make([]float32, c)
+	mean, variance = make([]float32, c), make([]float32, c)
+	for i := 0; i < c; i++ {
+		gamma[i] = rng.Float32()*2 - 1
+		beta[i] = rng.Float32() - 0.5
+		mean[i] = rng.Float32() - 0.5
+		variance[i] = rng.Float32() + 0.01
+	}
+	return gamma, beta, mean, variance
+}
+
+// poisonWorkspace pools NaN-filled buffers of every power-of-two size up to
+// 2^20 in each of ws's pools, so that any element a kernel fails to write
+// reads back as garbage.
+func poisonWorkspace(ws *Workspace) {
+	nan := float32(math.NaN())
+	for n := 16; n <= 1<<20; n *= 2 {
+		t := ws.Get(n)
+		for i := range t.Data {
+			t.Data[i] = nan
 		}
-		bias := make([]float32, tc.outC)
-		for i := range bias {
-			bias[i] = rng.Float32()
+		ws.Put(t)
+		q := ws.GetI8(n)
+		for i := range q.Data {
+			q.Data[i] = -99
 		}
-		got := Conv2D(x, w, bias, tc.stride, tc.pad)
+		ws.PutI8(q)
+		a := ws.GetI32(n)
+		for i := range a.Data {
+			a.Data[i] = -99999
+		}
+		ws.PutI32(a)
+	}
+}
+
+// TestConv2DMatchesNaive requires the im2col + GEMM convolution to equal the
+// direct loop bit for bit: naiveConv adds the same products in the same
+// (c, ky, kx) order, and the padding products it skips are zeros, which
+// cannot change a sum that starts at +0. Conv2D allocates its scratch;
+// Conv2DWS runs twice on one workspace whose pooled buffers start out
+// poisoned.
+func TestConv2DMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
+	for _, tc := range convCases {
+		x, w, bias := randConv(rng, tc)
+		label := fmt.Sprintf("conv %+v", tc)
 		want := naiveConv(x, w, bias, tc.stride, tc.pad)
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("%+v: shape mismatch %v vs %v", tc, got.Shape, want.Shape)
+		assertSameBits(t, label, Conv2D(x, w, bias, tc.stride, tc.pad).Data, want.Data)
+		for run := 0; run < 2; run++ {
+			got := Conv2DWS(ws, x, w, nil, Epilogue{Bias: bias}, tc.stride, tc.pad)
+			assertSameBits(t, label+" workspace", got.Data, want.Data)
+			ws.Put(got)
 		}
-		for i := range got.Data {
-			if !approx(got.Data[i], want.Data[i]) {
-				t.Fatalf("%+v: elem %d = %v, want %v", tc, i, got.Data[i], want.Data[i])
-			}
+		assertSameBits(t, label+" nil bias", Conv2D(x, w, nil, tc.stride, tc.pad).Data,
+			naiveConv(x, w, nil, tc.stride, tc.pad).Data)
+	}
+}
+
+// TestConvEpilogueMatchesUnfused checks the fused conv tail against the
+// separate passes it replaces, bit for bit: conv + BN against naiveConv then
+// BatchNormInto, conv + BN + ReLU against that then ReLUInto, and the
+// residual AddReLUInto against AddInto then ReLUInto. Each case runs twice
+// on one workspace whose pooled buffers start out poisoned, so unwritten
+// scratch (such as a padded border) shows on first use and on reuse.
+func TestConvEpilogueMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
+	for _, tc := range convCases {
+		x, w, bias := randConv(rng, tc)
+		wt := ConvWeightT(w)
+		gamma, beta, mean, variance := randBN(rng, tc.outC)
+		bn := naiveConv(x, w, bias, tc.stride, tc.pad)
+		BatchNormInto(bn, bn, gamma, beta, mean, variance, 1e-5)
+		act := ReLU(bn)
+		short := randTensor(rng, bn.Shape...)
+		res := Add(bn, short)
+		ReLUInto(res, res)
+
+		label := fmt.Sprintf("conv %+v", tc)
+		ep := Epilogue{Bias: bias, Gamma: gamma, Beta: beta, Mean: mean, Var: variance, Eps: 1e-5}
+		for run := 0; run < 2; run++ {
+			ep.ReLU = false
+			got := Conv2DWS(ws, x, w, wt, ep, tc.stride, tc.pad)
+			assertSameBits(t, label+" +bn", got.Data, bn.Data)
+			ep.ReLU = true
+			gotAct := Conv2DWS(ws, x, w, wt, ep, tc.stride, tc.pad)
+			assertSameBits(t, label+" +bn+relu", gotAct.Data, act.Data)
+			AddReLUInto(got, got, short)
+			assertSameBits(t, label+" +bn, add+relu", got.Data, res.Data)
+			ws.Put(got)
+			ws.Put(gotAct)
 		}
 	}
 }
@@ -166,6 +277,30 @@ func TestReLU(t *testing.T) {
 	if x.Data[0] != -1 {
 		t.Error("ReLU mutated input")
 	}
+
+	// The branch-free rectifier must agree with a v < 0 compare on every
+	// bit-pattern class: signed zeros, subnormals, infinities, and NaNs of
+	// both signs, which all pass through unchanged.
+	edges := []uint32{
+		0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007fffff, 0x807fffff,
+		0x3f800000, 0xbf800000, 0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000,
+		0x7f800001, 0xff800001, 0x7fc00000, 0xffc00000, 0x7fffffff, 0xffffffff,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4096; i++ {
+		edges = append(edges, rng.Uint32())
+	}
+	in := New(len(edges))
+	ref := make([]float32, len(edges))
+	for i, u := range edges {
+		v := math.Float32frombits(u)
+		in.Data[i] = v
+		if v < 0 {
+			v = 0
+		}
+		ref[i] = v
+	}
+	assertSameBits(t, "relu bits", ReLU(in).Data, ref)
 }
 
 func TestAdd(t *testing.T) {

@@ -197,7 +197,7 @@ func TestIm2ColI8MatchesQuantizedFloat(t *testing.T) {
 	qx := &I8{Shape: []int{3, 9, 11}, Data: make([]int8, x.Len())}
 	QuantizeInto(qx, x, qp)
 	qBefore := NewI8(outH*outW, 3*3*3)
-	oh, ow := Im2ColI8Into(qBefore, qx, 3, 3, 2, 1)
+	oh, ow := Im2ColI8Into(nil, qBefore, qx, 3, 3, 2, 1)
 	if oh != outH || ow != outW {
 		t.Fatalf("int8 im2col dims %dx%d, want %dx%d", oh, ow, outH, outW)
 	}

@@ -37,13 +37,15 @@ go test -race -count=1 ./internal/core/... ./internal/env/... ./internal/obs/...
 echo "== GEMM kernel parity matrix (forced kernels) =="
 # The numerics contract under every dispatchable microkernel: float32
 # bit-identical and int8 exactly equal across noasm/sse/avx2, solo and
-# batched, raced fresh. Forcing a kernel the host lacks is graceful — init
+# batched, raced fresh — the GEMM against its naive reference, and every
+# convolution (plain, and with its fused BN/ReLU epilogue, fp32 and int8)
+# against a direct loop. Forcing a kernel the host lacks is graceful — init
 # records the error, auto-detection stays in effect, and the forced-kernel
 # tests skip that kernel — so the loop is safe on any machine.
 for k in noasm sse avx2; do
     echo "-- ROSE_GEMM_KERNEL=$k"
     ROSE_GEMM_KERNEL=$k go test -race -count=1 \
-        -run 'TestKernel|TestMatMulParity|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
+        -run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
         ./internal/tensor/ ./internal/dnn/
 done
 
@@ -94,6 +96,7 @@ echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
 # pathological allocation, without turning the gate into a perf run.
 go test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchtime 1x -benchmem ./internal/tensor/
+go test -run xxx -bench 'BenchmarkForward$' -benchtime 1x -benchmem ./internal/dnn/
 go test -run xxx -bench 'BenchmarkRender' -benchtime 1x -benchmem ./internal/render/
 go test -run xxx -bench 'BenchmarkQuantumTCP' -benchtime 100x -benchmem .
 
