@@ -31,23 +31,25 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultnet/
 
 # parity re-runs the GEMM and convolution numerics contract (float32
-# bit-identical, int8 exactly equal, solo and batched, GEMM and conv
-# epilogues against their direct references) with each microkernel forced
-# via ROSE_GEMM_KERNEL. Kernels the host lacks skip gracefully, so this is
-# safe on any machine; make check runs the same loop.
+# bit-identical, int8 exactly equal, GEMM and conv epilogues against their
+# direct references, the whole fp32 forward on a reused workspace against a
+# fresh one) with each microkernel forced via ROSE_GEMM_KERNEL. Kernels the
+# host lacks skip gracefully, so this is safe on any machine; make check
+# runs the same loop.
 parity:
 	for k in noasm sse avx2; do \
 		echo "-- ROSE_GEMM_KERNEL=$$k"; \
 		ROSE_GEMM_KERNEL=$$k $(GO) test -race -count=1 \
-			-run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
+			-run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestForwardWS|TestQuant|TestIm2ColI8' \
 			./internal/tensor/ ./internal/dnn/ || exit 1; \
 	done
 
 # snapparity proves the warm-start contract: snapshot -> restore -> run is
 # byte-identical to the uninterrupted mission across {tunnel, s-shape} x
-# {overlap, serial} locally and across the TCP-remote RTL, and a fork of a
-# degraded-sensor patrol equals its cold replay under every sensor seed,
-# under the race detector; make check runs the same matrix.
+# {overlap, serial} locally, for the dynamic runtime in both overlap modes,
+# and across the TCP-remote RTL, and a fork of a degraded-sensor patrol
+# equals its cold replay under every sensor seed, under the race detector;
+# make check runs the same matrix.
 snapparity:
 	$(GO) test -race -count=1 -run 'TestSnapshotParity|TestWarmColdParityPatrol' ./internal/experiments/
 

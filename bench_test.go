@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultnet"
 	"repro/internal/obs"
-	"repro/internal/ort"
 	"repro/internal/packet"
 	"repro/internal/soc"
 	"repro/internal/world"
@@ -99,10 +98,6 @@ func benchMission(b *testing.B, overlap core.OverlapMode, suite *obs.Suite, ener
 // hook is a nil check, so this is the PR 2 baseline.
 func BenchmarkMissionStep(b *testing.B) { benchMission(b, core.OverlapOn, nil, false) }
 
-// BenchmarkMissionStepOverlapped is an explicit alias of the default for
-// side-by-side comparison against the serial reference.
-func BenchmarkMissionStepOverlapped(b *testing.B) { benchMission(b, core.OverlapOn, nil, false) }
-
 // BenchmarkMissionStepSerial measures the serial reference: env frames and
 // SoC cycles back-to-back on one goroutine, the pre-overlap behavior.
 func BenchmarkMissionStepSerial(b *testing.B) { benchMission(b, core.OverlapOff, nil, false) }
@@ -146,7 +141,7 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 // BenchmarkMissionStepObserved measures the overlapped configuration with
 // the full observability suite live — metrics registry plus span tracer —
 // quantifying the enabled-instrumentation overhead against
-// BenchmarkMissionStepOverlapped.
+// BenchmarkMissionStep.
 func BenchmarkMissionStepObserved(b *testing.B) {
 	benchMission(b, core.OverlapOn, obs.New(-1), false)
 }
@@ -216,44 +211,41 @@ func BenchmarkMissionStepEnergyOff(b *testing.B) {
 	benchMission(b, core.OverlapOn, nil, true)
 }
 
-// benchFleet measures host throughput — missions/sec/host, the paper's
-// simulation-scale question — for a fleet of concurrent missions, either
-// solo (each mission runs its own forward passes) or batched (one
-// ort.BatchGroup merges the fleet's per-quantum inferences into shared
-// GEMMs; bit-identical results, host-only speedup).
+// BenchmarkFleetSolo measures host throughput — missions/sec/host, the
+// paper's simulation-scale question — for a fleet of fleetBenchSize
+// concurrent ResNet14 missions, each running its own forward passes.
+func BenchmarkFleetSolo(b *testing.B) {
+	pretrain(b, "ResNet14")
+	if err := fleetRun(); err != nil { // warm caches outside the timer
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fleetRun(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fleetBenchSize)*float64(b.N)/b.Elapsed().Seconds(), "missions/s")
+}
+
 const fleetBenchSize = 4
 
-// fleetRun executes one fleet pass: fleetBenchSize concurrent missions,
-// optionally sharing a fresh ort.BatchGroup. Returns the pass's wall time.
-func fleetRun(model string, batched bool, prec dnn.Precision) (time.Duration, error) {
+// fleetRun executes one fleet pass: fleetBenchSize concurrent missions, one
+// goroutine each.
+func fleetRun() error {
 	specs := make([]experiments.MissionSpec, fleetBenchSize)
 	for i := range specs {
 		// 3 simulated seconds per mission: long enough that per-mission
 		// setup (machine boot, world load) stops dominating and the
-		// inference share matches real sweep missions; short missions
-		// under-report the batching effect.
+		// inference share matches real sweep missions.
 		specs[i] = experiments.MissionSpec{
-			Map: "tunnel", Model: model, HW: config.A,
+			Map: "tunnel", Model: "ResNet14", HW: config.A,
 			VForward: 3, StartYawDeg: float64(4 * i),
-			Seed: int64(100 + i), MaxSimSec: 3, Precision: prec,
-		}
-	}
-	if batched {
-		trained, err := dnn.Trained(model)
-		if err != nil {
-			return 0, err
-		}
-		g, err := ort.NewBatchGroup(trained.Net, prec, fleetBenchSize)
-		if err != nil {
-			return 0, err
-		}
-		for i := range specs {
-			specs[i].Batch = g
+			Seed: int64(100 + i), MaxSimSec: 3,
 		}
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(specs))
-	start := time.Now()
 	for i := range specs {
 		i := i
 		wg.Add(1)
@@ -263,80 +255,12 @@ func fleetRun(model string, batched bool, prec dnn.Precision) (time.Duration, er
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return elapsed, nil
-}
-
-func benchFleet(b *testing.B, model string, batched bool, prec dnn.Precision) {
-	b.Helper()
-	pretrain(b, model)
-	if _, err := fleetRun(model, batched, prec); err != nil { // warm caches outside the timer
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fleetRun(model, batched, prec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(fleetBenchSize)*float64(b.N)/b.Elapsed().Seconds(), "missions/s")
-}
-
-// The fp32 fleet benchmarks run ResNet14: its downsampled late stages have
-// small per-image GEMM M and weight panels whose reads dominate, which is
-// where batching pays (see BenchmarkForwardBatch — ResNet6 is host-neutral
-// under batching because every conv layer's M is already large).
-
-// BenchmarkFleetSolo is the unbatched fleet baseline: 4 concurrent
-// missions, per-mission forward passes.
-func BenchmarkFleetSolo(b *testing.B) { benchFleet(b, "ResNet14", false, dnn.PrecisionFP32) }
-
-// BenchmarkFleetBatched shares one batch collector across the fleet.
-func BenchmarkFleetBatched(b *testing.B) { benchFleet(b, "ResNet14", true, dnn.PrecisionFP32) }
-
-// BenchmarkFleetBatchedInt8 runs the batched fleet on the quantized
-// datapath. Int8 is a simulated-latency/accuracy knob, not a host one: the
-// functional int8 GEMM is scalar (no SIMD int8 path), so host throughput
-// drops even though modeled inference cycles shrink. The benchmark records
-// that cost so the trade stays visible; it stays on ResNet6 because the
-// scalar int8 GEMM makes a deep-model fleet impractically slow to time.
-func BenchmarkFleetBatchedInt8(b *testing.B) { benchFleet(b, "ResNet6", true, dnn.PrecisionInt8) }
-
-// BenchmarkFleetPaired measures the batching speedup with a paired design:
-// each iteration runs one solo fleet and one batched fleet back to back and
-// accumulates their wall times separately. Host-frequency drift and cache
-// warm-up hit both arms equally, so the reported ratio isolates the batching
-// effect — the separate Solo/Batched benchmarks give absolute missions/s but
-// their cross-run delta is noisier than the effect itself.
-func BenchmarkFleetPaired(b *testing.B) {
-	const model = "ResNet14"
-	pretrain(b, model)
-	for _, arm := range []bool{false, true} { // warm both arms
-		if _, err := fleetRun(model, arm, dnn.PrecisionFP32); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var solo, batched time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err := fleetRun(model, false, dnn.PrecisionFP32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, err := fleetRun(model, true, dnn.PrecisionFP32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		solo, batched = solo+ds, batched+db
-	}
-	b.ReportMetric(float64(solo)/float64(batched), "batched_speedup_x")
-	b.ReportMetric(float64(fleetBenchSize)*float64(b.N)/solo.Seconds(), "solo_missions/s")
-	b.ReportMetric(float64(fleetBenchSize)*float64(b.N)/batched.Seconds(), "batched_missions/s")
+	return nil
 }
 
 // benchQuantumTCP measures one synchronization boundary's RPC traffic

@@ -4,7 +4,7 @@
 //
 // Example:
 //
-//	rose-sweep -experiment fleet -metrics :9100 &
+//	rose-sweep -exp figure12 -metrics :9100 &
 //	rose-top -url http://127.0.0.1:9100
 //
 // Each mission's latest per-quantum frame becomes one row: quantum index,

@@ -206,17 +206,10 @@ func recvOfType(rt *soc.Runtime, want packet.Type) packet.Packet {
 	}
 }
 
-// decodeFrame converts a CAM_DATA packet into the network input tensor.
-func decodeFrame(p packet.Packet) (*tensor.Tensor, error) {
-	return decodeFrameInto(p, nil)
-}
-
-// decodeFrameInto is decodeFrame with an optional reusable destination:
-// when scratch matches the frame's element count it is refilled in place
-// (zero allocation on the steady-state control loop), otherwise a fresh
-// tensor is allocated. Pass scratch only when the inference path consumes
-// the tensor synchronously — batched sessions (ort.Session.Batched) retain
-// the input until the batch collector runs, so they must get a fresh one.
+// decodeFrameInto converts a CAM_DATA packet into the network input
+// tensor. When scratch matches the frame's element count it is refilled in
+// place (zero allocation on the steady-state control loop); otherwise, or
+// when scratch is nil, a fresh tensor is allocated.
 func decodeFrameInto(p packet.Packet, scratch *tensor.Tensor) (*tensor.Tensor, error) {
 	frame, err := packet.UnmarshalCamFrame(p)
 	if err != nil {

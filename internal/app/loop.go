@@ -54,8 +54,8 @@ type StaticLoop struct {
 	req       uint64
 	out       dnn.Output
 	cmd       packet.Cmd
-	// frame is the reusable input tensor (solo sessions only; not resume
-	// state — it is refilled from the packet before every forward pass).
+	// frame is the reusable input tensor (not resume state — it is refilled
+	// from the packet before every forward pass).
 	frame *tensor.Tensor
 }
 
@@ -90,11 +90,7 @@ func (sl *StaticLoop) Run(rt *soc.Runtime) error {
 			if p.Type != packet.CamData {
 				continue // discard stragglers; PC stays put
 			}
-			scratch := sl.frame
-			if sl.sess.Batched() {
-				scratch = nil // the batch collector retains the input tensor
-			}
-			input, err := decodeFrameInto(p, scratch)
+			input, err := decodeFrameInto(p, sl.frame)
 			if err != nil {
 				return fmt.Errorf("app: %w", err)
 			}
@@ -272,11 +268,7 @@ func (dl *DynamicLoop) Run(rt *soc.Runtime) error {
 			if p.Type != packet.CamData {
 				continue
 			}
-			scratch := dl.frame
-			if dl.big.Batched() || dl.small.Batched() {
-				scratch = nil // the batch collector retains the input tensor
-			}
-			input, err := decodeFrameInto(p, scratch)
+			input, err := decodeFrameInto(p, dl.frame)
 			if err != nil {
 				return fmt.Errorf("app: %w", err)
 			}

@@ -119,8 +119,8 @@ func (l *Conv) quantWeightT() (*tensor.I8, float32) {
 // per-image with a per-tensor symmetric scale, the GEMM accumulates in exact
 // int32 against the cached int8 weights, and the accumulator is dequantized
 // back to float32 with the bias folded in. The int32 sums are
-// kernel-invariant and identical between solo and batched execution, so the
-// whole int8 mode is exactly reproducible everywhere (see tensor/quant.go).
+// kernel-invariant, so the whole int8 mode is exactly reproducible
+// everywhere (see tensor/quant.go).
 func (l *Conv) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return l.forward(x, ws, PrecisionInt8, nil, false)
 }
@@ -353,27 +353,6 @@ func (b *Block) Describe(c, h, w int) ([]OpDesc, [3]int) {
 type Dense struct {
 	W *tensor.Tensor // [out, in]
 	B []float32
-
-	// wt caches the [in, out] transpose the batched head GEMM consumes,
-	// rebuilt lazily after gob decoding like Conv's transpose cache.
-	wt     *tensor.Tensor
-	wtOnce sync.Once
-}
-
-// weightT returns the cached [in, out] transpose of W. The batched GEMM
-// against it accumulates in the same in-ascending order as LinearInto, so
-// batched head logits are bit-identical to solo ones.
-func (l *Dense) weightT() *tensor.Tensor {
-	l.wtOnce.Do(func() {
-		out, in := l.W.Shape[0], l.W.Shape[1]
-		l.wt = tensor.New(in, out)
-		for o := 0; o < out; o++ {
-			for i := 0; i < in; i++ {
-				l.wt.Data[i*out+o] = l.W.Data[o*in+i]
-			}
-		}
-	})
-	return l.wt
 }
 
 // NewDense builds a zero-initialized dense layer (heads start untrained).

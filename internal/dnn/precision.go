@@ -16,7 +16,7 @@ import (
 // lower simulated latency (internal/gemmini prices int8 GEMMs on the
 // doubled-throughput mesh) — it is an accuracy-vs-latency knob, not a
 // bit-exact transformation of the fp32 results. It is, however, exactly
-// reproducible: int32 sums are kernel- and batching-invariant.
+// reproducible: int32 sums are kernel-invariant.
 type Precision int
 
 const (
@@ -64,8 +64,12 @@ func forwardLayer(l Layer, x *tensor.Tensor, ws *tensor.Workspace, prec Precisio
 	return l.Forward(x, ws)
 }
 
-// FeaturesWSP is FeaturesWS on the selected precision datapath.
-// PrecisionFP32 is exactly FeaturesWS.
+// FeaturesWSP runs the backbone on the selected precision datapath, pooling
+// each tapped activation into the concatenated hypercolumn feature vector.
+// Every activation and the returned vector are drawn from ws (nil ws
+// allocates); the vector is ws-owned and bit-identical for any ws. ws must
+// not be shared across goroutines — use one workspace per inference
+// goroutine.
 func (n *Net) FeaturesWSP(ws *tensor.Workspace, img *tensor.Tensor, prec Precision) *tensor.Tensor {
 	f := ws.Get(n.featureDim())
 	off := 0
@@ -89,9 +93,10 @@ func (n *Net) FeaturesWSP(ws *tensor.Workspace, img *tensor.Tensor, prec Precisi
 	return f
 }
 
-// ForwardWSP is ForwardWS on the selected precision datapath: quantized
-// backbone (when prec is int8), float32 heads and softmax. PrecisionFP32 is
-// exactly ForwardWS.
+// ForwardWSP runs a full inference on the selected precision datapath:
+// backbone (quantized when prec is int8), pool, float32 heads, softmax.
+// Every intermediate buffer comes from ws, so after warm-up a reused
+// workspace makes inference allocation-free.
 func (n *Net) ForwardWSP(ws *tensor.Workspace, img *tensor.Tensor, prec Precision) Output {
 	f := n.FeaturesWSP(ws, img, prec)
 	logits := ws.Get(3)

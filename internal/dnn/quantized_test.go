@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -30,23 +29,6 @@ func supportedKernels() []tensor.Kernel {
 	return ks
 }
 
-// TestForwardWSPFP32MatchesForwardWS checks the precision-dispatched entry
-// point is exactly the legacy fp32 path when fp32 is selected.
-func TestForwardWSPFP32MatchesForwardWS(t *testing.T) {
-	for _, name := range []string{"ResNet6", "ResNet11"} {
-		n := MustBuild(name, 21)
-		ws := tensor.NewWorkspace()
-		for iter := int64(0); iter < 2; iter++ {
-			img := randImage(300+iter, n.InC, n.InH, n.InW)
-			want := n.ForwardWS(ws, img)
-			got := n.ForwardWSP(ws, img, PrecisionFP32)
-			if !bitsEqual(got, want) {
-				t.Fatalf("%s: ForwardWSP(fp32) %v/%v, want %v/%v", name, got.Lateral, got.Angular, want.Lateral, want.Angular)
-			}
-		}
-	}
-}
-
 // TestInt8ForwardKernelInvariant checks the int8 datapath produces
 // bit-identical whole-network outputs under every forceable GEMM kernel:
 // the int8 GEMMs are exact integer arithmetic and the fp32 glue (BN, ReLU,
@@ -70,62 +52,6 @@ func TestInt8ForwardKernelInvariant(t *testing.T) {
 		}
 		if !bitsEqual(got, want) {
 			t.Fatalf("kernel %v: int8 output %v/%v, want %v/%v", k, got.Lateral, got.Angular, want.Lateral, want.Angular)
-		}
-	}
-}
-
-// TestBatchedForwardMatchesSolo is the batching exactness contract: for both
-// precisions, every forceable kernel, and odd batch sizes, a reused Batcher
-// produces per-image outputs bit-identical to solo ForwardWSP calls.
-func TestBatchedForwardMatchesSolo(t *testing.T) {
-	prev := tensor.ActiveKernel()
-	defer tensor.ForceKernel(prev)
-	n := MustBuild("ResNet11", 5)
-	for _, prec := range []Precision{PrecisionFP32, PrecisionInt8} {
-		for _, kern := range supportedKernels() {
-			if err := tensor.ForceKernel(kern); err != nil {
-				t.Fatalf("force %v: %v", kern, err)
-			}
-			for _, batch := range []int{1, 3, 5} {
-				r := n.NewBatcher(nil, batch, prec)
-				soloWS := tensor.NewWorkspace()
-				imgs := make([]*tensor.Tensor, batch)
-				outs := make([]Output, batch)
-				for iter := int64(0); iter < 2; iter++ { // reuse the Batcher (dirty scratch)
-					for b := range imgs {
-						imgs[b] = randImage(1000*iter+int64(b), n.InC, n.InH, n.InW)
-					}
-					r.Forward(imgs, outs)
-					for b := range imgs {
-						want := n.ForwardWSP(soloWS, imgs[b], prec)
-						if !bitsEqual(outs[b], want) {
-							t.Fatalf("prec=%v kern=%v batch=%d image %d iter %d:\nbatched %v/%v\nsolo    %v/%v",
-								prec, kern, batch, b, iter, outs[b].Lateral, outs[b].Angular, want.Lateral, want.Angular)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchedForwardZeroAlloc checks the steady-state allocation contract:
-// after warm-up, batched forward passes draw everything from the workspace
-// pool. GOMAXPROCS is pinned to 1 so the parallel GEMM path (which spawns
-// goroutines by design) doesn't count against the pool.
-func TestBatchedForwardZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	n := MustBuild("ResNet6", 17)
-	for _, prec := range []Precision{PrecisionFP32, PrecisionInt8} {
-		r := n.NewBatcher(nil, 4, prec)
-		imgs := make([]*tensor.Tensor, 4)
-		for b := range imgs {
-			imgs[b] = randImage(int64(b), n.InC, n.InH, n.InW)
-		}
-		outs := make([]Output, 4)
-		r.Forward(imgs, outs) // warm up the pool
-		if allocs := testing.AllocsPerRun(10, func() { r.Forward(imgs, outs) }); allocs != 0 {
-			t.Fatalf("prec=%v: steady-state batched forward allocates %v times per run, want 0", prec, allocs)
 		}
 	}
 }

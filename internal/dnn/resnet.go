@@ -95,55 +95,12 @@ func (n *Net) featureDim() int {
 // Features runs the backbone, pooling each tapped activation into the
 // concatenated hypercolumn feature vector.
 func (n *Net) Features(img *tensor.Tensor) *tensor.Tensor {
-	return n.FeaturesWS(nil, img)
-}
-
-// FeaturesWS is Features drawing all activation and output buffers from ws
-// (nil ws allocates, matching Features). The returned feature vector is
-// ws-owned; results are bit-identical to the allocating path. ws must not be
-// shared across goroutines — use one workspace per inference goroutine.
-func (n *Net) FeaturesWS(ws *tensor.Workspace, img *tensor.Tensor) *tensor.Tensor {
-	f := ws.Get(n.featureDim())
-	off := 0
-	x := img
-	for i, l := range n.Backbone {
-		y := l.Forward(x, ws)
-		if x != img {
-			ws.Put(x)
-		}
-		x = y
-		if n.tapped(i) {
-			pooled := ws.Get(x.Shape[0], n.PoolGY, n.PoolGX)
-			tensor.AvgPoolGridInto(pooled, x, n.PoolGY, n.PoolGX)
-			off += copy(f.Data[off:], pooled.Data)
-			ws.Put(pooled)
-		}
-	}
-	if x != img {
-		ws.Put(x)
-	}
-	return f
+	return n.FeaturesWSP(nil, img, PrecisionFP32)
 }
 
 // Forward runs a full inference: backbone, pool, both heads, softmax.
 func (n *Net) Forward(img *tensor.Tensor) Output {
-	return n.ForwardWS(nil, img)
-}
-
-// ForwardWS is Forward using ws for every intermediate buffer; after warm-up
-// a reused workspace makes inference allocation-free. Bit-identical to
-// Forward.
-func (n *Net) ForwardWS(ws *tensor.Workspace, img *tensor.Tensor) Output {
-	f := n.FeaturesWS(ws, img)
-	logits := ws.Get(3)
-	var out Output
-	tensor.LinearInto(logits, f, n.HeadLateral.W, n.HeadLateral.B)
-	tensor.SoftmaxInto(out.Lateral[:], logits.Data)
-	tensor.LinearInto(logits, f, n.HeadAngular.W, n.HeadAngular.B)
-	tensor.SoftmaxInto(out.Angular[:], logits.Data)
-	ws.Put(logits)
-	ws.Put(f)
-	return out
+	return n.ForwardWSP(nil, img, PrecisionFP32)
 }
 
 // Describe returns the network's full operation list for the SoC timing

@@ -49,7 +49,7 @@ func ExtractFeatures(n *Net, images []*tensor.Tensor) []*tensor.Tensor {
 			// it is copied out and its buffer returned to the pool.
 			ws := tensor.NewWorkspace()
 			for i := range idx {
-				f := n.FeaturesWS(ws, images[i])
+				f := n.FeaturesWSP(ws, images[i], PrecisionFP32)
 				out[i] = f.Clone()
 				ws.Put(f)
 			}

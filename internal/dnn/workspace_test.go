@@ -27,11 +27,11 @@ func TestForwardWSBitIdentical(t *testing.T) {
 		for iter := int64(0); iter < 3; iter++ {
 			img := randImage(100+iter, n.InC, n.InH, n.InW)
 			want := n.Forward(img)
-			got := n.ForwardWS(ws, img)
+			got := n.ForwardWSP(ws, img, PrecisionFP32)
 			for i := 0; i < 3; i++ {
 				if math.Float32bits(got.Lateral[i]) != math.Float32bits(want.Lateral[i]) ||
 					math.Float32bits(got.Angular[i]) != math.Float32bits(want.Angular[i]) {
-					t.Fatalf("%s iter %d: ForwardWS %v/%v, want %v/%v",
+					t.Fatalf("%s iter %d: ForwardWSP %v/%v, want %v/%v",
 						name, iter, got.Lateral, got.Angular, want.Lateral, want.Angular)
 				}
 			}
@@ -49,7 +49,7 @@ func TestFeaturesWSBitIdentical(t *testing.T) {
 	want := n.Features(img)
 	ws := tensor.NewWorkspace()
 	for iter := 0; iter < 2; iter++ {
-		got := n.FeaturesWS(ws, img)
+		got := n.FeaturesWSP(ws, img, PrecisionFP32)
 		if len(got.Data) != len(want.Data) {
 			t.Fatalf("feature dim %d, want %d", len(got.Data), len(want.Data))
 		}
@@ -62,7 +62,7 @@ func TestFeaturesWSBitIdentical(t *testing.T) {
 	}
 	for i := range img.Data {
 		if img.Data[i] != orig.Data[i] {
-			t.Fatal("FeaturesWS mutated the input image")
+			t.Fatal("FeaturesWSP mutated the input image")
 		}
 	}
 }

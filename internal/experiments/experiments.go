@@ -77,14 +77,6 @@ type MissionSpec struct {
 	// Precision selects the inference datapath (dnn.PrecisionFP32, the
 	// zero value, or dnn.PrecisionInt8 for the quantized Gemmini mode).
 	Precision dnn.Precision
-	// Batch, when set, routes this mission's inferences through a
-	// cross-mission batch collector (see ort.BatchGroup): a host-throughput
-	// lever, bit-identical results, simulated timing untouched. The mission
-	// must be one of the group's registered members, all members must run
-	// concurrently (goroutine per mission), and the group's model/precision
-	// must match the spec's. Incompatible with SmallModel: the dynamic
-	// runtime interleaves two models per iteration.
-	Batch *ort.BatchGroup
 	// Obs instruments the run: synchronizer phases, bridge queues, SoC
 	// counters, and app inference latency feed one instrument set. A
 	// single-mission run takes the suite's unlabeled bundles
@@ -219,11 +211,6 @@ func (spec MissionSpec) newController(log *app.Log, scn *scenario.Spec) (soc.Sta
 	if err != nil {
 		return nil, err
 	}
-	if spec.Batch != nil {
-		if err := bigSess.AttachBatch(spec.Batch); err != nil {
-			return nil, err
-		}
-	}
 	ctrl := app.DefaultControlParams(spec.VForward)
 	ctrl.Temperature = app.TemperatureFor(spec.Model)
 	ctrl.Argmax = spec.Argmax
@@ -254,9 +241,7 @@ type Mission struct {
 	// started/finished track the synchronizer's Start and Finish, so Close
 	// knows whether the overlap env worker is still running.
 	started, finished bool
-	// closers run LIFO on Close: machine teardown before transport close,
-	// batch departure last — so a program parked in the batch collector is
-	// killed before the group shrinks.
+	// closers run LIFO on Close: machine teardown before transport close.
 	closers []func()
 }
 
@@ -286,17 +271,6 @@ func NewMission(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms
 		o = &obs.MissionObs{}
 	}
 
-	if spec.Batch != nil {
-		// The group registered this mission at construction; every exit
-		// path must depart or the other members' rounds never flush.
-		ms.closers = append(ms.closers, spec.Batch.Leave)
-		if spec.SmallModel != "" {
-			return nil, fmt.Errorf("experiments: batched inference is incompatible with the dynamic runtime (two sessions per control iteration)")
-		}
-		if img != nil {
-			return nil, fmt.Errorf("experiments: batched missions cannot restore from a snapshot (program parks outside the engine)")
-		}
-	}
 	m := sharedMap
 	if m == nil {
 		if m = world.ByName(spec.Map); m == nil {
@@ -568,7 +542,7 @@ func IDs() []string {
 		"table3", "figure10", "figure11", "figure12",
 		"figure13", "figure14", "figure15", "figure16",
 		"ablation-sync", "ablation-queue", "ablation-policy",
-		"fleet", "warmstart", "pareto",
+		"warmstart", "pareto",
 	}
 }
 
@@ -597,8 +571,6 @@ func Run(id string, opt Options) (*Report, error) {
 		return AblationQueue(opt)
 	case "ablation-policy":
 		return AblationPolicy(opt)
-	case "fleet":
-		return Fleet(opt)
 	case "warmstart":
 		return Warmstart(opt)
 	case "pareto":

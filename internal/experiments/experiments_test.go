@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/dnn"
-	"repro/internal/ort"
 )
 
 // TestMain shrinks the training registry so experiment plumbing tests run in
@@ -24,7 +22,7 @@ func TestRunDispatch(t *testing.T) {
 	if _, err := Run("figure99", Options{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(IDs()) != 14 {
+	if len(IDs()) != 13 {
 		t.Errorf("IDs() = %v", IDs())
 	}
 	for _, id := range IDs() {
@@ -241,69 +239,6 @@ func TestRunMissionsPropagatesError(t *testing.T) {
 	}
 	if _, err := runMissions(specs, 3); err == nil {
 		t.Fatal("bad spec did not propagate an error")
-	}
-}
-
-// TestFleetQuick runs the fleet-throughput experiment end to end: both
-// passes (solo and batched) must complete, per-mission results must stay
-// bit-identical under batching (Fleet errors out otherwise), and the
-// missions/sec/host series must carry both operating points.
-func TestFleetQuick(t *testing.T) {
-	r, err := Fleet(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "fleet" {
-		t.Errorf("id = %q", r.ID)
-	}
-	if len(r.Series) != 1 || r.Series[0].Name != "missions_per_sec_host" {
-		t.Fatalf("series = %+v", r.Series)
-	}
-	if n := len(r.Series[0].Y); n != 2 {
-		t.Fatalf("%d throughput points, want 2", n)
-	}
-	for _, y := range r.Series[0].Y {
-		if y <= 0 {
-			t.Errorf("non-positive missions/sec/host %v", y)
-		}
-	}
-}
-
-// TestFleetInt8Quick exercises the batched collector on the quantized
-// datapath through the same harness.
-func TestFleetInt8Quick(t *testing.T) {
-	r, err := Fleet(Options{Quick: true, Precision: dnn.PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, l := range r.Lines {
-		if strings.Contains(l, "precision=int8") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("report does not record the precision: %v", r.Lines)
-	}
-}
-
-// TestBatchedMissionRejectsDynamicRuntime: the dynamic runtime interleaves
-// two sessions per iteration and cannot share one batch collector.
-func TestBatchedMissionRejectsDynamicRuntime(t *testing.T) {
-	model, err := dnn.Trained("ResNet6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ort.NewBatchGroup(model.Net, dnn.PrecisionFP32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunMission(MissionSpec{
-		Map: "tunnel", Model: "ResNet6", SmallModel: "ResNet6",
-		HW: cfgA(t), VForward: 3, MaxSimSec: 2, Batch: g,
-	})
-	if err == nil {
-		t.Fatal("batched dynamic-runtime mission accepted")
 	}
 }
 

@@ -42,9 +42,9 @@ func runUninterrupted(t *testing.T, spec MissionSpec) *MissionOutcome {
 // captureEncoded runs the prefix, captures, and pushes the image through
 // Encode/Decode so every parity cell also exercises the rose-snap/1
 // container.
-func captureEncoded(t *testing.T, spec MissionSpec) *snapshot.Image {
+func captureEncoded(t *testing.T, spec MissionSpec, prefix uint64) *snapshot.Image {
 	t.Helper()
-	img, err := CaptureMission(spec, parityPrefixQuanta)
+	img, err := CaptureMission(spec, prefix)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -83,6 +83,27 @@ func checkParity(t *testing.T, ref, got *MissionOutcome) {
 	}
 }
 
+// checkRestoredParity captures spec after prefix quanta, restores the image
+// into a fresh mission and requires the finished run, inference log
+// included, to equal the uninterrupted reference. The restore continues with
+// the mission's own sensor streams: a pure suspend/resume, no variant reseed.
+func checkRestoredParity(t *testing.T, spec MissionSpec, prefix uint64, ref *MissionOutcome) {
+	t.Helper()
+	ms, err := NewMission(spec, nil, captureEncoded(t, spec, prefix))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer ms.Close()
+	got, err := ms.Finish()
+	if err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	checkParity(t, ref, got)
+	if !reflect.DeepEqual(ref.Inferences, got.Inferences) {
+		t.Errorf("inference logs differ: %d records vs %d", len(ref.Inferences), len(got.Inferences))
+	}
+}
+
 // TestSnapshotParityLocal: snapshot → restore → run must be byte-identical
 // to an uninterrupted run, across {tunnel, s-shape} × {overlap, serial},
 // with the image passed through the binary container each time.
@@ -92,26 +113,39 @@ func TestSnapshotParityLocal(t *testing.T) {
 			name := fmt.Sprintf("%s/overlap=%v", mapName, ov == core.OverlapOn)
 			t.Run(name, func(t *testing.T) {
 				spec := paritySpec(mapName, ov)
-				ref := runUninterrupted(t, spec)
-				img := captureEncoded(t, spec)
-
-				// Restore continues with the mission's own sensor
-				// streams: a pure suspend/resume, no variant reseed.
-				ms, err := NewMission(spec, nil, img)
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				defer ms.Close()
-				got, err := ms.Finish()
-				if err != nil {
-					t.Fatalf("restored run: %v", err)
-				}
-				checkParity(t, ref, got)
-				if !reflect.DeepEqual(ref.Inferences, got.Inferences) {
-					t.Errorf("inference logs differ: %d records vs %d", len(ref.Inferences), len(got.Inferences))
-				}
+				checkRestoredParity(t, spec, parityPrefixQuanta, runUninterrupted(t, spec))
 			})
 		}
+	}
+}
+
+// TestSnapshotParityDynamic puts the paper's dynamic runtime (§5.3) in the
+// matrix: Figure 13's dynamic_14_6 mission (ResNet14 with the ResNet6
+// fallback), captured at quantum 150 in both overlap modes. By then the
+// fallback network has engaged, so the restored controller must resume
+// with the network it had switched to; the matrix's quantum-100 prefix
+// captures too early to tell.
+func TestSnapshotParityDynamic(t *testing.T) {
+	const prefix = 150
+	for _, ov := range []core.OverlapMode{core.OverlapOn, core.OverlapOff} {
+		t.Run(fmt.Sprintf("overlap=%v", ov == core.OverlapOn), func(t *testing.T) {
+			spec := MissionSpec{
+				Map: "s-shape", Model: "ResNet14", SmallModel: "ResNet6", HW: config.A,
+				VForward: 9, Seed: 11, MaxSimSec: 3, Overlap: ov,
+			}
+			ref := runUninterrupted(t, spec)
+			captureCycle := prefix * spec.withDefaults().SyncCycles
+			engaged := false
+			for _, r := range ref.Inferences {
+				engaged = engaged || (r.UsedFallback && r.ReqCycle < captureCycle)
+			}
+			if !engaged {
+				t.Fatalf("fallback network not engaged before quantum %d (%d of %d inferences fell back)",
+					prefix, ref.Fallbacks(), len(ref.Inferences))
+			}
+			t.Logf("%d of %d inferences used the fallback network", ref.Fallbacks(), len(ref.Inferences))
+			checkRestoredParity(t, spec, prefix, ref)
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 
 // specMeta is the JSON-serializable subset of MissionSpec embedded in a
 // snapshot image's meta section: exactly the fields needed to rebuild the
-// mission's read-only parts on restore. Live wiring (Batch, Obs, EnvAddr)
+// mission's read-only parts on restore. Live wiring (Obs, EnvAddr, EnvDial)
 // is deliberately absent — a restored mission gets fresh wiring from its
 // restoring process.
 type specMeta struct {

@@ -36,11 +36,6 @@ type Session struct {
 	ws   *tensor.Workspace
 	prec dnn.Precision
 
-	// batch, when attached, routes the functional forward pass through a
-	// cross-mission batch collector. Timing is unaffected — each session
-	// still charges its own simulated SoC the per-image cost.
-	batch *BatchGroup
-
 	// perRunOverheadInstrs models runtime bookkeeping per inference
 	// (graph traversal, allocator, syscall overhead).
 	perRunOverheadInstrs uint64
@@ -83,29 +78,8 @@ func NewSessionP(net *dnn.Net, gem gemmini.Config, prec dnn.Precision) (*Session
 // Net returns the loaded model.
 func (s *Session) Net() *dnn.Net { return s.net }
 
-// Batched reports whether the session is attached to a batch group. Batched
-// inference parks the mission and retains the input tensor until the group's
-// collector runs, so callers must not reuse input buffers across Forward
-// calls; solo sessions consume the input synchronously.
-func (s *Session) Batched() bool { return s.batch != nil }
-
 // Precision returns the session's datapath.
 func (s *Session) Precision() dnn.Precision { return s.prec }
-
-// AttachBatch routes this session's functional forward passes through a
-// cross-mission batch collector. The group must serve the same model on the
-// same precision, or per-mission results would change. The session must
-// attach before its first Run.
-func (s *Session) AttachBatch(g *BatchGroup) error {
-	if g.net != s.net {
-		return fmt.Errorf("ort: batch group serves model %q, session runs %q", g.net.Name, s.net.Name)
-	}
-	if g.prec != s.prec {
-		return fmt.Errorf("ort: batch group precision %v, session precision %v", g.prec, s.prec)
-	}
-	s.batch = g
-	return nil
-}
 
 // Cost is the predicted cycle cost of one inference on a given platform,
 // split by resource. Computed without running anything — used for Table 3
@@ -210,10 +184,7 @@ func (s *Session) PredictEnergy(core soc.CoreParams, ep soc.EnergyParams, params
 // Run executes one inference on the simulated SoC: the functional forward
 // pass produces the real classifier outputs while the predicted cycle cost
 // is charged to the engine op by op, so synchronization boundaries can land
-// mid-inference exactly as they would in RTL simulation. With a batch group
-// attached, the forward pass is computed in the cross-mission batched GEMM
-// (bit-identical results; see dnn.Batcher) — the cycle charges are the
-// same either way, batching accelerates the host, not the simulated SoC.
+// mid-inference exactly as they would in RTL simulation.
 func (s *Session) Run(rt *soc.Runtime, input *tensor.Tensor) dnn.Output {
 	out := s.Forward(rt, input)
 	core := rt.Core()
@@ -232,15 +203,12 @@ func (s *Session) Run(rt *soc.Runtime, input *tensor.Tensor) dnn.Output {
 	return out
 }
 
-// Forward computes just the functional forward pass — no cycle charges. The
-// rt argument is needed only for the batched path (the collector parks the
-// mission via WaitExternal); solo sessions never touch it. Resumable
-// controllers use Forward + ChargePlan so the charges can be billed one
-// engine request at a time across snapshot boundaries.
+// Forward computes just the functional forward pass — no cycle charges. It
+// consumes input before returning, so callers may refill the tensor for the
+// next call. rt is unused. Resumable controllers use Forward + ChargePlan so
+// the charges can be billed one engine request at a time across snapshot
+// boundaries.
 func (s *Session) Forward(rt *soc.Runtime, input *tensor.Tensor) dnn.Output {
-	if s.batch != nil {
-		return s.batch.Infer(rt, input)
-	}
 	return s.net.ForwardWSP(s.ws, input, s.prec)
 }
 

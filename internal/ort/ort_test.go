@@ -175,3 +175,89 @@ func TestSessionFromSerializedModel(t *testing.T) {
 		t.Errorf("serialized model diverges: %+v vs %+v", a, b)
 	}
 }
+
+func testInput(seed int) *tensor.Tensor {
+	in := tensor.New(1, 48, 64)
+	for i := range in.Data {
+		in.Data[i] = float32((i*31+seed*97)%23)/23 - 0.5
+	}
+	return in
+}
+
+func TestNewSessionPValidation(t *testing.T) {
+	net := dnn.MustBuild("ResNet6", 1)
+	if _, err := NewSessionP(net, gemmini.Default(), dnn.Precision(99)); err == nil {
+		t.Error("accepted bogus precision")
+	}
+	s, err := NewSessionP(net, gemmini.Default(), dnn.PrecisionInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Precision() != dnn.PrecisionInt8 {
+		t.Errorf("precision = %v", s.Precision())
+	}
+	if session(t, "ResNet6").Precision() != dnn.PrecisionFP32 {
+		t.Error("NewSession default is not FP32")
+	}
+}
+
+func TestInt8PredictCheaper(t *testing.T) {
+	// The quantized datapath must actually buy latency — on the doubled
+	// int8 mesh with Gemmini, and on the scalar core via IntMACsPerCycle —
+	// otherwise the accuracy trade is pointless.
+	params := soc.DefaultParams()
+	net := dnn.MustBuild("ResNet14", 1)
+	fp, err := NewSessionP(net, gemmini.Default(), dnn.PrecisionFP32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewSessionP(net, gemmini.Default(), dnn.PrecisionInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hasGem := range []bool{true, false} {
+		for _, core := range []soc.CoreKind{soc.Rocket, soc.BOOM} {
+			cf := fp.Predict(soc.Core(core), params, hasGem)
+			cq := q.Predict(soc.Core(core), params, hasGem)
+			if cq.Total() >= cf.Total() {
+				t.Errorf("%v gemmini=%v: int8 %d cycles not below fp32 %d",
+					core, hasGem, cq.Total(), cf.Total())
+			}
+			ratio := float64(cf.Total()) / float64(cq.Total())
+			if ratio > 2.5 {
+				t.Errorf("%v gemmini=%v: int8 speedup %.2fx implausibly high (mesh is 2x with quant glue)",
+					core, hasGem, ratio)
+			}
+		}
+	}
+}
+
+func TestInt8RunChargesPredicted(t *testing.T) {
+	net := dnn.MustBuild("ResNet6", 3)
+	s, err := NewSessionP(net, gemmini.Default(), dnn.PrecisionInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := testInput(1)
+	outCh := make(chan dnn.Output, 1)
+	m := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, func(rt *soc.Runtime) error {
+		outCh <- s.Run(rt, input)
+		return nil
+	})
+	defer m.Close()
+	pred := s.Predict(soc.Core(soc.BOOM), soc.DefaultParams(), true)
+	for !m.Done() {
+		m.Step(10_000_000)
+	}
+	st := m.Stats()
+	if st.AccelCycles != pred.AccelCycles {
+		t.Errorf("accel cycles %d, predicted %d", st.AccelCycles, pred.AccelCycles)
+	}
+	if st.ComputeCycles != pred.CPUCycles {
+		t.Errorf("cpu cycles %d, predicted %d", st.ComputeCycles, pred.CPUCycles)
+	}
+	want := net.ForwardWSP(tensor.NewWorkspace(), input, dnn.PrecisionInt8)
+	if out := <-outCh; out != want {
+		t.Error("int8 Run output differs from direct int8 forward")
+	}
+}

@@ -621,21 +621,6 @@ func (rt *Runtime) Energy() EnergyParams { return rt.m.energy }
 // program binary adapt to the SoC configuration.
 func (rt *Runtime) HasGemmini() bool { return rt.m.hasAcc }
 
-// WaitExternal blocks the program on a host-side synchronization point (for
-// example the cross-mission inference batch collector) until ch is closed.
-// No simulated cycles are charged — like the functional forward pass, the
-// wait is host work invisible to the cycle accountant; callers charge
-// simulated time separately. If the machine is torn down while waiting, the
-// program panics out exactly as a blocked request would, so Close never
-// deadlocks on a program parked here.
-func (rt *Runtime) WaitExternal(ch <-chan struct{}) {
-	select {
-	case <-ch:
-	case <-rt.m.killCh:
-		panic(errKilled)
-	}
-}
-
 // Core returns the CPU timing parameters (the program's runtime knows the
 // platform it was built for, as the paper's ONNX Runtime build does).
 func (rt *Runtime) Core() CoreParams { return rt.m.core }

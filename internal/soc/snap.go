@@ -29,9 +29,9 @@ import (
 // snapshot's partially-charged original so not a single cycle is re-billed.
 
 // quiesceTimeout bounds how long capture/restore waits for the program
-// coroutine to reach a request boundary. Programs parked outside the engine
-// (WaitExternal, i.e. batched missions) never arrive and fail fast instead
-// of deadlocking.
+// coroutine to reach a request boundary. A program that never issues its
+// next request (blocked on a host resource, or looping without touching the
+// engine) fails fast instead of deadlocking the caller.
 const quiesceTimeout = 2 * time.Second
 
 // ErrNotResumable marks machines built with NewMachine rather than
@@ -73,7 +73,7 @@ type SnapState struct {
 // SnapState captures the machine at a quantum boundary (budget drained, i.e.
 // between Step calls). Capture is non-destructive: the live machine keeps
 // running afterwards. It fails for non-resumable machines, exited programs,
-// and programs parked outside the engine (batched missions).
+// and programs that issue no engine request within quiesceTimeout.
 func (m *Machine) SnapState() (*SnapState, error) {
 	if m.sp == nil {
 		return nil, ErrNotResumable
@@ -94,7 +94,7 @@ func (m *Machine) SnapState() (*SnapState, error) {
 			m.runErr = err
 			return nil, errors.New("soc: cannot snapshot an exited program")
 		case <-time.After(quiesceTimeout):
-			return nil, errors.New("soc: program not quiescent (parked in WaitExternal? batched missions cannot be snapshotted)")
+			return nil, fmt.Errorf("soc: program not quiescent: no engine request within %v", quiesceTimeout)
 		}
 	}
 	app, err := m.sp.SnapshotState()

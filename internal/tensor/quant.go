@@ -9,8 +9,8 @@ import "fmt"
 // GEMM needs no zero-point correction terms. Accumulation is exact int32
 // (worst case |q| ≤ 127 so K up to ~2^17 cannot overflow 127·127·K), which
 // makes the quantized path kernel-invariant by construction: integer sums
-// have one representable answer, so noasm/SSE/AVX2 hosts and solo/batched
-// groupings all produce exactly equal int8-path results. The float32
+// have one representable answer, so noasm/SSE/AVX2 hosts all produce
+// exactly equal int8-path results. The float32
 // bit-exactness contract of matmul.go therefore extends to int8 as
 // exact equality rather than per-kernel tolerance.
 
@@ -132,8 +132,8 @@ func QuantizeTensor(src *Tensor) (*I8, QuantParams) {
 
 // MatMulI8Into computes C[M×N] = A[M×K] · B[K×N] with exact int32
 // accumulation. Integer addition is associative, so unlike the float32
-// kernels no summation-order contract is needed: any host, kernel setting,
-// or batching arrangement produces the same bits. The loop order (i, k, j)
+// kernels no summation-order contract is needed: any host or kernel setting
+// produces the same bits. The loop order (i, k, j)
 // streams B rows for cache locality.
 func MatMulI8Into(dst *I32, a, b *I8, m, k, n int) {
 	if len(a.Data) != m*k || len(b.Data) != k*n {

@@ -1,36 +1,39 @@
 #!/bin/sh
 # bench.sh — run the headline co-simulation benchmarks and record them as a
-# JSON snapshot (BENCH_PR<n>.json at the repo root), starting the
-# per-PR benchmark trajectory. Usage:
+# JSON snapshot, BENCH_PR<n>.json at the repo root. One snapshot per PR
+# makes the per-PR benchmark trail. Usage:
 #
-#	sh scripts/bench.sh [PR-number]
+#	sh scripts/bench.sh <PR-number>
 #
-# The snapshot captures the synchronizer hot path (serial vs overlapped
-# quantum execution), the distributed RPC path (allocs must stay 0), and —
-# since PR 3 — the observability overhead: each obs-enabled benchmark is
-# paired with its disabled twin and the relative delta is recorded. Since
-# PR 4 the observed RPC path also carries trace-context stamping, and the
-# structured event log's enabled-vs-disabled cost is recorded the same way.
-# Since PR 5 the RPC quantum is also measured through the faultnet wrapper
-# with nothing armed (the passthrough tax must stay ~0) and with the
-# resilient transport (replay window + per-RPC deadlines + payload CRCs).
-# Since PR 6 the snapshot adds the GEMM kernel-comparison table (ns/op per
-# dispatchable microkernel per inference shape, with the avx2-vs-sse
-# speedup), the fleet throughput series (missions/sec/host, solo vs batched
-# vs batched-int8), and per-benchmark deltas against the previous PR's
-# snapshot. Since PR 7 it records the warm-start sweep numbers: cold
-# (replay the shared prefix per variant) vs warm (snapshot once, fork per
-# variant) sweep walls, the drift-cancelling paired warm_speedup_x, and the
-# snapshot capture/restore microcosts. Since PR 8 it prices the energy
-# ledger: the default mission step (accounting on) against its EnergyOff
-# twin, recorded in obs_overhead like the other enabled-vs-disabled pairs,
-# plus the drift-cancelling BenchmarkMissionStepEnergyPaired run whose
-# energy_overhead_pct is the authoritative ledger cost (the standalone pair
-# samples two different moments of shared-host noise).
+# The snapshot records:
+#   - the mission step: the default (overlapped quantum execution) and the
+#     serial reference, ns/op, ns/quantum and allocs/op;
+#   - the TCP RPC quantum (allocs must stay 0): plain, through the faultnet
+#     wrapper with nothing armed (the passthrough tax must stay ~0), and
+#     over the resilient transport (replay window, deadlines, CRCs);
+#   - obs_overhead: each enabled-instrumentation benchmark (mission step,
+#     RPC quantum with trace-context stamping, structured event log, the
+#     energy ledger) against its disabled twin, as a relative delta;
+#   - energy_overhead_pct from the drift-cancelling
+#     BenchmarkMissionStepEnergyPaired, the authoritative ledger cost;
+#   - missions/sec/host for four concurrent ResNet14 missions
+#     (BenchmarkFleetSolo);
+#   - warm-start sweeps: cold vs warm sweep walls, the drift-cancelling
+#     warmstart_speedup, and snapshot capture/restore costs;
+#   - gemm_kernels: ns/op per dispatchable GEMM microkernel per inference
+#     shape, and avx2_speedup_vs_sse;
+#   - vs_prev: ns/op deltas against BENCH_PR<n-1>.json, for benchmarks
+#     present in both (empty when that file does not exist).
 set -eu
 
 cd "$(dirname "$0")/.."
-pr="${1:-8}"
+case "${1:-}" in
+'' | *[!0-9]*)
+    echo "usage: sh scripts/bench.sh <PR-number>" >&2
+    exit 2
+    ;;
+esac
+pr=$1
 out="BENCH_PR${pr}.json"
 prev="BENCH_PR$((pr - 1)).json"
 raw=$(mktemp)
@@ -39,7 +42,7 @@ trap 'rm -f "$raw" "$prevpairs"' EXIT
 
 echo "== benchmarks (this takes a few minutes: models train once) =="
 go test -run xxx \
-    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepOverlapped$|BenchmarkMissionStepSerial$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
+    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepSerial$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
     -benchtime 4x -benchmem . | tee "$raw"
 
 echo "== energy ledger cost (drift-cancelling pair) =="
@@ -49,13 +52,7 @@ echo "== energy ledger cost (drift-cancelling pair) =="
 go test -run xxx -bench 'BenchmarkMissionStepEnergyPaired$' -benchtime 40x . | tee -a "$raw"
 
 echo "== fleet throughput (missions/sec/host) =="
-# The Paired benchmark interleaves solo and batched fleets in the same
-# timing loop, so host-frequency drift cancels and the reported
-# batched_speedup_x is the trustworthy headline; the separate Solo/Batched/
-# BatchedInt8 runs give absolute missions/sec/host for the table.
-go test -run xxx -bench 'BenchmarkFleetSolo$|BenchmarkFleetBatched$|BenchmarkFleetBatchedInt8$' \
-    -benchtime 3x -benchmem . | tee -a "$raw"
-go test -run xxx -bench 'BenchmarkFleetPaired$' -benchtime 15x . | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkFleetSolo$' -benchtime 3x -benchmem . | tee -a "$raw"
 
 echo "== warm-start sweeps (snapshot + fork vs full replay) =="
 # The Paired benchmark interleaves a cold sweep (8 variants x full replay)
@@ -72,9 +69,6 @@ go test -run xxx -bench 'BenchmarkSnapshotCapture$|BenchmarkSnapshotRestore$' \
 echo "== GEMM kernel table =="
 go test -run xxx -bench 'BenchmarkMatMulKernels|BenchmarkMatMulInt8$' \
     -benchmem ./internal/tensor/ | tee -a "$raw"
-
-echo "== batched inference (dnn level) =="
-go test -run xxx -bench 'BenchmarkForwardBatch' -benchmem ./internal/dnn/ | tee -a "$raw"
 
 # The logger micro-pair is nanoseconds per op; give it a real benchtime so
 # the delta is signal, not timer noise.
@@ -108,12 +102,9 @@ FNR == NR { if (NF == 2) prevns[$1] = $2; next }
         if ($(i+1) == "B/op") bop[name] = $i
         if ($(i+1) == "missions/s") mps[name] = $i
         if ($(i+1) == "macs/ns") macs[name] = $i
-        if ($(i+1) == "batched_speedup_x") spd[name] = $i
         if ($(i+1) == "warm_speedup_x") warm[name] = $i
         if ($(i+1) == "energy_overhead_pct") nrg[name] = $i
         if ($(i+1) == "image_bytes") imgb[name] = $i
-        if ($(i+1) == "solo_missions/s") psolo[name] = $i
-        if ($(i+1) == "batched_missions/s") pbatch[name] = $i
     }
     order[n++] = name
 }
@@ -124,12 +115,9 @@ END {
         printf "    \"%s\": {\"ns_op\": %s", name, nsop[name]
         if (name in nsq)    printf ", \"ns_quantum\": %s", nsq[name]
         if (name in mps)    printf ", \"missions_per_sec_host\": %s", mps[name]
-        if (name in spd)    printf ", \"batched_speedup_x\": %s", spd[name]
         if (name in warm)   printf ", \"warm_speedup_x\": %s", warm[name]
         if (name in nrg)    printf ", \"energy_overhead_pct\": %s", nrg[name]
         if (name in imgb)   printf ", \"image_bytes\": %s", imgb[name]
-        if (name in psolo)  printf ", \"solo_missions_per_sec_host\": %s", psolo[name]
-        if (name in pbatch) printf ", \"batched_missions_per_sec_host\": %s", pbatch[name]
         if (name in macs)   printf ", \"macs_per_ns\": %s", macs[name]
         if (name in bop)    printf ", \"b_op\": %s", bop[name]
         if (name in allocs) printf ", \"allocs_op\": %s", allocs[name]
@@ -163,26 +151,21 @@ END {
         printf "    \"%s\": %.2f%s\n", shape, kern["sse/" shape] / kern["avx2/" shape], \
             (i < s-1 ? "," : "")
     }
-    # The headline batching and warm-start numbers, each from its
+    # The headline warm-start and energy numbers, each from its
     # drift-cancelling paired run.
-    printf "  },\n  \"fleet_batched_speedup\": %s,\n  \"warmstart_speedup\": %s,\n  \"energy_overhead_pct\": %s,\n  \"obs_overhead\": {\n", \
-        ("BenchmarkFleetPaired" in spd ? spd["BenchmarkFleetPaired"] : "null"), \
+    printf "  },\n  \"warmstart_speedup\": %s,\n  \"energy_overhead_pct\": %s,\n  \"obs_overhead\": {\n", \
         ("BenchmarkWarmstartPaired" in warm ? warm["BenchmarkWarmstartPaired"] : "null"), \
         ("BenchmarkMissionStepEnergyPaired" in nrg ? nrg["BenchmarkMissionStepEnergyPaired"] : "null")
     # obs-enabled vs obs-disabled deltas: (observed - baseline) / baseline,
-    # per metric pairs of (observed benchmark, its disabled twin). The fleet
-    # pairs record the batching/precision levers against the solo baseline.
-    pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStepOverlapped"
+    # per metric pairs of (observed benchmark, its disabled twin), plus the
+    # warm sweep against the cold one.
+    pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStep"
     pairs["BenchmarkMissionStep"]          = "BenchmarkMissionStepEnergyOff"
     pairs["BenchmarkQuantumTCPObserved"]   = "BenchmarkQuantumTCP"
     pairs["BenchmarkLogEventEnabled"]      = "BenchmarkLogEventDisabled"
     pairs["BenchmarkQuantumTCPFaultnet"]   = "BenchmarkQuantumTCP"
     pairs["BenchmarkQuantumTCPResilient"]  = "BenchmarkQuantumTCP"
-    pairs["BenchmarkFleetBatched"]         = "BenchmarkFleetSolo"
-    pairs["BenchmarkFleetBatchedInt8"]     = "BenchmarkFleetSolo"
     pairs["BenchmarkSweepWarm"]            = "BenchmarkSweepCold"
-    pairs["BenchmarkForwardBatch/ResNet6/batched"]  = "BenchmarkForwardBatch/ResNet6/solo"
-    pairs["BenchmarkForwardBatch/ResNet14/batched"] = "BenchmarkForwardBatch/ResNet14/solo"
     m = 0
     for (obsname in pairs) {
         base = pairs[obsname]
@@ -197,9 +180,6 @@ END {
         if ((obsname in nsq) && (base in nsq) && nsq[base] > 0)
             printf ", \"ns_quantum_delta_pct\": %.2f", \
                 (nsq[obsname] - nsq[base]) / nsq[base] * 100
-        if ((obsname in mps) && (base in mps) && mps[base] > 0)
-            printf ", \"missions_per_sec_delta_pct\": %.2f", \
-                (mps[obsname] - mps[base]) / mps[base] * 100
         printf "}%s\n", (i < m-1 ? "," : "")
     }
     printf "  },\n  \"vs_prev\": {\n"

@@ -14,6 +14,25 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# require_tests PATTERN PKG... fails, naming it, on any |-alternative of a
+# -run or -fuzz PATTERN that lists no test, benchmark or fuzz target in the
+# packages: a pattern naming a renamed or deleted test would otherwise
+# select nothing and pass in silence.
+require_tests() {
+    pattern=$1
+    shift
+    missing=""
+    for alt in $(echo "$pattern" | tr '|' ' '); do
+        if ! go test -list "$alt" "$@" | grep -q -E '^(Test|Benchmark|Fuzz|Example)'; then
+            missing="$missing $alt"
+        fi
+    done
+    if [ -n "$missing" ]; then
+        echo "require_tests: no test in $* matches:$missing" >&2
+        exit 1
+    fi
+}
+
 echo "== go vet =="
 go vet ./...
 
@@ -36,37 +55,45 @@ go test -race -count=1 ./internal/core/... ./internal/env/... ./internal/obs/...
 
 echo "== GEMM kernel parity matrix (forced kernels) =="
 # The numerics contract under every dispatchable microkernel: float32
-# bit-identical and int8 exactly equal across noasm/sse/avx2, solo and
-# batched, raced fresh — the GEMM against its naive reference, and every
-# convolution (plain, and with its fused BN/ReLU epilogue, fp32 and int8)
-# against a direct loop. Forcing a kernel the host lacks is graceful — init
-# records the error, auto-detection stays in effect, and the forced-kernel
-# tests skip that kernel — so the loop is safe on any machine.
+# bit-identical and int8 exactly equal across noasm/sse/avx2, raced fresh —
+# the GEMM against its naive reference, every convolution (plain, and with
+# its fused BN/ReLU epilogue, fp32 and int8) against a direct loop, and the
+# whole fp32 forward on a reused workspace against a fresh one. Forcing a
+# kernel the host lacks is graceful — init records the error,
+# auto-detection stays in effect, and the forced-kernel tests skip that
+# kernel — so the loop is safe on any machine.
+parity_run='TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestForwardWS|TestQuant|TestIm2ColI8'
+require_tests "$parity_run" ./internal/tensor/ ./internal/dnn/
 for k in noasm sse avx2; do
     echo "-- ROSE_GEMM_KERNEL=$k"
-    ROSE_GEMM_KERNEL=$k go test -race -count=1 \
-        -run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestBatchedForward|TestForwardWSP|TestQuant|TestIm2ColI8' \
+    ROSE_GEMM_KERNEL=$k go test -race -count=1 -run "$parity_run" \
         ./internal/tensor/ ./internal/dnn/
 done
 
 echo "== fingerprint parity matrix =="
 # Determinism fingerprints: the rolling per-quantum FNV-1a chain must be
-# identical local vs TCP-remote RTL, and the live-divergence bisector must
-# localize an injected bit flip to the quantum where it happened.
-go test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
+# identical local vs TCP-remote RTL, the fingerprint log must round-trip,
+# and the live-divergence bisector must localize an injected bit flip to
+# the quantum where it happened. The same set as make fingerparity.
+finger_run='TestFingerprintParityLocalRemote|TestFingerprintLogRoundTrip|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum'
+require_tests "$finger_run" ./internal/experiments/
+go test -race -count=1 -run "$finger_run" ./internal/experiments/
 
 echo "== snapshot parity matrix =="
 # Warm-start correctness: snapshot -> restore -> run must be byte-identical
-# to the uninterrupted mission, across maps, overlap modes, and the
-# TCP-remote RTL, and a forked sensor-seed variant of a degraded-sensor
-# patrol must equal its cold replay quantum for quantum, raced fresh every
-# time.
-go test -race -count=1 -run 'TestSnapshotParity|TestWarmColdParityPatrol' ./internal/experiments/
+# to the uninterrupted mission, across maps, overlap modes, the dynamic
+# runtime, and the TCP-remote RTL, and a forked sensor-seed variant of a
+# degraded-sensor patrol must equal its cold replay quantum for quantum,
+# raced fresh every time.
+snap_run='TestSnapshotParity|TestWarmColdParityPatrol'
+require_tests "$snap_run" ./internal/experiments/
+go test -race -count=1 -run "$snap_run" ./internal/experiments/
 
 echo "== energy parity matrix =="
 # The energy ledger's determinism contract: byte-identical EnergyBreakdown
 # totals across {overlap, serial} x {local, TCP-remote RTL}, and EnergyOff
 # leaving the mission's timing and trajectory untouched.
+require_tests 'TestEnergy' ./internal/experiments/
 go test -race -count=1 -run 'TestEnergy' ./internal/experiments/
 
 echo "== scenario fuzz (bounded) =="
@@ -76,21 +103,30 @@ echo "== scenario fuzz (bounded) =="
 # parity — plus the fault-localization proof (an injected impulse must
 # diverge the fingerprint chain at its quantum). make scenariofuzz runs the
 # full 16-seed sweep.
-ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 \
-    -run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
+scen_run='TestScenarioFuzz|TestInjectedFault'
+require_tests "$scen_run" ./internal/experiments/fuzz/
+ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 -run "$scen_run" ./internal/experiments/fuzz/
 
 echo "== fuzz smoke (50s) =="
 # A short native-fuzzing burst per decoder of outside bytes: packet framing
 # (buffer and stream decoders, including the resilience extension + CRC),
 # the telemetry codec, the remote-RTL reply payloads (status codec and
 # packet batch), and rose-snap/1 snapshot images. Each -fuzz pattern must
-# match exactly one target. Snapshot seeds are KiB-sized, so their
-# minimization is capped at 1s; the default 60s would eat the whole burst.
-go test -run xxx -fuzz 'FuzzDecode$' -fuzztime 10s ./internal/packet/
-go test -run xxx -fuzz 'FuzzReaderNext$' -fuzztime 10s ./internal/packet/
-go test -run xxx -fuzz 'FuzzDecodeTelemetry$' -fuzztime 10s ./internal/env/
-go test -run xxx -fuzz 'FuzzRTLReply$' -fuzztime 10s ./internal/soc/
-go test -run xxx -fuzz 'FuzzImageDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
+# match exactly one target: go test rejects more than one, require_tests
+# rejects none. Snapshot seeds are KiB-sized, so their minimization is
+# capped at 1s; the default 60s would eat the whole burst.
+fuzz_smoke() {
+    pkg=$1
+    target=$2
+    shift 2
+    require_tests "$target" "$pkg"
+    go test -run xxx -fuzz "$target" -fuzztime 10s "$@" "$pkg"
+}
+fuzz_smoke ./internal/packet/ 'FuzzDecode$'
+fuzz_smoke ./internal/packet/ 'FuzzReaderNext$'
+fuzz_smoke ./internal/env/ 'FuzzDecodeTelemetry$'
+fuzz_smoke ./internal/soc/ 'FuzzRTLReply$'
+fuzz_smoke ./internal/snapshot/ 'FuzzImageDecode$' -fuzzminimizetime 1s
 
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
