@@ -97,5 +97,5 @@ bench:
 # missions run (seconds).
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchmem ./internal/tensor/
-	$(GO) test -run xxx -bench 'BenchmarkForward$$' -benchmem ./internal/dnn/
+	$(GO) test -run xxx -bench 'BenchmarkForward$$|BenchmarkMatMulInt8$$' -benchmem ./internal/dnn/
 	$(GO) test -run xxx -bench 'BenchmarkRender' -benchmem ./internal/render/

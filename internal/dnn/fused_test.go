@@ -12,8 +12,9 @@ import (
 // directConv is the reference convolution: per output element, the
 // products over (c, ky, kx) in that order, skipping padding, summed from
 // zero, then the bias. On fp32 the sum is float32; on int8 it is the exact
-// int32 sum of the per-tensor quantized input and the conv's int8 weights,
-// dequantized as float32(acc)*d + bias.
+// int32 sum of the per-tensor quantized input and weights (quantized here
+// from W, independently of the conv's packed cache), dequantized as
+// float32(acc)*d + bias.
 func directConv(l *Conv, x *tensor.Tensor, prec Precision) *tensor.Tensor {
 	outC, inC, kh, kw := l.W.Shape[0], l.W.Shape[1], l.W.Shape[2], l.W.Shape[3]
 	h, w := x.Shape[1], x.Shape[2]
@@ -25,9 +26,9 @@ func directConv(l *Conv, x *tensor.Tensor, prec Precision) *tensor.Tensor {
 		qp := tensor.ChooseQuantParams(x.Data)
 		qx = tensor.NewI8(x.Shape...)
 		tensor.QuantizeInto(qx, x, qp)
-		var sw float32
-		wq, sw = l.quantWeightT() // [inC*kh*kw, outC]
-		d = qp.Scale * sw
+		var wqp tensor.QuantParams
+		wq, wqp = tensor.QuantizeTensor(tensor.ConvWeightT(l.W)) // [inC*kh*kw, outC]
+		d = qp.Scale * wqp.Scale
 	}
 	for o := 0; o < outC; o++ {
 		for oy := 0; oy < outH; oy++ {

@@ -75,10 +75,11 @@ type Conv struct {
 	wt     *tensor.Tensor
 	wtOnce sync.Once
 
-	// wq caches the per-tensor symmetric int8 quantization of wt for the
-	// quantized inference mode (Gemmini's native low-precision datapath).
-	// Weights are quantized once at first use, like the transpose cache.
-	wq      *tensor.I8
+	// wq caches the per-tensor symmetric int8 quantization of wt, packed
+	// for the int8 GEMM (tensor.PackI8), for the quantized inference mode
+	// (Gemmini's native low-precision datapath). Weights are quantized and
+	// packed once, at first int8 use, like the transpose cache.
+	wq      *tensor.PackedI8
 	wqScale float32
 	wqOnce  sync.Once
 }
@@ -104,12 +105,13 @@ func (l *Conv) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return l.forward(x, ws, PrecisionFP32, nil, false)
 }
 
-// quantWeightT returns the cached int8 quantization of weightT and its
-// scale.
-func (l *Conv) quantWeightT() (*tensor.I8, float32) {
+// quantWeightT returns the cached packed int8 quantization of weightT and
+// its scale.
+func (l *Conv) quantWeightT() (*tensor.PackedI8, float32) {
 	l.wqOnce.Do(func() {
-		var qp tensor.QuantParams
-		l.wq, qp = tensor.QuantizeTensor(l.weightT())
+		wt := l.weightT()
+		q, qp := tensor.QuantizeTensor(wt)
+		l.wq = tensor.PackI8(q, wt.Shape[0], wt.Shape[1])
 		l.wqScale = qp.Scale
 	})
 	return l.wq, l.wqScale
@@ -154,7 +156,7 @@ func (l *Conv) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision, b
 	ws.PutI8(qx)
 
 	acc := ws.GetI32(m, outC)
-	tensor.MatMulI8Into(acc, qcols, wq, m, k, outC)
+	tensor.MatMulI8Into(acc, qcols, wq, m)
 	ws.PutI8(qcols)
 
 	out := ws.Get(outC, outH, outW)

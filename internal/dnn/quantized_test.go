@@ -8,16 +8,6 @@ import (
 	"repro/internal/world"
 )
 
-func bitsEqual(a, b Output) bool {
-	for i := 0; i < 3; i++ {
-		if math.Float32bits(a.Lateral[i]) != math.Float32bits(b.Lateral[i]) ||
-			math.Float32bits(a.Angular[i]) != math.Float32bits(b.Angular[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // supportedKernels returns the forceable kernels this host can run.
 func supportedKernels() []tensor.Kernel {
 	var ks []tensor.Kernel
@@ -30,28 +20,30 @@ func supportedKernels() []tensor.Kernel {
 }
 
 // TestInt8ForwardKernelInvariant checks the int8 datapath produces
-// bit-identical whole-network outputs under every forceable GEMM kernel:
-// the int8 GEMMs are exact integer arithmetic and the fp32 glue (BN, ReLU,
-// heads) is covered by the float bit-exactness contract.
+// bit-identical backbone features under every forceable GEMM kernel: the
+// int8 GEMMs are exact integer arithmetic and the fp32 glue (BN, ReLU,
+// pooling) is covered by the float bit-exactness contract. It compares the
+// head features, not the Output: a freshly built net's heads are zero, so
+// its Output is uniform whatever the backbone computed.
 func TestInt8ForwardKernelInvariant(t *testing.T) {
 	n := MustBuild("ResNet11", 33)
 	img := randImage(9, n.InC, n.InH, n.InW)
 	prev := tensor.ActiveKernel()
 	defer tensor.ForceKernel(prev)
-	var want Output
-	first := true
+	var want []float32
 	for _, k := range supportedKernels() {
 		if err := tensor.ForceKernel(k); err != nil {
 			t.Fatalf("force %v: %v", k, err)
 		}
-		ws := tensor.NewWorkspace()
-		got := n.ForwardWSP(ws, img, PrecisionInt8)
-		if first {
-			want, first = got, false
+		got := n.FeaturesWSP(tensor.NewWorkspace(), img, PrecisionInt8).Data
+		if want == nil {
+			want = got
 			continue
 		}
-		if !bitsEqual(got, want) {
-			t.Fatalf("kernel %v: int8 output %v/%v, want %v/%v", k, got.Lateral, got.Angular, want.Lateral, want.Angular)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("kernel %v: int8 feature %d = %v, want %v", k, i, got[i], want[i])
+			}
 		}
 	}
 }

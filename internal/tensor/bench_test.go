@@ -82,18 +82,22 @@ func BenchmarkConv2DWorkspace(b *testing.B) {
 }
 
 // BenchmarkMatMulKernels times every dispatchable GEMM microkernel on the
-// inference-critical shapes, serial path pinned (kernel passed explicitly,
-// no global ForceKernel), so the numbers compare kernel against kernel:
-// scalar 2x8 vs SSE 2x8 vs AVX2 4x16. Unsupported kernels skip, keeping
-// the table honest on hosts without the ISA.
+// ResNet14 shapes, serial path pinned (kernel passed explicitly, no global
+// ForceKernel), so the numbers compare kernel against kernel: scalar 2x8
+// vs SSE 2x8 vs AVX2 4x16. Unsupported kernels skip, keeping the table
+// honest on hosts without the ISA.
 func BenchmarkMatMulKernels(b *testing.B) {
+	// The GEMMs a ResNet14 forward runs most, as its Describe lists them:
+	// the stem (768×25×16, once, odd K) and the three dominant shapes
+	// (768×144×16 four times, 192×288×32 and 48×576×64 three times each).
 	shapes := []struct{ m, k, n int }{
-		{3072, 27, 16},  // stem conv: tall-skinny im2col GEMM
-		{768, 144, 64},  // mid-network conv (the BenchmarkMatMul shape)
-		{192, 288, 128}, // deep conv: wide K and N
+		{768, 25, 16},
+		{768, 144, 16},
+		{192, 288, 32},
+		{48, 576, 64},
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, kern := range []Kernel{KernelNoAsm, KernelSSE, KernelAVX2} {
+	for _, kern := range kernelMatrix {
 		kern := kern
 		for _, s := range shapes {
 			s := s
@@ -114,24 +118,5 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "macs/ns")
 			})
 		}
-	}
-}
-
-// BenchmarkMatMulInt8 times the quantized int8×int8→int32 GEMM on the
-// mid-network shape, the per-layer kernel of the quantized datapath.
-func BenchmarkMatMulInt8(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	a, w := NewI8(768, 144), NewI8(144, 64)
-	for i := range a.Data {
-		a.Data[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range w.Data {
-		w.Data[i] = int8(rng.Intn(255) - 127)
-	}
-	c := NewI32(768, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulI8Into(c, a, w, 768, 144, 64)
 	}
 }

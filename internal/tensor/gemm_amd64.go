@@ -25,6 +25,17 @@ func sgemm2x8(k, n int, a0, a1, b, c0, c1 *float32, acc bool)
 //go:noescape
 func sgemm4x16(k, n int, a0, a1, a2, a3, b, c0, c1, c2, c3 *float32, acc bool)
 
+// i8gemm4x16 computes one 4-row × 16-column tile of the int8 GEMM exactly:
+//
+//	c_r[0:16] = Σ_kk a[r·k+kk] · B[kk][0:16]   for r in [0, 4)
+//
+// a points at four consecutive row-major A rows of length k ≥ 1, b at one
+// PackI8 panel, c_r at c + r·ldc. The tile overwrites C (no accumulate
+// mode: int8 products are not K-blocked).
+//
+//go:noescape
+func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int)
+
 const gemmHasAsm = true
 
 // cpuid executes the CPUID instruction (leaf eaxArg, subleaf ecxArg).

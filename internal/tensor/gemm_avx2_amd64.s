@@ -94,3 +94,109 @@ kloop:
 	VMOVUPS Y7, 32(R13)
 	VZEROUPPER
 	RET
+
+// I8ROW multiplies one A row's broadcast int16 pair in Y10 against the two
+// halves of a B pair row (Y8: columns 0-7, Y9: columns 8-15) and adds the
+// exact int32 two-term sums into that row's accumulators lo and hi.
+#define I8ROW(lo, hi) \
+	VPMADDWD Y8, Y10, Y11 \
+	VPADDD   Y11, lo, lo \
+	VPMADDWD Y9, Y10, Y11 \
+	VPADDD   Y11, hi, hi
+
+// func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int)
+//
+// AVX2 int8 microkernel: C[0:4][0:16] = A[0:4][0:k] · B[0:k][0:16] with
+// exact int32 sums. A is four consecutive row-major int8 rows of length k;
+// b points at one PackI8 panel (⌈k/2⌉ pair rows of 32 int16, columns
+// interleaved); c at C's first tile row, ldc elements apart. Per k pair,
+// VPBROADCASTW reads the row's two A bytes and VPMOVSXBW sign-extends them
+// to eight (a[2p], a[2p+1]) int16 pairs, and VPMADDWD forms
+// a[2p]·b[2p][j] + a[2p+1]·b[2p+1][j] in each int32 lane: |sum| ≤ 2·127²,
+// so no lane saturates (VPMADDUBSW would). An odd k's last byte is loaded
+// alone with VPBROADCASTB, which puts it in both halves of every pair; the
+// second half meets the panel's zero pad row. The kernel never reads past
+// an A row or the panel, and overwrites C.
+TEXT ·i8gemm4x16(SB), NOSPLIT, $0-40
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ c+24(FP), R8
+	MOVQ ldc+32(FP), R9
+
+	SHLQ $2, R9             // C row stride in bytes
+	LEAQ (SI)(CX*1), DI     // a1
+	LEAQ (DI)(CX*1), R10    // a2
+	LEAQ (R10)(CX*1), R11   // a3
+	MOVQ CX, AX             // k, for the odd tail
+
+	VPXOR Y0, Y0, Y0        // c0[0:8]
+	VPXOR Y1, Y1, Y1        // c0[8:16]
+	VPXOR Y2, Y2, Y2        // c1[0:8]
+	VPXOR Y3, Y3, Y3        // c1[8:16]
+	VPXOR Y4, Y4, Y4        // c2[0:8]
+	VPXOR Y5, Y5, Y5        // c2[8:16]
+	VPXOR Y6, Y6, Y6        // c3[0:8]
+	VPXOR Y7, Y7, Y7        // c3[8:16]
+
+	SHRQ $1, CX             // k pairs
+	JZ   tail
+
+pairloop:
+	VMOVDQU (BX), Y8        // pair p, columns 0-7
+	VMOVDQU 32(BX), Y9      // pair p, columns 8-15
+
+	VPBROADCASTW (SI), X10  // a0[2p], a0[2p+1]
+	VPMOVSXBW X10, Y10
+	I8ROW(Y0, Y1)
+	VPBROADCASTW (DI), X10  // a1
+	VPMOVSXBW X10, Y10
+	I8ROW(Y2, Y3)
+	VPBROADCASTW (R10), X10 // a2
+	VPMOVSXBW X10, Y10
+	I8ROW(Y4, Y5)
+	VPBROADCASTW (R11), X10 // a3
+	VPMOVSXBW X10, Y10
+	I8ROW(Y6, Y7)
+
+	ADDQ $2, SI
+	ADDQ $2, DI
+	ADDQ $2, R10
+	ADDQ $2, R11
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  pairloop
+
+tail:
+	TESTQ $1, AX
+	JZ    store
+	VMOVDQU (BX), Y8        // last row, zero pad row interleaved
+	VMOVDQU 32(BX), Y9
+
+	VPBROADCASTB (SI), X10  // a0[k-1] alone
+	VPMOVSXBW X10, Y10
+	I8ROW(Y0, Y1)
+	VPBROADCASTB (DI), X10
+	VPMOVSXBW X10, Y10
+	I8ROW(Y2, Y3)
+	VPBROADCASTB (R10), X10
+	VPMOVSXBW X10, Y10
+	I8ROW(Y4, Y5)
+	VPBROADCASTB (R11), X10
+	VPMOVSXBW X10, Y10
+	I8ROW(Y6, Y7)
+
+store:
+	VMOVDQU Y0, (R8)
+	VMOVDQU Y1, 32(R8)
+	ADDQ    R9, R8
+	VMOVDQU Y2, (R8)
+	VMOVDQU Y3, 32(R8)
+	ADDQ    R9, R8
+	VMOVDQU Y4, (R8)
+	VMOVDQU Y5, 32(R8)
+	ADDQ    R9, R8
+	VMOVDQU Y6, (R8)
+	VMOVDQU Y7, 32(R8)
+	VZEROUPPER
+	RET

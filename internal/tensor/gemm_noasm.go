@@ -14,6 +14,11 @@ func sgemm4x16(k, n int, a0, a1, a2, a3, b, c0, c1, c2, c3 *float32, acc bool) {
 	panic("tensor: AVX2 kernel dispatched without assembly support")
 }
 
+// i8gemm4x16 is unreachable without assembly, for the same reason.
+func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int) {
+	panic("tensor: AVX2 int8 kernel dispatched without assembly support")
+}
+
 const gemmHasAsm = false
 
 // cpuHasAVX2 is false without the assembly kernels, regardless of the CPU.

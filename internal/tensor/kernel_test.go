@@ -61,7 +61,8 @@ func TestKernelParityMatrix(t *testing.T) {
 	}
 	type qcase struct {
 		m, k, n int
-		a, b    *I8
+		a       *I8
+		b       *PackedI8
 		want    *I32
 	}
 	fcases := make([]fcase, 0, len(parityShapes))
@@ -73,7 +74,7 @@ func TestKernelParityMatrix(t *testing.T) {
 		fcases = append(fcases, fcase{m, k, n, a, b, naiveMatMul(a, b, m, k, n)})
 		qa := randI8(rng, m, k)
 		qb := randI8(rng, k, n)
-		qcases = append(qcases, qcase{m, k, n, qa, qb, naiveMatMulI8(qa, qb, m, k, n)})
+		qcases = append(qcases, qcase{m, k, n, qa, PackI8(qb, k, n), naiveMatMulI8(qa, qb, m, k, n)})
 	}
 	ran := 0
 	for _, kern := range kernelMatrix {
@@ -88,7 +89,7 @@ func TestKernelParityMatrix(t *testing.T) {
 			}
 			for _, c := range qcases {
 				got := NewI32(c.m, c.n)
-				MatMulI8Into(got, c.a, c.b, c.m, c.k, c.n)
+				MatMulI8Into(got, c.a, c.b, c.m)
 				for i := range got.Data {
 					if got.Data[i] != c.want.Data[i] {
 						t.Fatalf("%v int8 %s: element %d = %d, want %d",
@@ -127,6 +128,130 @@ func naiveMatMulI8(a, b *I8, m, k, n int) *I32 {
 		}
 	}
 	return c
+}
+
+// TestMatMulI8ExactEdges pins the int8 GEMM to naiveMatMulI8 under every
+// forced kernel, on the operands and shapes that tell a correct kernel from
+// a plausible wrong one: all-±127 operands (from K = 3 on, an int16
+// accumulator or a saturating multiply-add overflows), odd K (the stem's
+// 25, K = 1) next to K = 2, about half of A zero with every third row all
+// zero (ReLU output), N below, at and straddling 16, and M remainders of
+// the 4-row tile. dst starts poisoned and is longer than M·N: every element
+// of the product must be written, none past it.
+func TestMatMulI8ExactEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	random := func(r, c int) int8 { return int8(rng.Intn(255) - 127) }
+	operands := []struct {
+		name string
+		a, b func(r, c int) int8
+	}{
+		{"+127·+127", func(r, c int) int8 { return 127 }, func(r, c int) int8 { return 127 }},
+		{"-127·-127", func(r, c int) int8 { return -127 }, func(r, c int) int8 { return -127 }},
+		{"-127·+127", func(r, c int) int8 { return -127 }, func(r, c int) int8 { return 127 }},
+		{"±127 alternating", func(r, c int) int8 { return int8(127 - 254*((r+c)%2)) },
+			func(r, c int) int8 { return int8(254*(c%2) - 127) }},
+		{"random", random, random},
+		{"relu", func(r, c int) int8 {
+			if r%3 == 0 || rng.Intn(2) == 0 {
+				return 0
+			}
+			return random(r, c)
+		}, random},
+	}
+	shapes := [][3]int{
+		{4, 1, 16}, {5, 2, 16}, {7, 3, 17}, {1, 3, 1}, {3, 4, 15},
+		{8, 25, 16}, {9, 25, 33}, {6, 144, 16}, {13, 288, 31}, {4, 577, 64}, {2, 5, 48},
+	}
+	type qcase struct {
+		label string
+		m     int
+		a     *I8
+		b     *PackedI8
+		want  *I32
+	}
+	var cases []qcase
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, op := range operands {
+			a, b := fillI8(m, k, op.a), fillI8(k, n, op.b)
+			cases = append(cases, qcase{op.name + " " + formatShape(m, k, n), m, a, PackI8(b, k, n),
+				naiveMatMulI8(a, b, m, k, n)})
+		}
+	}
+	for _, kern := range kernelMatrix {
+		withKernel(t, kern, func() {
+			for _, c := range cases {
+				got := poisonedI32(len(c.want.Data) + 17)
+				MatMulI8Into(got, c.a, c.b, c.m)
+				assertI32Prefix(t, kern.String()+" "+c.label, got.Data, c.want.Data)
+			}
+		})
+	}
+}
+
+// TestMatMulI8PackedReuse runs one packed B against several A operands of
+// different heights, each into a freshly poisoned dst, under every forced
+// kernel: the kernels must neither modify the packed form nor depend on
+// what dst held.
+func TestMatMulI8PackedReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const k, n = 25, 24
+	b := randI8(rng, k, n)
+	packed := PackI8(b, k, n)
+	snapshot := append([]int16(nil), packed.Data...)
+	for _, kern := range kernelMatrix {
+		withKernel(t, kern, func() {
+			for _, m := range []int{9, 4, 1, 16} {
+				a := randI8(rng, m, k)
+				want := naiveMatMulI8(a, b, m, k, n)
+				for round := 0; round < 2; round++ {
+					got := poisonedI32(m*n + 3)
+					MatMulI8Into(got, a, packed, m)
+					assertI32Prefix(t, kern.String()+" reuse "+formatShape(m, k, n), got.Data, want.Data)
+				}
+			}
+		})
+	}
+	for i, v := range packed.Data {
+		if v != snapshot[i] {
+			t.Fatalf("packed B element %d changed from %d to %d", i, snapshot[i], v)
+		}
+	}
+}
+
+func fillI8(rows, cols int, f func(r, c int) int8) *I8 {
+	t := NewI8(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			t.Data[r*cols+c] = f(r, c)
+		}
+	}
+	return t
+}
+
+// i32Poison marks dst elements no kernel has written.
+const i32Poison = -0x5a5a5a5b
+
+func poisonedI32(n int) *I32 {
+	t := NewI32(n)
+	for i := range t.Data {
+		t.Data[i] = i32Poison
+	}
+	return t
+}
+
+// assertI32Prefix checks got starts with want and is poison after it.
+func assertI32Prefix(t *testing.T, label string, got, want []int32) {
+	t.Helper()
+	for i, v := range got {
+		w := int32(i32Poison)
+		if i < len(want) {
+			w = want[i]
+		}
+		if v != w {
+			t.Fatalf("%s: element %d = %d, want %d", label, i, v, w)
+		}
+	}
 }
 
 // TestKernelParallelParityMatrix forces each kernel through the parallel

@@ -9,10 +9,15 @@ import "fmt"
 // GEMM needs no zero-point correction terms. Accumulation is exact int32
 // (worst case |q| ≤ 127 so K up to ~2^17 cannot overflow 127·127·K), which
 // makes the quantized path kernel-invariant by construction: integer sums
-// have one representable answer, so noasm/SSE/AVX2 hosts all produce
-// exactly equal int8-path results. The float32
-// bit-exactness contract of matmul.go therefore extends to int8 as
-// exact equality rather than per-kernel tolerance.
+// have one representable answer, so the AVX2 kernel (VPMADDWD on
+// sign-extended int16 pairs, never the saturating VPMADDUBSW) and the
+// portable kernel that the noasm and SSE selections run produce exactly
+// equal int8-path results. The float32 bit-exactness contract of matmul.go
+// therefore extends to int8 as exact equality rather than per-kernel
+// tolerance.
+//
+// The GEMM's B operand (the conv weights) is packed once by PackI8 into the
+// layout both kernels read; A (the im2col columns) stays row-major int8.
 
 // I8 is a dense int8 tensor (row-major), the quantized twin of Tensor.
 type I8 struct {
@@ -122,7 +127,8 @@ func quantOne(s float32) int8 {
 }
 
 // QuantizeTensor quantizes src into a fresh I8 with the derived per-tensor
-// parameters. Used for one-time weight quantization at model load.
+// parameters. Conv uses it to quantize its weights once, at first int8 use,
+// before packing them.
 func QuantizeTensor(src *Tensor) (*I8, QuantParams) {
 	qp := ChooseQuantParams(src.Data)
 	q := &I8{Shape: cloneShape(src.Shape), Data: make([]int8, len(src.Data))}
@@ -130,34 +136,142 @@ func QuantizeTensor(src *Tensor) (*I8, QuantParams) {
 	return q, qp
 }
 
+// PackedI8 is the B operand of the int8 GEMM in the layout its kernels
+// read: B[K×N] sign-extended to int16 and cut into 16-column panels, each
+// panel a dense run of ⌈K/2⌉ row pairs of 32 values with the pair's two
+// rows interleaved column by column:
+//
+//	Data[(jp·⌈K/2⌉ + p)·32 + 2c + t] = B[2p+t][16·jp + c]
+//
+// Columns past N and the row past an odd K are zero, so one VPMADDWD of a
+// broadcast A pair against 16 of a pair's values yields 8 columns' exact
+// two-term sums.
+type PackedI8 struct {
+	K, N int
+	Data []int16
+}
+
+// i8PairLen is the int16 length of one packed row pair of a panel.
+const i8PairLen = 2 * gemmNR16
+
+// PackI8 packs the row-major K×N int8 matrix b for MatMulI8Into.
+func PackI8(b *I8, k, n int) *PackedI8 {
+	if k <= 0 || n <= 0 || len(b.Data) != k*n {
+		panic(fmt.Sprintf("tensor: pack %dx%d int8 matrix with %d elements", k, n, len(b.Data)))
+	}
+	panels := (n + gemmNR16 - 1) / gemmNR16
+	p := &PackedI8{K: k, N: n, Data: make([]int16, panels*((k+1)/2)*i8PairLen)}
+	for kk := 0; kk < k; kk++ {
+		for j, v := range b.Data[kk*n : (kk+1)*n] {
+			p.panel(j / gemmNR16)[kk/2*i8PairLen+2*(j%gemmNR16)+kk%2] = int16(v)
+		}
+	}
+	return p
+}
+
+// panel returns the jp-th 16-column panel of p.
+func (p *PackedI8) panel(jp int) []int16 {
+	size := (p.K + 1) / 2 * i8PairLen
+	return p.Data[jp*size : (jp+1)*size : (jp+1)*size]
+}
+
 // MatMulI8Into computes C[M×N] = A[M×K] · B[K×N] with exact int32
-// accumulation. Integer addition is associative, so unlike the float32
-// kernels no summation-order contract is needed: any host or kernel setting
-// produces the same bits. The loop order (i, k, j)
-// streams B rows for cache locality.
-func MatMulI8Into(dst *I32, a, b *I8, m, k, n int) {
-	if len(a.Data) != m*k || len(b.Data) != k*n {
-		panic(fmt.Sprintf("tensor: int8 matmul %dx%d · %dx%d with %d/%d elements",
-			m, k, k, n, len(a.Data), len(b.Data)))
+// accumulation, where B was packed by PackI8 (K and N are b's). Every
+// element of dst[:m·N] is overwritten. Integer addition is associative, so
+// unlike the float32 kernels no summation-order contract is needed: any
+// host or kernel setting produces the same bits. The kernel is resolved
+// once per call from the runtime-dispatched selection (kernel.go): avx2
+// runs the 4×16 assembly tile, sse and noasm the portable kernel. The
+// product runs on the calling goroutine.
+func MatMulI8Into(dst *I32, a *I8, b *PackedI8, m int) {
+	k, n := b.K, b.N
+	if len(a.Data) != m*k {
+		panic(fmt.Sprintf("tensor: int8 matmul %dx%d · %dx%d with %d A elements", m, k, k, n, len(a.Data)))
 	}
 	if len(dst.Data) < m*n {
 		panic(fmt.Sprintf("tensor: int8 matmul dst holds %d elements, need %d", len(dst.Data), m*n))
 	}
-	for i := 0; i < m; i++ {
-		crow := dst.Data[i*n : (i+1)*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
+	if ActiveKernel() == KernelAVX2 {
+		matMulI8AVX2(dst.Data, a.Data, b, m)
+		return
+	}
+	matMulI8Rows(dst.Data, a.Data, b, 0, m)
+}
+
+// matMulI8AVX2 runs the 4×16 assembly tile over every panel and every
+// 4-row stripe. A panel past N's last multiple of 16 is computed into a
+// stack tile and its valid columns copied out; the last m%4 rows run on the
+// portable kernel.
+func matMulI8AVX2(cd []int32, ad []int8, b *PackedI8, m int) {
+	k, n := b.K, b.N
+	m4 := m - m%gemmMR4
+	var tile [gemmMR4 * gemmNR16]int32
+	for jp, j := 0, 0; j < n; jp, j = jp+1, j+gemmNR16 {
+		panel := b.panel(jp)
+		for i := 0; i < m4; i += gemmMR4 {
+			if j+gemmNR16 <= n {
+				i8gemm4x16(k, &ad[i*k], &panel[0], &cd[i*n+j], n)
+				continue
+			}
+			i8gemm4x16(k, &ad[i*k], &panel[0], &tile[0], gemmNR16)
+			for r := 0; r < gemmMR4; r++ {
+				copy(cd[(i+r)*n+j:(i+r+1)*n], tile[r*gemmNR16:])
+			}
 		}
-		arow := a.Data[i*k : (i+1)*k : (i+1)*k]
-		for kk := 0; kk < k; kk++ {
-			av := int32(arow[kk])
-			if av == 0 {
-				continue // im2col padding and ReLU sparsity skip whole rows
+	}
+	matMulI8Rows(cd, ad, b, m4, m)
+}
+
+// matMulI8Rows computes rows [i0, i1) of C on the portable kernel: per row
+// and panel, 16 int32 sums over the packed row pairs, the odd K's last row
+// alone. The pair update is written out because the compiler does not
+// unroll: as a loop over the 16 columns it measured ~1.4× slower.
+//
+// It skips a pair whose two A elements are both zero. About half of A is
+// zero in flight: ReLU output, in runs the branch predictor follows (the
+// stem's A, the camera frame, is almost dense). On the operands of a
+// ResNet14 int8 forward (dnn's BenchmarkMatMulInt8) the skip makes the
+// post-ReLU GEMMs ~1.3× faster and the stem's no slower; the whole int8
+// forward under the noasm kernel is ~1.25× faster with it.
+func matMulI8Rows(cd []int32, ad []int8, b *PackedI8, i0, i1 int) {
+	k, n := b.K, b.N
+	for i := i0; i < i1; i++ {
+		arow := ad[i*k : (i+1)*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n : (i+1)*n]
+		for jp, j := 0, 0; j < n; jp, j = jp+1, j+gemmNR16 {
+			panel := b.panel(jp)
+			var acc [gemmNR16]int32
+			for kk := 0; kk+1 < k; kk += 2 {
+				a0, a1 := int32(arow[kk]), int32(arow[kk+1])
+				if a0|a1 == 0 {
+					continue
+				}
+				bq := (*[i8PairLen]int16)(panel[kk/2*i8PairLen:])
+				acc[0] += a0*int32(bq[0]) + a1*int32(bq[1])
+				acc[1] += a0*int32(bq[2]) + a1*int32(bq[3])
+				acc[2] += a0*int32(bq[4]) + a1*int32(bq[5])
+				acc[3] += a0*int32(bq[6]) + a1*int32(bq[7])
+				acc[4] += a0*int32(bq[8]) + a1*int32(bq[9])
+				acc[5] += a0*int32(bq[10]) + a1*int32(bq[11])
+				acc[6] += a0*int32(bq[12]) + a1*int32(bq[13])
+				acc[7] += a0*int32(bq[14]) + a1*int32(bq[15])
+				acc[8] += a0*int32(bq[16]) + a1*int32(bq[17])
+				acc[9] += a0*int32(bq[18]) + a1*int32(bq[19])
+				acc[10] += a0*int32(bq[20]) + a1*int32(bq[21])
+				acc[11] += a0*int32(bq[22]) + a1*int32(bq[23])
+				acc[12] += a0*int32(bq[24]) + a1*int32(bq[25])
+				acc[13] += a0*int32(bq[26]) + a1*int32(bq[27])
+				acc[14] += a0*int32(bq[28]) + a1*int32(bq[29])
+				acc[15] += a0*int32(bq[30]) + a1*int32(bq[31])
 			}
-			brow := b.Data[kk*n : (kk+1)*n : (kk+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * int32(bv)
+			if k%2 == 1 {
+				o := k / 2 * i8PairLen
+				bq := panel[o : o+i8PairLen : o+i8PairLen]
+				for c := range acc {
+					acc[c] += int32(arow[k-1]) * int32(bq[2*c])
+				}
 			}
+			copy(crow[j:], acc[:])
 		}
 	}
 }

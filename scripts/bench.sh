@@ -7,23 +7,41 @@
 #
 # The snapshot records:
 #   - the mission step: the default (overlapped quantum execution) and the
-#     serial reference, ns/op, ns/quantum and allocs/op;
-#   - the TCP RPC quantum (allocs must stay 0): plain, through the faultnet
-#     wrapper with nothing armed (the passthrough tax must stay ~0), and
-#     over the resilient transport (replay window, deadlines, CRCs);
-#   - obs_overhead: each enabled-instrumentation benchmark (mission step,
-#     RPC quantum with trace-context stamping, structured event log, the
-#     energy ledger) against its disabled twin, as a relative delta;
-#   - energy_overhead_pct from the drift-cancelling
-#     BenchmarkMissionStepEnergyPaired, the authoritative ledger cost;
+#     serial reference, ns/op, ns/quantum and allocs/op, plus its
+#     observed and EnergyOff twins as plain rows;
+#   - one steady-state mission quantum (BenchmarkMissionQuantum) and its
+#     calm/squall/storm scenario twins (BenchmarkMissionQuantumScenario);
+#   - the TCP RPC quantum (allocs must stay 0): plain, observed, through the
+#     faultnet wrapper with nothing armed, and over the resilient transport
+#     (replay window, deadlines, CRCs); and the remote-RTL quantum
+#     (BenchmarkQuantumRemoteRTL);
+#   - energy_overhead_pct from BenchmarkMissionStepEnergyPaired and
+#     stream_fprint_overhead_pct from BenchmarkMissionStepStreamPaired, the
+#     only overhead numbers: each alternates its bare and instrumented arms
+#     inside one timing loop, so shared-vCPU drift cancels, where a delta
+#     between two separately run benchmarks would be host noise. Even so one
+#     40-iteration round of the stream pair spread from -1.4 to 8.0 on a
+#     2-vCPU host, wider than its 2% bound, so each pair runs five rounds
+#     and is recorded as the median with every round beside it
+#     (<key>_rounds): the median judges its contract only when the rounds
+#     agree on which side of the bound they fall;
+#   - the forward pass missions run (BenchmarkForward: ResNet6 and ResNet14
+#     on fp32 and int8, at -cpu 1), with the int8 rows' a_zero_pct;
 #   - missions/sec/host for four concurrent ResNet14 missions
 #     (BenchmarkFleetSolo);
 #   - warm-start sweeps: cold vs warm sweep walls, the drift-cancelling
 #     warmstart_speedup, and snapshot capture/restore costs;
-#   - gemm_kernels: ns/op per dispatchable GEMM microkernel per inference
-#     shape, and avx2_speedup_vs_sse;
+#   - gemm_kernels: ns/op and macs/ns per dispatchable GEMM microkernel on
+#     the ResNet14 GEMM shapes, fp32 (kernel/shape, random dense operands)
+#     and int8 (int8/kernel/shape, the operands of a ResNet14 int8 forward,
+#     with their a_zero_pct), with avx2_speedup_vs_sse (fp32) and
+#     int8_avx2_speedup_vs_noasm;
 #   - vs_prev: ns/op deltas against BENCH_PR<n-1>.json, for benchmarks
-#     present in both (empty when that file does not exist).
+#     present in both (empty when that file does not exist). Informational
+#     only: the two snapshots ran at different times, so host drift enters
+#     every delta (short benchmarks have read several times slower in one
+#     snapshot than the other on an unchanged path); a regression claim
+#     needs a paired before/after run of the two trees.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,11 +63,21 @@ go test -run xxx \
     -bench 'BenchmarkMissionStep$|BenchmarkMissionStepSerial$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
     -benchtime 4x -benchmem . | tee "$raw"
 
-echo "== energy ledger cost (drift-cancelling pair) =="
-# Alternates accounting-on and EnergyOff missions inside one timing loop so
-# shared-vCPU frequency drift cancels; energy_overhead_pct is the number the
-# ≤1.5% contract is judged against.
-go test -run xxx -bench 'BenchmarkMissionStepEnergyPaired$' -benchtime 40x . | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkQuantumRemoteRTL$' -benchmem . | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkMissionQuantum' -benchtime 500x -benchmem \
+    ./internal/experiments/ | tee -a "$raw"
+
+echo "== instrumentation cost (drift-cancelling pairs, five rounds) =="
+# Each alternates its bare and instrumented missions inside one timing loop
+# so shared-vCPU frequency drift cancels: energy_overhead_pct prices the
+# energy ledger (≤1.5% contract), stream_fprint_overhead_pct fingerprinting
+# plus one live viewer (≤2% contract). The snapshot keeps every round and
+# their median.
+go test -run xxx -bench 'BenchmarkMissionStepEnergyPaired$|BenchmarkMissionStepStreamPaired$' \
+    -benchtime 40x -count 5 . | tee -a "$raw"
+
+echo "== forward pass (-cpu 1) =="
+go test -run xxx -bench 'BenchmarkForward$' -cpu 1 -benchmem ./internal/dnn/ | tee -a "$raw"
 
 echo "== fleet throughput (missions/sec/host) =="
 go test -run xxx -bench 'BenchmarkFleetSolo$' -benchtime 3x -benchmem . | tee -a "$raw"
@@ -67,8 +95,8 @@ go test -run xxx -bench 'BenchmarkSnapshotCapture$|BenchmarkSnapshotRestore$' \
     -benchmem ./internal/experiments/ | tee -a "$raw"
 
 echo "== GEMM kernel table =="
-go test -run xxx -bench 'BenchmarkMatMulKernels|BenchmarkMatMulInt8$' \
-    -benchmem ./internal/tensor/ | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkMatMulKernels' -benchmem ./internal/tensor/ | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkMatMulInt8$' -benchmem ./internal/dnn/ | tee -a "$raw"
 
 # The logger micro-pair is nanoseconds per op; give it a real benchtime so
 # the delta is signal, not timer noise.
@@ -91,10 +119,45 @@ fi
 [ -s "$prevpairs" ] || echo "#" > "$prevpairs"
 
 awk -v pr="$pr" '
+# median returns the median of the space-separated numbers in list.
+function median(list,    v, c, i, j, t) {
+    c = split(list, v, " ")
+    for (i = 2; i <= c; i++)
+        for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) {
+            t = v[j]; v[j] = v[j-1]; v[j-1] = t
+        }
+    return (c % 2 ? v[(c+1)/2] : (v[c/2] + v[c/2+1]) / 2)
+}
+# rounds prints "key": median, "key_rounds": [every round] for a paired
+# metric, or "key": null when the benchmark did not run.
+function rounds(key, list,    v, c, i) {
+    if (list == "") { printf "  \"%s\": null", key; return }
+    c = split(list, v, " ")
+    printf "  \"%s\": %s,\n  \"%s_rounds\": [", key, median(list), key
+    for (i = 1; i <= c; i++) printf "%s%s", v[i], (i < c ? ", " : "")
+    printf "]"
+}
+# speedup prints "key": {shape: base/fast} for every shape whose GEMM row
+# exists under both kernel prefixes of gemm_kernels.
+function speedup(key, base, fast,    i, s, shape, k, shapes) {
+    s = 0
+    for (i = 0; i < m; i++) {
+        k = kkey[i]
+        if (index(k, fast) != 1) continue
+        shape = substr(k, length(fast) + 1)
+        if ((base shape) in kern) shapes[s++] = shape
+    }
+    printf "  \"%s\": {\n", key
+    for (i = 0; i < s; i++)
+        printf "    \"%s\": %.2f%s\n", shapes[i], kern[base shapes[i]] / kern[fast shapes[i]], \
+            (i < s-1 ? "," : "")
+    printf "  }"
+}
 FNR == NR { if (NF == 2) prevns[$1] = $2; next }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
+    if (!(name in nsop)) order[n++] = name # -count repeats a name; keep the last round
     nsop[name] = $3
     for (i = 4; i < NF; i++) {
         if ($(i+1) == "ns/quantum") nsq[name] = $i
@@ -103,10 +166,11 @@ FNR == NR { if (NF == 2) prevns[$1] = $2; next }
         if ($(i+1) == "missions/s") mps[name] = $i
         if ($(i+1) == "macs/ns") macs[name] = $i
         if ($(i+1) == "warm_speedup_x") warm[name] = $i
-        if ($(i+1) == "energy_overhead_pct") nrg[name] = $i
+        if ($(i+1) == "energy_overhead_pct") nrg[name] = nrg[name] " " $i
+        if ($(i+1) == "stream_fprint_overhead_pct") strm[name] = strm[name] " " $i
         if ($(i+1) == "image_bytes") imgb[name] = $i
+        if ($(i+1) == "a_zero_pct") azero[name] = $i
     }
-    order[n++] = name
 }
 END {
     printf "{\n  \"pr\": %s,\n  \"benchmarks\": {\n", pr
@@ -116,75 +180,49 @@ END {
         if (name in nsq)    printf ", \"ns_quantum\": %s", nsq[name]
         if (name in mps)    printf ", \"missions_per_sec_host\": %s", mps[name]
         if (name in warm)   printf ", \"warm_speedup_x\": %s", warm[name]
-        if (name in nrg)    printf ", \"energy_overhead_pct\": %s", nrg[name]
+        if (name in nrg)    printf ", \"energy_overhead_pct\": %s", median(nrg[name])
+        if (name in strm)   printf ", \"stream_fprint_overhead_pct\": %s", median(strm[name])
         if (name in imgb)   printf ", \"image_bytes\": %s", imgb[name]
         if (name in macs)   printf ", \"macs_per_ns\": %s", macs[name]
+        if (name in azero)  printf ", \"a_zero_pct\": %s", azero[name]
         if (name in bop)    printf ", \"b_op\": %s", bop[name]
         if (name in allocs) printf ", \"allocs_op\": %s", allocs[name]
         printf "}%s\n", (i < n-1 ? "," : "")
     }
     printf "  },\n  \"gemm_kernels\": {\n"
-    # ns/op per kernel per shape, plus the avx2-vs-sse speedup per shape.
+    # ns/op and macs/ns per kernel per shape: fp32 rows keyed kernel/shape,
+    # int8 rows int8/kernel/shape.
     m = 0
     for (i = 0; i < n; i++) {
         name = order[i]
-        if (split(name, part, "/") == 3 && part[1] == "BenchmarkMatMulKernels")
-            kname[m++] = name
+        if (split(name, part, "/") != 3) continue
+        if (part[1] == "BenchmarkMatMulKernels") key = part[2] "/" part[3]
+        else if (part[1] == "BenchmarkMatMulInt8") key = "int8/" part[2] "/" part[3]
+        else continue
+        kern[key] = nsop[name]
+        kkey[m] = key
+        kname[m++] = name
     }
     for (i = 0; i < m; i++) {
-        name = kname[i]
-        split(name, part, "/")
-        printf "    \"%s/%s\": {\"ns_op\": %s}", part[2], part[3], nsop[name]
-        kern[part[2] "/" part[3]] = nsop[name]
-        printf "%s\n", (i < m-1 ? "," : "")
-    }
-    printf "  },\n  \"avx2_speedup_vs_sse\": {\n"
-    s = 0
-    for (i = 0; i < m; i++) {
-        split(kname[i], part, "/")
-        if (part[2] != "avx2") continue
-        if (!(("sse/" part[3]) in kern)) continue
-        sshape[s++] = part[3]
-    }
-    for (i = 0; i < s; i++) {
-        shape = sshape[i]
-        printf "    \"%s\": %.2f%s\n", shape, kern["sse/" shape] / kern["avx2/" shape], \
-            (i < s-1 ? "," : "")
-    }
-    # The headline warm-start and energy numbers, each from its
-    # drift-cancelling paired run.
-    printf "  },\n  \"warmstart_speedup\": %s,\n  \"energy_overhead_pct\": %s,\n  \"obs_overhead\": {\n", \
-        ("BenchmarkWarmstartPaired" in warm ? warm["BenchmarkWarmstartPaired"] : "null"), \
-        ("BenchmarkMissionStepEnergyPaired" in nrg ? nrg["BenchmarkMissionStepEnergyPaired"] : "null")
-    # obs-enabled vs obs-disabled deltas: (observed - baseline) / baseline,
-    # per metric pairs of (observed benchmark, its disabled twin), plus the
-    # warm sweep against the cold one.
-    pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStep"
-    pairs["BenchmarkMissionStep"]          = "BenchmarkMissionStepEnergyOff"
-    pairs["BenchmarkQuantumTCPObserved"]   = "BenchmarkQuantumTCP"
-    pairs["BenchmarkLogEventEnabled"]      = "BenchmarkLogEventDisabled"
-    pairs["BenchmarkQuantumTCPFaultnet"]   = "BenchmarkQuantumTCP"
-    pairs["BenchmarkQuantumTCPResilient"]  = "BenchmarkQuantumTCP"
-    pairs["BenchmarkSweepWarm"]            = "BenchmarkSweepCold"
-    m = 0
-    for (obsname in pairs) {
-        base = pairs[obsname]
-        if (!(obsname in nsop) || !(base in nsop)) continue
-        pair[m++] = obsname
-    }
-    for (i = 0; i < m; i++) {
-        obsname = pair[i]
-        base = pairs[obsname]
-        printf "    \"%s_vs_%s\": {\"ns_op_delta_pct\": %.2f", obsname, base, \
-            (nsop[obsname] - nsop[base]) / nsop[base] * 100
-        if ((obsname in nsq) && (base in nsq) && nsq[base] > 0)
-            printf ", \"ns_quantum_delta_pct\": %.2f", \
-                (nsq[obsname] - nsq[base]) / nsq[base] * 100
+        printf "    \"%s\": {\"ns_op\": %s, \"macs_per_ns\": %s", kkey[i], \
+            nsop[kname[i]], macs[kname[i]]
+        if (kname[i] in azero) printf ", \"a_zero_pct\": %s", azero[kname[i]]
         printf "}%s\n", (i < m-1 ? "," : "")
     }
-    printf "  },\n  \"vs_prev\": {\n"
+    printf "  },\n"
+    speedup("avx2_speedup_vs_sse", "sse/", "avx2/")
+    printf ",\n"
+    speedup("int8_avx2_speedup_vs_noasm", "int8/noasm/", "int8/avx2/")
+    # The headline warm-start and instrumentation numbers, each from its
+    # drift-cancelling paired run.
+    printf ",\n  \"warmstart_speedup\": %s,\n", \
+        ("BenchmarkWarmstartPaired" in warm ? warm["BenchmarkWarmstartPaired"] : "null")
+    rounds("energy_overhead_pct", nrg["BenchmarkMissionStepEnergyPaired"])
+    printf ",\n"
+    rounds("stream_fprint_overhead_pct", strm["BenchmarkMissionStepStreamPaired"])
+    printf ",\n  \"vs_prev\": {\n"
     # ns/op deltas against the previous PR snapshot, for benchmarks present
-    # in both (negative = faster now).
+    # in both (negative = faster now); informational, see the header.
     m = 0
     for (i = 0; i < n; i++)
         if ((order[i] in prevns) && prevns[order[i]] > 0) common[m++] = order[i]

@@ -70,6 +70,13 @@ for k in noasm sse avx2; do
         ./internal/tensor/ ./internal/dnn/
 done
 
+echo "== portable build (noasm, arm64) =="
+# What a host without the assembly kernels builds: the same parity set under
+# -tags noasm (the portable kernels and the assembly stubs; the sse and
+# avx2 rows skip), and a cross-compile of everything for arm64.
+go test -count=1 -tags noasm -run "$parity_run" ./internal/tensor/ ./internal/dnn/
+GOARCH=arm64 go build ./...
+
 echo "== fingerprint parity matrix =="
 # Determinism fingerprints: the rolling per-quantum FNV-1a chain must be
 # identical local vs TCP-remote RTL, the fingerprint log must round-trip,
@@ -132,7 +139,7 @@ echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
 # pathological allocation, without turning the gate into a perf run.
 go test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchtime 1x -benchmem ./internal/tensor/
-go test -run xxx -bench 'BenchmarkForward$' -benchtime 1x -benchmem ./internal/dnn/
+go test -run xxx -bench 'BenchmarkForward$|BenchmarkMatMulInt8$' -benchtime 1x -benchmem ./internal/dnn/
 go test -run xxx -bench 'BenchmarkRender' -benchtime 1x -benchmem ./internal/render/
 go test -run xxx -bench 'BenchmarkQuantumTCP' -benchtime 100x -benchmem .
 
@@ -141,26 +148,35 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # synchronization quantum — render, bridge exchange, inference, physics,
 # always-on fingerprint fold — must not allocate with observability
 # disabled, in every harness: the TCP-remote env exchange, the TCP-remote
-# RTL quantum, and the fully assembled steady-state mission quantum. Any
-# alloc/op above 0 fails the gate.
+# RTL quantum, and the fully assembled steady-state mission quantum; and the
+# int8 forward pass, which allocates nothing at any GOMAXPROCS (the fp32
+# rows start the parallel GEMM's band goroutines above GOMAXPROCS=1). Any
+# benchmark line the pattern selects with an alloc/op above 0, or without
+# an allocs/op figure, fails the gate.
 alloc_gate() {
     pkg=$1; bench=$2; times=$3
     out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$pkg")
-    line=$(echo "$out" | grep "^Benchmark" || true)
-    if [ -z "$line" ]; then
+    lines=$(echo "$out" | grep "^Benchmark" || true)
+    if [ -z "$lines" ]; then
         echo "$out"
         echo "alloc gate: $bench did not run" >&2
         exit 1
     fi
-    echo "$line"
-    allocs=$(echo "$line" | awk '{print $(NF-1)}' | tail -1)
-    if [ "$allocs" != "0" ]; then
-        echo "alloc gate: $bench regressed to $allocs allocs/op (want 0)" >&2
+    echo "$lines"
+    bad=$(echo "$lines" | awk '{
+        a = "none"
+        for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") a = $i
+        if (a != "0") print $1 ": " a " allocs/op"
+    }')
+    if [ -n "$bad" ]; then
+        echo "$bad" >&2
+        echo "alloc gate: $bench regressed (want 0 allocs/op on every line)" >&2
         exit 1
     fi
 }
 alloc_gate . 'BenchmarkQuantumTCP$' 200x
 alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
+alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
 
 echo "check: OK"
