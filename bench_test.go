@@ -117,25 +117,34 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 			EnergyOff: off,
 		}
 	}
-	for _, off := range []bool{false, true} { // warm both arms
-		if _, err := experiments.RunMission(specFor(off)); err != nil {
+	on, off := timePaired(b, specFor(false), specFor(true))
+	b.ReportMetric((float64(on)/float64(off)-1)*100, "energy_overhead_pct")
+}
+
+// timePaired warms both arms, then runs one mission of each per
+// iteration, alternating which arm goes first so an order effect (a cache
+// or clock state the first run leaves behind) lands on both arms equally.
+// It returns each arm's total time.
+func timePaired(b *testing.B, x, y experiments.MissionSpec) (tx, ty time.Duration) {
+	arms := [2]experiments.MissionSpec{x, y}
+	for _, spec := range arms {
+		if _, err := experiments.RunMission(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
-	var on, off time.Duration
+	var total [2]time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := experiments.RunMission(specFor(false)); err != nil {
-			b.Fatal(err)
+		for k := 0; k < 2; k++ {
+			arm := (i + k) % 2
+			t0 := time.Now()
+			if _, err := experiments.RunMission(arms[arm]); err != nil {
+				b.Fatal(err)
+			}
+			total[arm] += time.Since(t0)
 		}
-		t1 := time.Now()
-		if _, err := experiments.RunMission(specFor(true)); err != nil {
-			b.Fatal(err)
-		}
-		on, off = on+t1.Sub(t0), off+time.Since(t1)
 	}
-	b.ReportMetric((float64(on)/float64(off)-1)*100, "energy_overhead_pct")
+	return total[0], total[1]
 }
 
 // BenchmarkMissionStepObserved measures the overlapped configuration with
@@ -164,7 +173,7 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 	instr := bare
 	instr.Obs = suite.Parent()
 	instr.RecordFingerprints = true
-	// The attached subscriber drains like a live rose-top: frames are
+	// The attached subscriber drains like a live rose-top: records are
 	// consumed, so Publish takes the send path, not the drop path.
 	sub := suite.Bus.Subscribe(256)
 	done := make(chan struct{})
@@ -181,24 +190,7 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 		close(done)
 		suite.Bus.Unsubscribe(sub)
 	}()
-	for _, spec := range []experiments.MissionSpec{bare, instr} { // warm both arms
-		if _, err := experiments.RunMission(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var base, obsd time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := experiments.RunMission(bare); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		if _, err := experiments.RunMission(instr); err != nil {
-			b.Fatal(err)
-		}
-		base, obsd = base+t1.Sub(t0), obsd+time.Since(t1)
-	}
+	base, obsd := timePaired(b, bare, instr)
 	b.ReportMetric((float64(obsd)/float64(base)-1)*100, "stream_fprint_overhead_pct")
 }
 

@@ -7,14 +7,14 @@
 //	rose-sweep -exp figure12 -metrics :9100 &
 //	rose-top -url http://127.0.0.1:9100
 //
-// Each mission's latest per-quantum frame becomes one row: quantum index,
+// Each mission's latest quantum record becomes one row: quantum index,
 // simulated time, pose, collisions, engine cycles, power, inference
-// progress, quantum wall time, this viewer's dropped-frame count, and the
-// rolling determinism fingerprint. The table refreshes in place at
-// -interval; heartbeat frames keep the link visibly alive while a mission
-// is idle. A slow terminal drops frames (the drops column grows) but never
-// stalls the simulation — backpressure ends at the server's bounded
-// per-subscriber buffer (sized with -buf).
+// progress, quantum wall time, and the rolling determinism fingerprint.
+// The table refreshes in place at -interval; heartbeat lines keep the link
+// visibly alive while a mission is idle. A slow terminal drops records
+// (the header's dropped count grows) but never stalls the simulation —
+// backpressure ends at the server's bounded per-subscriber buffer (sized
+// with -buf).
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,7 +37,7 @@ func main() {
 	var (
 		url      = flag.String("url", "http://127.0.0.1:9100", "introspection endpoint of the running sim/sweep")
 		interval = flag.Duration("interval", time.Second, "screen refresh interval")
-		buf      = flag.Int("buf", 0, "server-side subscriber frame buffer (0 = server default)")
+		buf      = flag.Int("buf", 0, fmt.Sprintf("server-side subscriber record buffer, 1..%d (0 = server default, %d)", obs.MaxStreamBuf, obs.DefaultStreamBuf))
 		frames   = flag.Uint64("frames", 0, "exit after this many telemetry frames (0 = run until the stream ends)")
 		plain    = flag.Bool("plain", false, "append refreshes instead of redrawing in place (for logs/pipes)")
 	)
@@ -63,12 +62,12 @@ func main() {
 	}
 }
 
-// watch consumes the NDJSON stream, retaining the latest real frame per
+// watch consumes the NDJSON stream, retaining the latest record per
 // mission, and redraws the fleet table every interval. It returns when the
-// stream ends (server shutdown), the frame budget is spent, or a line fails
-// to decode.
+// stream ends (server shutdown), the record budget is spent, or a line
+// fails to decode.
 func watch(r io.Reader, w io.Writer, source string, interval time.Duration, maxFrames uint64, plain bool) error {
-	latest := map[string]obs.StreamFrame{}
+	latest := map[string]obs.QuantumRecord{}
 	var seen, dropped uint64
 	lastBeat := time.Now()
 
@@ -78,12 +77,11 @@ func watch(r io.Reader, w io.Writer, source string, interval time.Duration, maxF
 		}
 		fmt.Fprintf(w, "rose-top · %s · %d frames (%d dropped) · heartbeat %s ago\n\n",
 			source, seen, dropped, time.Since(lastBeat).Round(time.Second))
-		frames := make([]obs.StreamFrame, 0, len(latest))
-		for _, f := range latest {
-			frames = append(frames, f)
+		recs := make([]obs.QuantumRecord, 0, len(latest))
+		for _, q := range latest {
+			recs = append(recs, q)
 		}
-		sort.Slice(frames, func(i, j int) bool { return frames[i].Mission < frames[j].Mission })
-		fmt.Fprint(w, telemetry.FleetStrip(frames))
+		fmt.Fprint(w, telemetry.FleetStrip(recs))
 		if plain {
 			fmt.Fprintln(w)
 		}
@@ -93,16 +91,14 @@ func watch(r io.Reader, w io.Writer, source string, interval time.Duration, maxF
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	next := time.Now().Add(interval)
 	for sc.Scan() {
-		var f obs.StreamFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return fmt.Errorf("rose-top: bad stream line: %w", err)
+		line, err := decodeLine(sc.Bytes())
+		if err != nil {
+			return err
 		}
-		dropped = f.Dropped
-		if f.Heartbeat {
-			lastBeat = time.Now()
-		} else {
-			lastBeat = time.Now()
-			latest[f.Mission] = f
+		dropped = line.Dropped
+		lastBeat = time.Now()
+		if q := line.QuantumRecord; q != nil {
+			latest[q.Mission] = *q
 			seen++
 			if maxFrames > 0 && seen >= maxFrames {
 				redraw()
@@ -116,4 +112,14 @@ func watch(r io.Reader, w io.Writer, source string, interval time.Duration, maxF
 	}
 	redraw()
 	return sc.Err()
+}
+
+// decodeLine decodes one /stream.ndjson line; a heartbeat line leaves
+// QuantumRecord nil.
+func decodeLine(b []byte) (obs.StreamLine, error) {
+	var line obs.StreamLine
+	if err := json.Unmarshal(b, &line); err != nil {
+		return obs.StreamLine{}, fmt.Errorf("rose-top: bad stream line: %w", err)
+	}
+	return line, nil
 }

@@ -174,7 +174,7 @@ func TestWatchdogBlackboxOnHungEnvServer(t *testing.T) {
 	if err := json.Unmarshal(data, &bb); err != nil {
 		t.Fatalf("blackbox not valid JSON: %v\n%s", err, data)
 	}
-	if bb.Schema != "rose-blackbox/1" || bb.Reason != "watchdog" {
+	if bb.Schema != "rose-blackbox/2" || bb.Reason != "watchdog" {
 		t.Errorf("schema/reason = %q/%q", bb.Schema, bb.Reason)
 	}
 	if bb.RunID != suite.Run.RunIDHex() {

@@ -545,7 +545,7 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 				CollisionCount:  tm.CollisionCount,
 				Collided:        tm.Collided,
 				MissionComplete: tm.MissionComplete,
-			}, true)
+			})
 		}
 
 		// --- Bookkeeping. ---

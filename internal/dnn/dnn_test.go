@@ -250,7 +250,7 @@ func TestTrainHeadStackedValidation(t *testing.T) {
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
-	n := MustBuild("ResNet6", 11)
+	n := seedHeads(MustBuild("ResNet6", 11), 12)
 	var buf bytes.Buffer
 	if err := Save(&buf, n); err != nil {
 		t.Fatal(err)

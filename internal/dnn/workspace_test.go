@@ -17,12 +17,29 @@ func randImage(seed int64, c, h, w int) *tensor.Tensor {
 	return img
 }
 
+// seedHeads gives both of n's heads seeded non-zero weights and biases, so
+// its Output depends on the backbone: a freshly built net's heads are zero,
+// which maps every image to the uniform [1/3 1/3 1/3].
+func seedHeads(n *Net, seed int64) *Net {
+	rng := rand.New(rand.NewSource(seed))
+	for _, h := range []*Dense{n.HeadLateral, n.HeadAngular} {
+		scale := 1 / math.Sqrt(float64(h.W.Shape[1]))
+		for i := range h.W.Data {
+			h.W.Data[i] = float32(rng.NormFloat64() * scale)
+		}
+		for i := range h.B {
+			h.B[i] = float32(rng.NormFloat64() * 0.1)
+		}
+	}
+	return n
+}
+
 // TestForwardWSBitIdentical checks workspace inference against the
 // allocating path bit for bit, across repeated runs that recycle (dirty)
 // scratch buffers and across variants with and without projection shortcuts.
 func TestForwardWSBitIdentical(t *testing.T) {
 	for _, name := range []string{"ResNet6", "ResNet11"} {
-		n := MustBuild(name, 42)
+		n := seedHeads(MustBuild(name, 42), 43)
 		ws := tensor.NewWorkspace()
 		for iter := int64(0); iter < 3; iter++ {
 			img := randImage(100+iter, n.InC, n.InH, n.InW)

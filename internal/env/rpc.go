@@ -2,12 +2,10 @@ package env
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -35,33 +33,15 @@ import (
 // scratch buffers, so a quantum's worth of RPC traffic makes zero heap
 // allocations at each end.
 
-// Server serves one Sim to network clients.
+// Server serves one Sim to network clients over the packet serve loop.
+// Multiple clients may connect; they share the single simulator under a
+// lock held only around simulator access, never across network I/O, so a
+// slow client cannot stall other connections.
 type Server struct {
-	// mu guards access to the shared simulator only; it is never held
-	// across network I/O, so a slow client cannot stall other
-	// connections.
+	srv *packet.Server
 	mu  sync.Mutex
 	sim *Sim
-	ln  net.Listener
-	obs atomic.Pointer[obs.EnvServerObs] // nil = disabled
-	log atomic.Pointer[obs.Logger]       // nil = silent
-	// sessions holds per-link replay state for resilient clients
-	// (DESIGN.md §7): replayed requests after a reconnect are answered
-	// from the cached response instead of re-executing, which would
-	// advance the simulator's noise RNG twice and fork the trajectory.
-	sessions *packet.ResilSessions
 }
-
-// SetObs installs request/byte accounting for the server. Safe to call
-// while connections are being served; a nil argument disables it.
-func (s *Server) SetObs(o *obs.EnvServerObs) { s.obs.Store(o) }
-
-// SetLog installs the structured logger for connection lifecycle events.
-// Safe to call while serving; a nil argument silences the server.
-func (s *Server) SetLog(l *obs.Logger) { s.log.Store(l) }
-
-// logger returns the installed logger (nil-safe to use when absent).
-func (s *Server) logger() *obs.Logger { return s.log.Load() }
 
 // NewServer wraps a simulator and listens on addr (e.g. ":41451", the
 // AirSim default port).
@@ -76,43 +56,31 @@ func NewServer(sim *Sim, addr string) (*Server, error) {
 // NewServerOn wraps a simulator behind an existing listener — the hook the
 // chaos suite uses to interpose faultnet between server and clients.
 func NewServerOn(sim *Sim, ln net.Listener) *Server {
-	return &Server{sim: sim, ln: ln, sessions: packet.NewResilSessions()}
+	s := &Server{sim: sim}
+	s.srv = packet.NewServer("env", ln, func() packet.Handler {
+		sc := &connScratch{}
+		return func(req packet.Packet) packet.Packet { return s.handle(req, sc) }
+	})
+	return s
 }
+
+// SetObs installs request/byte accounting for the server. Safe to call
+// while connections are being served; a nil argument disables it.
+func (s *Server) SetObs(o *obs.EnvServerObs) { s.srv.SetObs(o) }
+
+// SetLog installs the structured logger for connection lifecycle events.
+// Safe to call while serving; a nil argument silences the server.
+func (s *Server) SetLog(l *obs.Logger) { s.srv.SetLog(l) }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the listener.
-func (s *Server) Close() error { return s.ln.Close() }
+func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve accepts and serves connections until the listener is closed.
-// Multiple clients may connect; they share the single simulator under a
-// lock held only around simulator access. Transient accept failures
-// (EMFILE, ECONNABORTED, injected chaos) are logged and retried with
-// capped backoff instead of killing the serve goroutine mid-sweep; Serve
-// returns only when the listener itself is closed.
-func (s *Server) Serve() error {
-	var backoff time.Duration
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff < time.Second {
-				backoff *= 2
-			}
-			s.logger().Warn("env server accept failed; retrying",
-				obs.Str("err", err.Error()), obs.Str("backoff", backoff.String()))
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		go s.serveConn(conn)
-	}
-}
+// Serve accepts and serves connections until the listener is closed
+// (packet.Server.Serve).
+func (s *Server) Serve() error { return s.srv.Serve() }
 
 // connScratch is per-connection response scratch: payload bytes are built
 // here (under the sim lock when they snapshot sim state) and copied into
@@ -121,112 +89,6 @@ func (s *Server) Serve() error {
 type connScratch struct {
 	cam     []byte // quantized camera pixels
 	payload []byte // response payload build buffer
-	replay  []byte // replayed-response copy buffer (session cache hits)
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	s.logger().Debug("env client connected", obs.Str("remote", conn.RemoteAddr().String()))
-	defer s.logger().Debug("env client disconnected", obs.Str("remote", conn.RemoteAddr().String()))
-	r := packet.NewReader(conn)
-	w := packet.NewWriter(conn)
-	sc := &connScratch{}
-	for {
-		req, err := r.Next()
-		if err != nil {
-			// A checksum failure means framing alignment is gone; dropping
-			// the connection makes the resilient client reconnect and
-			// replay, which is the recovery path.
-			if errors.Is(err, packet.ErrChecksum) {
-				s.logger().Warn("env request failed checksum; dropping connection",
-					obs.Str("remote", conn.RemoteAddr().String()), obs.Str("err", err.Error()))
-			}
-			return
-		}
-		o := s.obs.Load()
-		var t0 time.Time
-		if o != nil {
-			t0 = time.Now()
-		}
-		// Resilient clients stamp every request with a (link, seq) pair.
-		// Mirror it onto the response, and answer a replayed sequence from
-		// the session cache — byte-identical to the original response —
-		// instead of re-executing it.
-		var sess *packet.ResilSession
-		var seq uint32
-		if link, rseq, ok := r.Resil(); ok {
-			sess, seq = s.sessions.Get(link), rseq
-			w.SetResil(link, r.ResilCRCPayload())
-			w.SetResilSeq(rseq)
-		} else {
-			w.SetResil(0, false)
-		}
-		var resp packet.Packet
-		replayed := false
-		if sess != nil {
-			resp, sc.replay, replayed = sess.Dedup(seq, sc.replay)
-		}
-		if replayed {
-			if o != nil {
-				o.ReplayHits.Inc()
-			}
-		} else {
-			resp = s.handle(req, sc)
-			if sess != nil {
-				sess.Store(seq, resp)
-			}
-		}
-		if err := w.WritePacket(resp); err != nil {
-			return
-		}
-		if o != nil {
-			// The request's trace context (stamped by the synchronizer's
-			// client) tags the serve span with the quantum sequence that
-			// issued it — the server half of cross-host correlation.
-			runID, seq, _ := r.Trace()
-			o.ObserveRequest(serveSpanName(req.Type), runID, uint64(seq), t0)
-			o.Requests.Inc()
-			o.BytesIn.Add(uint64(req.Size()))
-			o.BytesOut.Add(uint64(resp.Size()))
-		}
-		// Flush only when no further request is already buffered: a
-		// pipelined batch gets all its responses in one segment, a lone
-		// request is answered immediately, and flushing before blocking
-		// in Next keeps the protocol deadlock-free.
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// serveSpanName maps a request type to its static serve-span name —
-// constants, so tracing a request never allocates.
-func serveSpanName(t packet.Type) string {
-	switch t {
-	case packet.RPCStepFrames:
-		return "serve.step_frames"
-	case packet.RPCFrameRate:
-		return "serve.frame_rate"
-	case packet.RPCReset:
-		return "serve.reset"
-	case packet.RPCTelemetry:
-		return "serve.telemetry"
-	case packet.CamReq:
-		return "serve.cam"
-	case packet.IMUReq:
-		return "serve.imu"
-	case packet.DepthReq:
-		return "serve.depth"
-	case packet.CmdVel:
-		return "serve.cmd_vel"
-	}
-	return "serve.other"
-}
-
-func errPacket(err error) packet.Packet {
-	return packet.Packet{Type: packet.RPCError, Payload: []byte(err.Error())}
 }
 
 func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
@@ -234,13 +96,13 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 	case packet.RPCStepFrames:
 		n, err := req.AsU64()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		s.mu.Lock()
 		err = s.sim.StepFrames(int(n))
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		return packet.Packet{Type: packet.RPCAck}
 	case packet.RPCFrameRate:
@@ -250,7 +112,7 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		return packet.U64(packet.RPCFrameRate, uint64(hz*1000))
 	case packet.RPCReset:
 		if len(req.Payload) != 32 {
-			return errPacket(fmt.Errorf("env: RPCReset payload must be 32 bytes"))
+			return packet.ErrorReply(fmt.Errorf("env: RPCReset payload must be 32 bytes"))
 		}
 		f := func(i int) float64 {
 			return math.Float64frombits(binary.LittleEndian.Uint64(req.Payload[i*8:]))
@@ -259,7 +121,7 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		err := s.sim.Reset(f(0), f(1), f(2), f(3))
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		return packet.Packet{Type: packet.RPCAck}
 	case packet.RPCTelemetry:
@@ -267,7 +129,7 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		tm, err := s.sim.Telemetry()
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = AppendTelemetry(sc.payload[:0], tm)
 		return packet.Packet{Type: packet.RPCTelemetry, Payload: sc.payload}
@@ -278,7 +140,7 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		s.mu.Unlock()
 		payload, err := packet.CamFrame{W: w, H: h, Pix: sc.cam}.AppendPayload(sc.payload[:0])
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = payload
 		return packet.Packet{Type: packet.CamData, Payload: sc.payload}
@@ -287,7 +149,7 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		r, err := s.sim.GetIMU()
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = packet.IMU{
 			Accel:   [3]float64{r.Accel.X, r.Accel.Y, r.Accel.Z},
@@ -301,24 +163,24 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		d, err := s.sim.GetDepth()
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = packet.Depth{Meters: d}.AppendPayload(sc.payload[:0])
 		return packet.Packet{Type: packet.DepthData, Payload: sc.payload}
 	case packet.CmdVel:
 		cmd, err := packet.UnmarshalCmd(req)
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		s.mu.Lock()
 		err = s.sim.SetVelocity(cmd.VForward, cmd.VLateral, cmd.YawRate)
 		s.mu.Unlock()
 		if err != nil {
-			return errPacket(err)
+			return packet.ErrorReply(err)
 		}
 		return packet.Packet{Type: packet.RPCAck}
 	}
-	return errPacket(fmt.Errorf("env: unsupported RPC %v", req.Type))
+	return packet.ErrorReply(fmt.Errorf("env: unsupported RPC %v", req.Type))
 }
 
 // Client is an Env implementation backed by a remote Server. Methods are

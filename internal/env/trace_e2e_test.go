@@ -44,7 +44,7 @@ func TestRPCTraceCorrelationE2E(t *testing.T) {
 		if _, err := c.FetchSensors([]packet.Type{packet.IMUReq, packet.DepthReq}); err != nil {
 			t.Fatal(err)
 		}
-		simSuite.Core.EndQuantum(start, obs.TelemetrySample{}, false)
+		simSuite.Core.EndQuantum(start, obs.TelemetrySample{})
 	}
 	if seqs[0] == seqs[1] || seqs[0] == 0 {
 		t.Fatalf("quantum sequences did not advance: %v", seqs)

@@ -15,7 +15,7 @@ import (
 // TestConcurrentScopedRegistryAndStream races the fleet-observability
 // surfaces against each other the way a live sweep does: N goroutines
 // creating mission scopes and hammering scoped instruments while publishing
-// stream frames, concurrent with HTTP scrapers on /metrics, /metrics.json,
+// quantum records, concurrent with HTTP scrapers on /metrics, /metrics.json,
 // and /stream.ndjson. Run under -race (scripts/check.sh does); the final
 // aggregate check also catches lost increments.
 func TestConcurrentScopedRegistryAndStream(t *testing.T) {
@@ -87,7 +87,7 @@ func TestConcurrentScopedRegistryAndStream(t *testing.T) {
 				c.Inc()
 				g.Set(int64(i))
 				h.Observe(time.Duration(i) * 100)
-				suite.Bus.Publish(StreamFrame{Mission: mo.ID, Seq: uint64(i)})
+				suite.Bus.Publish(QuantumRecord{Mission: mo.ID, Seq: uint64(i)})
 			}
 		}(m)
 	}

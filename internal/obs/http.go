@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 )
 
@@ -63,7 +64,7 @@ func (s *Suite) Handler() http.Handler {
 		fmt.Fprint(w, "rose observability\n\n"+
 			"/metrics        Prometheus text format (per-mission series + aggregates)\n"+
 			"/metrics.json   JSON snapshot with run metadata\n"+
-			"/stream.ndjson  live per-quantum telemetry frames (NDJSON)\n"+
+			"/stream.ndjson  live per-quantum records (NDJSON)\n"+
 			"/trace.json     Chrome trace events (load in Perfetto)\n"+
 			"/blackbox.json  on-demand flight-recorder dump\n"+
 			"/debug/vars     expvar\n"+
@@ -106,23 +107,31 @@ func (s *Suite) WriteMetricsJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// streamHeartbeat is how long /stream.ndjson waits for a frame before
+// streamHeartbeat is how long /stream.ndjson waits for a record before
 // emitting a keepalive line, so an idle mission still proves the link is
 // alive and surfaces the subscriber's drop count.
 const streamHeartbeat = time.Second
 
 // serveStream is the /stream.ndjson handler: it subscribes to the suite's
-// stream bus and relays frames as one JSON object per line. The subscription
-// is bounded and drop-counting — a slow reader loses frames (its `dropped`
-// field grows) but can never stall the mission. ?buf=N sizes the
-// subscriber's frame buffer.
+// stream bus and relays quantum records as StreamLines, one JSON object
+// per line. The subscription is bounded and drop-counting — a slow reader
+// loses records (its `dropped` stamp grows) but can never stall the
+// mission. ?buf=N sizes the subscriber's buffer, N in [1, MaxStreamBuf]
+// (default DefaultStreamBuf); anything else is a 400.
 func (s *Suite) serveStream(w http.ResponseWriter, r *http.Request) {
 	if s == nil || s.Bus == nil {
 		http.Error(w, "stream bus unavailable", http.StatusServiceUnavailable)
 		return
 	}
-	buf := 0
-	fmt.Sscanf(r.URL.Query().Get("buf"), "%d", &buf)
+	buf := DefaultStreamBuf
+	if v := r.URL.Query().Get("buf"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 || n > MaxStreamBuf {
+			http.Error(w, fmt.Sprintf("buf must be an integer in [1, %d]", MaxStreamBuf), http.StatusBadRequest)
+			return
+		}
+		buf = n
+	}
 	sub := s.Bus.Subscribe(buf)
 	defer s.Bus.Unsubscribe(sub)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -132,16 +141,17 @@ func (s *Suite) serveStream(w http.ResponseWriter, r *http.Request) {
 	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
 	for {
-		var f StreamFrame
+		var line StreamLine
 		select {
 		case <-r.Context().Done():
 			return
-		case f = <-sub.C():
+		case q := <-sub.C():
+			line.QuantumRecord = &q
 		case <-heartbeat.C:
-			f = StreamFrame{Heartbeat: true}
+			line.Heartbeat = true
 		}
-		f.Dropped = sub.Dropped()
-		if err := enc.Encode(f); err != nil {
+		line.Dropped = sub.Dropped()
+		if err := enc.Encode(line); err != nil {
 			return
 		}
 		if flusher != nil {

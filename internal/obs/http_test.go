@@ -36,7 +36,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	// Exercise a few instruments so the exposition carries real values.
 	now := time.Now()
 	s.Core.ObserveRTL(now.Add(-2 * time.Millisecond))
-	s.Core.ObserveQuantum(now.Add(-5 * time.Millisecond))
+	s.Core.EndQuantum(now.Add(-5*time.Millisecond), TelemetrySample{})
 	s.RPC.BytesIn.Add(1024)
 	s.RPC.BytesOut.Add(512)
 	s.Bridge.RxBytes.Set(300)
@@ -153,7 +153,7 @@ func TestNilSuite(t *testing.T) {
 	c.ObserveEnv(st)
 	c.ObserveExchange(st)
 	c.ObserveStall(st)
-	c.ObserveQuantum(st)
+	c.EndQuantum(st, TelemetrySample{})
 }
 
 // TestSuiteParent: a single-mission run's instrument set is the suite's
@@ -183,9 +183,9 @@ func TestSuiteParent(t *testing.T) {
 func TestSuiteSummary(t *testing.T) {
 	s := New(16)
 	base := time.Now().Add(-10 * time.Millisecond)
-	s.Core.ObserveEnv(base)     // ~10ms concurrent env work
-	s.Core.ObserveRTL(base)     // ~10ms rtl work
-	s.Core.ObserveQuantum(base) // ~10ms total
+	s.Core.ObserveEnv(base)                    // ~10ms concurrent env work
+	s.Core.ObserveRTL(base)                    // ~10ms rtl work
+	s.Core.EndQuantum(base, TelemetrySample{}) // ~10ms total
 	s.App.Inferences.Inc()
 	s.App.Latency.Observe(3 * time.Millisecond)
 	// The RPC client counts batched fetches in RoundTrips too, so the
@@ -221,7 +221,7 @@ func TestSuiteSummary(t *testing.T) {
 func TestBlackboxEndpoint(t *testing.T) {
 	s := New(16)
 	s.Recorder.SetPath("") // no file side effects; the endpoint streams
-	s.Core.EndQuantum(time.Now().Add(-time.Millisecond), TelemetrySample{PosX: 1}, true)
+	s.Core.EndQuantum(time.Now().Add(-time.Millisecond), TelemetrySample{PosX: 1})
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -234,10 +234,10 @@ func TestBlackboxEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &bb); err != nil {
 		t.Fatalf("/blackbox.json invalid: %v\n%s", err, body)
 	}
-	if bb.Schema != "rose-blackbox/1" || bb.Reason != "manual" {
+	if bb.Schema != "rose-blackbox/2" || bb.Reason != "manual" {
 		t.Errorf("schema/reason = %q/%q", bb.Schema, bb.Reason)
 	}
-	if len(bb.Quanta) != 1 || !bb.Quanta[0].HasTelemetry || bb.Quanta[0].Telemetry.PosX != 1 {
+	if len(bb.Quanta) != 1 || bb.Quanta[0].Telemetry.PosX != 1 {
 		t.Errorf("quanta = %+v", bb.Quanta)
 	}
 	if s.Recorder.ManualDumps.Value() != 1 {
@@ -270,7 +270,7 @@ func TestHandlerConcurrentScrape(t *testing.T) {
 			start := s.Core.BeginQuantum()
 			s.Core.ObserveRTL(start)
 			s.Core.ObserveExchange(start)
-			s.Core.EndQuantum(start, TelemetrySample{Frame: int64(i)}, true)
+			s.Core.EndQuantum(start, TelemetrySample{Frame: int64(i)})
 			s.Log.Info("quantum", Int("i", int64(i)))
 			s.Bridge.RxBytes.Set(int64(i % 512))
 			if i%64 == 63 {

@@ -6,16 +6,16 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Recorder is the co-simulation flight recorder: a bounded black box that
-// continuously snapshots the last N quanta (phase timings, bridge queue
-// depths, the boundary telemetry sample) and, on a trigger, dumps one
-// self-describing blackbox.json bundle — the quantum tail plus the event
-// log tail, the span tail, and a full metrics snapshot. Triggers:
+// continuously keeps the last N quantum records and, on a trigger, dumps
+// one self-describing blackbox.json bundle — the quantum tail plus the
+// event log tail, the span tail, and a full metrics snapshot. Triggers:
 //
 //   - panic: a deferred Suite.RecoverPanic hook in the CLI tools
 //   - watchdog: a quantum exceeding a configurable deadline (a hung RPC
@@ -37,10 +37,6 @@ type Recorder struct {
 	ring []QuantumRecord
 	n    uint64
 	path string
-
-	// rxBytes/txBytes mirror the bridge occupancy gauges into each quantum
-	// record (bound by Suite.New).
-	rxBytes, txBytes *Gauge
 
 	clock    atomic.Value // func() time.Time, for deterministic tests
 	lastBeat atomic.Int64 // unix ns of the last quantum-start heartbeat
@@ -87,23 +83,71 @@ type TelemetrySample struct {
 	MissionComplete bool    `json:"mission_complete"`
 }
 
-// QuantumRecord is one quantum's black-box entry.
+// QuantumRecord is one quantum as every per-quantum surface sees it.
+// CoreObs.EndQuantum builds it once and hands the same value to the flight
+// recorder's ring (the /blackbox.json quanta) and to the StreamBus (the
+// /stream.ndjson lines, rose-top and telemetry.FleetStrip).
 type QuantumRecord struct {
-	Seq           uint64          `json:"seq"`
-	StartUnixNano int64           `json:"start_unix_ns"`
-	WallNs        int64           `json:"wall_ns"`
-	RTLNs         int64           `json:"rtl_ns"`
-	EnvNs         int64           `json:"env_ns"`
-	ExchangeNs    int64           `json:"exchange_ns"`
-	StallNs       int64           `json:"stall_ns"`
-	EnergyPJ      uint64          `json:"energy_pj,omitempty"`
-	PowerMW       int64           `json:"power_mw,omitempty"`
-	HasPower      bool            `json:"has_power,omitempty"`
-	Fingerprint   uint64          `json:"fingerprint,omitempty"`
-	BridgeRxBytes int64           `json:"bridge_rx_bytes"`
-	BridgeTxBytes int64           `json:"bridge_tx_bytes"`
-	HasTelemetry  bool            `json:"has_telemetry"`
-	Telemetry     TelemetrySample `json:"telemetry"`
+	// Mission is the sweep or fleet mission's ID ("" for a single-mission
+	// run).
+	Mission       string `json:"mission,omitempty"`
+	Seq           uint64 `json:"seq"`
+	StartUnixNano int64  `json:"start_unix_ns"`
+
+	// Quantum phase wall times (host-side), nanoseconds.
+	WallNs     int64 `json:"wall_ns"`
+	RTLNs      int64 `json:"rtl_ns"`
+	EnvNs      int64 `json:"env_ns"`
+	ExchangeNs int64 `json:"exchange_ns"`
+	StallNs    int64 `json:"stall_ns"`
+
+	// Engine cycles, cumulative simulated energy, and this quantum's
+	// simulated power (HasPower: the ledger produced a sample).
+	Cycles   uint64 `json:"cycles"`
+	EnergyPJ uint64 `json:"energy_pj,omitempty"`
+	PowerMW  int64  `json:"power_mw,omitempty"`
+	HasPower bool   `json:"has_power,omitempty"`
+
+	// Fingerprint is the rolling determinism fingerprint after this
+	// quantum.
+	Fingerprint Hex64 `json:"fingerprint,omitempty"`
+
+	// This mission's bridge queue occupancy and high-water marks, bytes.
+	BridgeRxBytes int64 `json:"bridge_rx_bytes"`
+	BridgeTxBytes int64 `json:"bridge_tx_bytes"`
+	BridgeRxHWM   int64 `json:"bridge_rx_hwm"`
+	BridgeTxHWM   int64 `json:"bridge_tx_hwm"`
+
+	// Inference progress: completed count and mean simulated latency.
+	Inferences   uint64  `json:"inferences"`
+	InferMeanSec float64 `json:"infer_mean_sec"`
+
+	// Telemetry is the boundary sample (authoritative environment state).
+	Telemetry TelemetrySample `json:"telemetry"`
+}
+
+// Hex64 is a uint64 that JSON carries as 16 hex digits, the encoding of run
+// IDs and fingerprint logs (a string survives consumers that parse numbers
+// as float64). The digits are produced when the JSON is written, so a
+// record holding one is built and published without allocating.
+type Hex64 uint64
+
+// String returns the 16 hex digits.
+func (h Hex64) String() string { return string(appendHex16(make([]byte, 0, 16), uint64(h))) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (h Hex64) MarshalText() ([]byte, error) {
+	return appendHex16(make([]byte, 0, 16), uint64(h)), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler: exactly 16 hex digits.
+func (h *Hex64) UnmarshalText(b []byte) error {
+	v, err := strconv.ParseUint(string(b), 16, 64)
+	if err != nil || len(b) != 16 {
+		return fmt.Errorf("obs: %q is not 16 hex digits", b)
+	}
+	*h = Hex64(v)
+	return nil
 }
 
 // SpanRecord is one span as embedded in a blackbox bundle, on the absolute
@@ -117,7 +161,7 @@ type SpanRecord struct {
 	HasSeq        bool   `json:"has_seq,omitempty"`
 }
 
-// blackbox is the dump schema ("rose-blackbox/1", DESIGN.md §6.6).
+// blackbox is the dump schema ("rose-blackbox/2", DESIGN.md §6.6).
 type blackbox struct {
 	Schema         string          `json:"schema"`
 	Reason         string          `json:"reason"`
@@ -201,20 +245,10 @@ func (r *Recorder) LastSeq() uint64 {
 	return r.lastSeq.Load()
 }
 
-// bindBridge mirrors the bridge occupancy gauges into quantum records.
-func (r *Recorder) bindBridge(rx, tx *Gauge) {
-	r.rxBytes, r.txBytes = rx, tx
-}
-
-// Record appends one quantum record to the black-box ring, sampling the
-// bound bridge queue gauges.
+// Record appends one quantum record to the black-box ring.
 func (r *Recorder) Record(q QuantumRecord) {
 	if r == nil {
 		return
-	}
-	if r.rxBytes != nil {
-		q.BridgeRxBytes = r.rxBytes.Value()
-		q.BridgeTxBytes = r.txBytes.Value()
 	}
 	r.mu.Lock()
 	r.ring[r.n%uint64(len(r.ring))] = q
@@ -358,7 +392,7 @@ func (r *Recorder) DumpTo(w io.Writer, reason string) error {
 
 func (r *Recorder) writeDump(w io.Writer, reason string, stack []byte) error {
 	bb := blackbox{
-		Schema:         "rose-blackbox/1",
+		Schema:         "rose-blackbox/2",
 		Reason:         reason,
 		RunID:          r.run.RunIDHex(),
 		DumpedUnixNano: r.now().UnixNano(),

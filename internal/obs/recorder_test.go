@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// readBlackbox parses a dump file against the rose-blackbox/1 schema.
+// readBlackbox parses a dump file against the rose-blackbox/2 schema.
 func readBlackbox(t *testing.T, path string) blackbox {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -20,7 +20,7 @@ func readBlackbox(t *testing.T, path string) blackbox {
 	if err := json.Unmarshal(data, &bb); err != nil {
 		t.Fatalf("blackbox is not valid JSON: %v\n%s", err, data)
 	}
-	if bb.Schema != "rose-blackbox/1" {
+	if bb.Schema != "rose-blackbox/2" {
 		t.Fatalf("schema = %q", bb.Schema)
 	}
 	return bb
@@ -48,7 +48,7 @@ func TestRecorderWatchdogFakeClock(t *testing.T) {
 	// Healthy quanta: heartbeats inside the deadline never fire.
 	for seq := uint64(1); seq <= 5; seq++ {
 		s.Recorder.Heartbeat(seq)
-		s.Core.EndQuantum(clk.now(), TelemetrySample{TimeSec: float64(seq), PosX: float64(seq)}, true)
+		s.Core.EndQuantum(clk.now(), TelemetrySample{TimeSec: float64(seq), PosX: float64(seq)})
 		clk.advance(100 * time.Millisecond)
 		if s.Recorder.CheckStall(time.Second) {
 			t.Fatalf("false stall at seq %d", seq)
@@ -107,7 +107,7 @@ func TestRecorderDumpOnPanic(t *testing.T) {
 	s := New(16)
 	path := filepath.Join(t.TempDir(), "bb.json")
 	s.Recorder.SetPath(path)
-	s.Core.EndQuantum(time.Now(), TelemetrySample{}, false)
+	s.Core.EndQuantum(time.Now(), TelemetrySample{})
 
 	func() {
 		defer func() {
@@ -243,5 +243,47 @@ func TestRecorderWatchdogGoroutine(t *testing.T) {
 	}
 	if bb := readBlackbox(t, path); bb.LastSeq != 3 {
 		t.Errorf("last_seq = %d", bb.LastSeq)
+	}
+}
+
+// TestSweepBlackboxNamesMissions: a sweep's missions all record into the
+// suite's one flight recorder, so each dumped record must name its mission
+// and carry that mission's own bridge occupancy — not the parent suite's
+// gauges, which no scoped mission writes.
+func TestSweepBlackboxNamesMissions(t *testing.T) {
+	s := New(0)
+	s.Recorder.SetPath("")
+	occupancy := map[string]int64{}
+	for i, rx := range []int64{7, 9} {
+		mo := s.Mission("", [2]string{"map", "tunnel"})
+		mo.Bridge.RxBytes.Set(rx)
+		mo.Bridge.RxBytesHWM.SetMax(rx)
+		occupancy[mo.ID] = rx
+		start := mo.Core.BeginQuantum()
+		mo.Core.EndQuantum(start, TelemetrySample{Frame: int64(i)})
+	}
+	var buf bytes.Buffer
+	if err := s.Recorder.DumpTo(&buf, "manual"); err != nil {
+		t.Fatal(err)
+	}
+	var bb struct {
+		Quanta []struct {
+			Mission       string `json:"mission"`
+			BridgeRxBytes int64  `json:"bridge_rx_bytes"`
+			BridgeRxHWM   int64  `json:"bridge_rx_hwm"`
+		} `json:"quanta"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &bb); err != nil {
+		t.Fatal(err)
+	}
+	if len(bb.Quanta) != 2 {
+		t.Fatalf("%d quanta, want one per mission", len(bb.Quanta))
+	}
+	for _, q := range bb.Quanta {
+		want, ok := occupancy[q.Mission]
+		if !ok || q.BridgeRxBytes != want || q.BridgeRxHWM != want {
+			t.Errorf("record of mission %q: bridge_rx_bytes %d, hwm %d; want its mission's %d",
+				q.Mission, q.BridgeRxBytes, q.BridgeRxHWM, occupancy[q.Mission])
+		}
 	}
 }

@@ -5,73 +5,40 @@ import (
 	"sync/atomic"
 )
 
-// StreamFrame is one per-quantum live-telemetry sample published on the
-// suite's StreamBus: the quantum phase breakdown, engine activity, energy,
-// pose, inference progress, queue high-water marks, and the determinism
-// fingerprint. Frames are plain value structs — publishing copies one into
-// each subscriber channel, no per-publish allocation.
-type StreamFrame struct {
-	Mission string `json:"mission,omitempty"`
-	Seq     uint64 `json:"seq"`
+// DefaultStreamBuf is a subscriber's record buffer when none is asked for,
+// and MaxStreamBuf the largest one /stream.ndjson grants (it rejects a
+// larger ?buf=): at a few hundred bytes a record, a full buffer stays
+// about a megabyte.
+const (
+	DefaultStreamBuf = 256
+	MaxStreamBuf     = 4096
+)
 
-	// Quantum phase wall times (host-side), nanoseconds.
-	WallNs     int64 `json:"wall_ns"`
-	RTLNs      int64 `json:"rtl_ns"`
-	EnvNs      int64 `json:"env_ns"`
-	ExchangeNs int64 `json:"exchange_ns"`
-	StallNs    int64 `json:"stall_ns"`
-
-	// Engine activity and energy at quantum end.
-	Cycles   uint64 `json:"cycles"`
-	EnergyPJ uint64 `json:"energy_pj,omitempty"`
-	PowerMW  int64  `json:"power_mw,omitempty"`
-
-	// Boundary telemetry (authoritative environment state).
-	TimeSec         float64 `json:"time_sec"`
-	PosX            float64 `json:"pos_x"`
-	PosY            float64 `json:"pos_y"`
-	PosZ            float64 `json:"pos_z"`
-	Yaw             float64 `json:"yaw"`
-	CollisionCount  int     `json:"collision_count"`
-	MissionComplete bool    `json:"mission_complete,omitempty"`
-
-	// Inference progress: completed count and mean simulated latency.
-	Inferences   uint64  `json:"inferences"`
-	InferMeanSec float64 `json:"infer_mean_sec"`
-
-	// Bridge queue high-water marks, bytes.
-	RxHWM int64 `json:"rx_hwm"`
-	TxHWM int64 `json:"tx_hwm"`
-
-	// Fingerprint is the rolling determinism fingerprint after this
-	// quantum, in hex (strings survive JSON consumers that parse numbers
-	// as float64).
-	Fingerprint string `json:"fingerprint,omitempty"`
-
-	// Heartbeat marks a keepalive frame emitted by /stream.ndjson when no
-	// quantum completed within the heartbeat interval.
-	Heartbeat bool `json:"heartbeat,omitempty"`
-	// Dropped is the per-subscriber cumulative count of frames this
-	// subscriber missed because its buffer was full (stamped by the
-	// delivery side, not the publisher).
-	Dropped uint64 `json:"dropped,omitempty"`
+// StreamLine is one /stream.ndjson line: a quantum record, or a heartbeat
+// when no quantum completed within the heartbeat interval, stamped with
+// the subscriber's cumulative drop count. Heartbeat and Dropped belong to
+// the delivery, not to the record; a heartbeat line has no record.
+type StreamLine struct {
+	*QuantumRecord
+	Heartbeat bool   `json:"heartbeat,omitempty"`
+	Dropped   uint64 `json:"dropped,omitempty"`
 }
 
-// StreamSub is one subscription on a StreamBus: a bounded frame channel
-// plus a drop counter. A slow reader loses frames (counted), never stalls
+// StreamSub is one subscription on a StreamBus: a bounded record channel
+// plus a drop counter. A slow reader loses records (counted), never stalls
 // the publisher.
 type StreamSub struct {
-	ch      chan StreamFrame
+	ch      chan QuantumRecord
 	dropped atomic.Uint64
 }
 
-// C returns the subscriber's frame channel.
-func (s *StreamSub) C() <-chan StreamFrame { return s.ch }
+// C returns the subscriber's record channel.
+func (s *StreamSub) C() <-chan QuantumRecord { return s.ch }
 
-// Dropped returns how many frames this subscriber has missed so far.
+// Dropped returns how many records this subscriber has missed so far.
 func (s *StreamSub) Dropped() uint64 { return s.dropped.Load() }
 
-// StreamBus is a bounded, drop-counting pub/sub for live telemetry frames.
+// StreamBus is a bounded, drop-counting pub/sub for quantum records.
 // Publish is wait-free toward subscribers: each send is a non-blocking
 // channel write, and a full subscriber buffer counts a drop instead of
 // blocking. With zero subscribers Publish is one atomic load — cheap
@@ -100,23 +67,17 @@ func NewStreamBus(reg *Registry) *StreamBus {
 	return b
 }
 
-// Active reports whether any subscriber is attached — the publisher's cheap
-// pre-flight check before assembling a frame. Nil-safe (false).
-func (b *StreamBus) Active() bool {
-	return b != nil && b.nsubs.Load() > 0
-}
-
-// Subscribe attaches a new subscriber with the given frame buffer capacity
-// (<= 0 selects 256). Nil-safe (returns nil; a nil subscriber has a nil
-// channel, which blocks forever — callers guard on the bus instead).
+// Subscribe attaches a new subscriber with the given record buffer
+// capacity (<= 0 selects DefaultStreamBuf). Nil-safe (returns nil; a nil subscriber has a nil channel, which blocks
+// forever — callers guard on the bus instead).
 func (b *StreamBus) Subscribe(buf int) *StreamSub {
 	if b == nil {
 		return nil
 	}
 	if buf <= 0 {
-		buf = 256
+		buf = DefaultStreamBuf
 	}
-	sub := &StreamSub{ch: make(chan StreamFrame, buf)}
+	sub := &StreamSub{ch: make(chan QuantumRecord, buf)}
 	b.mu.Lock()
 	cur := b.subs.Load().([]*StreamSub)
 	next := make([]*StreamSub, len(cur)+1)
@@ -130,7 +91,7 @@ func (b *StreamBus) Subscribe(buf int) *StreamSub {
 
 // Unsubscribe detaches a subscriber. The channel is deliberately left open:
 // a Publish racing with Unsubscribe may still hold the previous subscriber
-// slice and send one last frame, which must not panic. Readers stop by
+// slice and send one last record, which must not panic. Readers stop by
 // abandoning the channel, not by waiting for a close.
 func (b *StreamBus) Unsubscribe(sub *StreamSub) {
 	if b == nil || sub == nil {
@@ -149,16 +110,17 @@ func (b *StreamBus) Unsubscribe(sub *StreamSub) {
 	b.mu.Unlock()
 }
 
-// Publish fans one frame out to every subscriber, non-blocking. Returns
-// immediately with zero subscribers.
-func (b *StreamBus) Publish(f StreamFrame) {
+// Publish fans one record out to every subscriber, non-blocking: a copy
+// per subscriber channel, no allocation. Returns immediately with zero
+// subscribers.
+func (b *StreamBus) Publish(q QuantumRecord) {
 	if b == nil || b.nsubs.Load() == 0 {
 		return
 	}
 	b.Frames.Inc()
 	for _, sub := range b.subs.Load().([]*StreamSub) {
 		select {
-		case sub.ch <- f:
+		case sub.ch <- q:
 		default:
 			sub.dropped.Add(1)
 			b.DroppedTotal.Inc()

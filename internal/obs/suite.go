@@ -21,8 +21,8 @@ type Suite struct {
 	Run      *TraceContext
 	Recorder *Recorder
 
-	// Bus is the live telemetry stream: per-quantum frames published by
-	// every CoreObs wired into this suite (parent and per-mission alike),
+	// Bus is the live telemetry stream: the quantum records of every
+	// CoreObs wired into this suite (parent and per-mission alike),
 	// consumed by /stream.ndjson subscribers and rose-top.
 	Bus *StreamBus
 
@@ -78,8 +78,7 @@ func New(traceEvents int) *Suite {
 		App:       newAppObs(reg),
 		start:     time.Now(),
 	}
-	rec.bindBridge(s.Bridge.RxBytes, s.Bridge.TxBytes)
-	s.Core.bindStream(bus, "", s.SoC, s.Bridge, s.App)
+	s.Core.bindMission("", bus, s.SoC, s.Bridge, s.App)
 	return s
 }
 
@@ -133,7 +132,7 @@ func (s *Suite) Mission(id string, labels ...[2]string) *MissionObs {
 		SoC:    newSoCObs(sc),
 		App:    newAppObs(sc),
 	}
-	m.Core.bindStream(s.Bus, id, m.SoC, m.Bridge, m.App)
+	m.Core.bindMission(id, s.Bus, m.SoC, m.Bridge, m.App)
 	return m
 }
 
@@ -271,7 +270,7 @@ type CoreObs struct {
 	rec    *Recorder
 	log    *Logger
 
-	// Per-quantum scratch for the flight recorder, written between
+	// Per-quantum scratch for the quantum record, written between
 	// BeginQuantum and EndQuantum. All atomic: curEnv is written by the
 	// overlapped env worker, and sweep runs share one suite across
 	// concurrent missions (their records may interleave, but stay
@@ -286,14 +285,15 @@ type CoreObs struct {
 	hasPower    atomic.Bool
 	curFP       atomic.Uint64 // rolling determinism fingerprint after this quantum
 
-	// Stream wiring (bindStream): the suite bus, this mission's stream ID
-	// ("" for the parent/single-mission core), and the sibling bundles whose
-	// values enrich each published frame.
-	bus       *StreamBus
-	mission   string
-	streamSoC *SoCObs
-	streamBrg *BridgeObs
-	streamApp *AppObs
+	// Mission wiring (bindMission): this core's mission ID ("" for the
+	// parent/single-mission core), the suite bus its records are published
+	// on, and the mission's sibling bundles whose values complete each
+	// record.
+	mission string
+	bus     *StreamBus
+	soc     *SoCObs
+	brg     *BridgeObs
+	app     *AppObs
 
 	Quanta       *Counter
 	Quantum      *Histogram
@@ -327,18 +327,12 @@ func newCoreObs(ins Instruments, tr *Tracer, run *TraceContext, rec *Recorder, l
 	}
 }
 
-// bindStream wires the core bundle to the suite's stream bus: mission is
-// this core's stream ID and the sibling bundles supply the engine/queue/app
-// fields of each published frame.
-func (o *CoreObs) bindStream(bus *StreamBus, mission string, soc *SoCObs, brg *BridgeObs, app *AppObs) {
-	if o == nil {
-		return
-	}
-	o.bus = bus
-	o.mission = mission
-	o.streamSoC = soc
-	o.streamBrg = brg
-	o.streamApp = app
+// bindMission wires the core bundle to its mission: the ID its records
+// carry, the suite bus they are published on, and the mission's own
+// engine, bridge and app bundles, which supply the records' cycle, queue
+// and inference fields.
+func (o *CoreObs) bindMission(mission string, bus *StreamBus, soc *SoCObs, brg *BridgeObs, app *AppObs) {
+	o.mission, o.bus, o.soc, o.brg, o.app = mission, bus, soc, brg, app
 }
 
 // Start returns the current time when observing, the zero time when o is
@@ -371,8 +365,7 @@ func (o *CoreObs) BeginQuantum() time.Time {
 }
 
 // ObserveFingerprint records the quantum's rolling determinism fingerprint:
-// latest value on the gauge (int64 bits), scratch for the quantum record
-// and stream frame.
+// latest value on the gauge (int64 bits), scratch for the quantum record.
 func (o *CoreObs) ObserveFingerprint(fp uint64) {
 	if o == nil {
 		return
@@ -446,9 +439,8 @@ func (o *CoreObs) ObserveStall(start time.Time) {
 
 // ObservePower records one quantum's simulated-power sample: the SoC's
 // cumulative energy (dynamic + static, pJ) and this quantum's average
-// simulated power in milliwatts. The sample lands in the quantum's
-// black-box record and on the trace's power counter track (a Perfetto
-// power rail).
+// simulated power in milliwatts. The sample lands in the quantum's record
+// and on the trace's power counter track (a Perfetto power rail).
 func (o *CoreObs) ObservePower(totalPJ uint64, powerMW int64) {
 	if o == nil {
 		return
@@ -459,78 +451,42 @@ func (o *CoreObs) ObservePower(totalPJ uint64, powerMW int64) {
 	o.tracer.CounterEvent("power_mw", TrackPower, time.Now(), powerMW)
 }
 
-// ObserveQuantum records one whole loop iteration and counts it (the
-// telemetry-free form of EndQuantum, for callers without a boundary
-// sample).
-func (o *CoreObs) ObserveQuantum(start time.Time) {
-	o.EndQuantum(start, TelemetrySample{}, false)
-}
-
-// EndQuantum closes a quantum: it counts and times the whole iteration and
-// appends the quantum's black-box record (phase breakdown, bridge queue
-// depths via the recorder's bound gauges, and the boundary telemetry
-// sample when hasTel).
-func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample, hasTel bool) {
+// EndQuantum closes a quantum: it counts and times the whole iteration,
+// then builds the quantum's record once — phase breakdown, engine cycles,
+// energy and power, fingerprint, this mission's bridge queues and
+// inference progress, and the boundary telemetry sample — and hands that
+// one value to the flight recorder and the stream bus. Neither allocates.
+func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample) {
 	if o == nil {
 		return
 	}
 	end := time.Now()
 	o.Quanta.Inc()
 	o.span("quantum", TrackSync, start, end, o.Quantum)
-	if o.rec != nil {
-		o.rec.Record(QuantumRecord{
-			Seq:           o.curSeq.Load(),
-			StartUnixNano: start.UnixNano(),
-			WallNs:        end.Sub(start).Nanoseconds(),
-			RTLNs:         o.curRTL.Load(),
-			EnvNs:         o.curEnv.Load(),
-			ExchangeNs:    o.curExchange.Load(),
-			StallNs:       o.curStall.Load(),
-			EnergyPJ:      o.curEnergy.Load(),
-			PowerMW:       o.curPowerMW.Load(),
-			HasPower:      o.hasPower.Load(),
-			Fingerprint:   o.curFP.Load(),
-			HasTelemetry:  hasTel,
-			Telemetry:     sample,
-		})
+	q := QuantumRecord{
+		Mission:       o.mission,
+		Seq:           o.curSeq.Load(),
+		StartUnixNano: start.UnixNano(),
+		WallNs:        end.Sub(start).Nanoseconds(),
+		RTLNs:         o.curRTL.Load(),
+		EnvNs:         o.curEnv.Load(),
+		ExchangeNs:    o.curExchange.Load(),
+		StallNs:       o.curStall.Load(),
+		Cycles:        o.soc.Cycles.Value(),
+		EnergyPJ:      o.curEnergy.Load(),
+		PowerMW:       o.curPowerMW.Load(),
+		HasPower:      o.hasPower.Load(),
+		Fingerprint:   Hex64(o.curFP.Load()),
+		BridgeRxBytes: o.brg.RxBytes.Value(),
+		BridgeTxBytes: o.brg.TxBytes.Value(),
+		BridgeRxHWM:   o.brg.RxBytesHWM.Value(),
+		BridgeTxHWM:   o.brg.TxBytesHWM.Value(),
+		Inferences:    o.app.Inferences.Value(),
+		InferMeanSec:  o.app.Latency.Mean().Seconds(),
+		Telemetry:     sample,
 	}
-	// Publish the quantum's live frame. With no subscriber attached this is
-	// one atomic load; the frame is only assembled when someone is watching.
-	if o.bus.Active() {
-		f := StreamFrame{
-			Mission:         o.mission,
-			Seq:             o.curSeq.Load(),
-			WallNs:          end.Sub(start).Nanoseconds(),
-			RTLNs:           o.curRTL.Load(),
-			EnvNs:           o.curEnv.Load(),
-			ExchangeNs:      o.curExchange.Load(),
-			StallNs:         o.curStall.Load(),
-			EnergyPJ:        o.curEnergy.Load(),
-			PowerMW:         o.curPowerMW.Load(),
-			TimeSec:         sample.TimeSec,
-			PosX:            sample.PosX,
-			PosY:            sample.PosY,
-			PosZ:            sample.PosZ,
-			Yaw:             sample.Yaw,
-			CollisionCount:  sample.CollisionCount,
-			MissionComplete: sample.MissionComplete,
-		}
-		if fp := o.curFP.Load(); fp != 0 {
-			f.Fingerprint = string(appendHex16(nil, fp))
-		}
-		if o.streamSoC != nil {
-			f.Cycles = o.streamSoC.Cycles.Value()
-		}
-		if o.streamApp != nil {
-			f.Inferences = o.streamApp.Inferences.Value()
-			f.InferMeanSec = o.streamApp.Latency.Mean().Seconds()
-		}
-		if o.streamBrg != nil {
-			f.RxHWM = o.streamBrg.RxBytesHWM.Value()
-			f.TxHWM = o.streamBrg.TxBytesHWM.Value()
-		}
-		o.bus.Publish(f)
-	}
+	o.rec.Record(q)
+	o.bus.Publish(q)
 }
 
 // Fault reports a detected divergence or fatal co-simulation error: it

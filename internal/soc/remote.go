@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -27,15 +24,13 @@ import (
 // steady state allocates nothing at either end. Gob carries only the
 // snapshot RPCs (RTLSnap, RTLRestore).
 
-// Server serves one Machine to a single synchronizer connection at a time.
+// Server serves one Machine over the packet serve loop, to a single
+// synchronizer connection at a time. The machine lock is held for the
+// whole of each request.
 type Server struct {
+	srv *packet.Server
 	mu  sync.Mutex
 	m   *Machine
-	ln  net.Listener
-	log atomic.Pointer[obs.Logger] // nil = silent
-	// sessions holds per-link replay state for resilient clients: a
-	// replayed RTLStep must not step the machine twice (DESIGN.md §7).
-	sessions *packet.ResilSessions
 	// restorer rebuilds the machine's configuration and program for an
 	// RTLRestore — the server-side half of remote snapshot restore. The
 	// program state itself arrives in the shipped image; the factory only
@@ -55,7 +50,7 @@ func (s *Server) SetRestorer(f func() (Config, StateProgram, error)) {
 // SetLog installs the structured logger for accept failures and dropped
 // connections. Safe to call while serving; a nil argument silences the
 // server.
-func (s *Server) SetLog(l *obs.Logger) { s.log.Store(l) }
+func (s *Server) SetLog(l *obs.Logger) { s.srv.SetLog(l) }
 
 // NewServer wraps a machine and listens on addr.
 func NewServer(m *Machine, addr string) (*Server, error) {
@@ -69,119 +64,43 @@ func NewServer(m *Machine, addr string) (*Server, error) {
 // NewServerOn wraps a machine behind an existing listener — the hook the
 // chaos suite uses to interpose faultnet between server and clients.
 func NewServerOn(m *Machine, ln net.Listener) *Server {
-	return &Server{m: m, ln: ln, sessions: packet.NewResilSessions()}
+	s := &Server{m: m}
+	s.srv = packet.NewServer("RTL", ln, func() packet.Handler {
+		sc := &connScratch{}
+		return func(req packet.Packet) packet.Packet { return s.handle(req, sc) }
+	})
+	return s
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the listener.
-func (s *Server) Close() error { return s.ln.Close() }
+func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve accepts and serves connections until the listener closes.
-// Transient accept failures are logged and retried with capped backoff
-// instead of killing the serve goroutine; Serve returns only when the
-// listener itself is closed.
-func (s *Server) Serve() error {
-	var backoff time.Duration
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff < time.Second {
-				backoff *= 2
-			}
-			s.log.Load().Warn("RTL server accept failed; retrying",
-				obs.Str("err", err.Error()), obs.Str("backoff", backoff.String()))
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		go s.serveConn(conn)
-	}
-}
+// Serve accepts and serves connections until the listener closes
+// (packet.Server.Serve).
+func (s *Server) Serve() error { return s.srv.Serve() }
 
 // connScratch is per-connection reply scratch: a reply payload is built
 // here under the machine lock and copied into the connection's write buffer
 // before the next request is handled, so reuse across requests is safe.
 type connScratch struct {
 	payload []byte // reply payload build buffer
-	replay  []byte // replayed-response copy buffer (session cache hits)
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := packet.NewReader(conn)
-	w := packet.NewWriter(conn)
-	sc := &connScratch{}
-	for {
-		req, err := r.Next()
-		if err != nil {
-			// A checksum failure means framing alignment is gone; dropping
-			// the connection makes the resilient client reconnect and
-			// replay, which is the recovery path.
-			if errors.Is(err, packet.ErrChecksum) {
-				s.log.Load().Warn("RTL request failed checksum; dropping connection",
-					obs.Str("remote", conn.RemoteAddr().String()), obs.Str("err", err.Error()))
-			}
-			return
-		}
-		// Mirror a resilient client's (link, seq) stamp onto the response
-		// and serve replayed sequences from the session cache so a
-		// reconnect never re-steps the machine.
-		var sess *packet.ResilSession
-		var seq uint32
-		if link, rseq, ok := r.Resil(); ok {
-			sess, seq = s.sessions.Get(link), rseq
-			w.SetResil(link, r.ResilCRCPayload())
-			w.SetResilSeq(rseq)
-		} else {
-			w.SetResil(0, false)
-		}
-		var resp packet.Packet
-		replayed := false
-		if sess != nil {
-			resp, sc.replay, replayed = sess.Dedup(seq, sc.replay)
-		}
-		if !replayed {
-			resp = s.handle(req, sc)
-			if sess != nil {
-				sess.Store(seq, resp)
-			}
-		}
-		if err := w.WritePacket(resp); err != nil {
-			return
-		}
-		// Flush only when no pipelined request is already buffered, so a
-		// deferred push and the step behind it are answered with one
-		// segment.
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
 }
 
 func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fail := func(err error) packet.Packet {
-		return packet.Packet{Type: packet.RPCError, Payload: []byte(err.Error())}
-	}
 	switch req.Type {
 	case packet.RTLStep:
 		cycles, err := req.AsU64()
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		used, err := s.m.Step(cycles)
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = binary.LittleEndian.AppendUint64(sc.payload[:0], used)
 		sc.payload = machineStatus(s.m).appendTo(sc.payload)
@@ -189,20 +108,20 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 	case packet.RTLPush:
 		pkts, err := packet.DecodeBatch(req.Payload)
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		if err := s.m.Push(pkts); err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		return packet.Packet{Type: packet.RPCAck}
 	case packet.RTLPull:
 		pkts, err := s.m.Pull()
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		buf, err := packet.AppendBatch(machineStatus(s.m).appendTo(sc.payload[:0]), pkts)
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		sc.payload = buf
 		return packet.Packet{Type: packet.RTLBatch, Payload: sc.payload}
@@ -212,34 +131,34 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 	case packet.RTLSnap:
 		st, err := s.m.SnapState()
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		return packet.Packet{Type: packet.RTLSnapData, Payload: buf.Bytes()}
 	case packet.RTLRestore:
 		if s.restorer == nil {
-			return fail(fmt.Errorf("soc: server has no restorer installed (SetRestorer)"))
+			return packet.ErrorReply(fmt.Errorf("soc: server has no restorer installed (SetRestorer)"))
 		}
 		var st SnapState
 		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&st); err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		cfg, sp, err := s.restorer()
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		m, err := RestoreMachine(cfg, sp, &st)
 		if err != nil {
-			return fail(err)
+			return packet.ErrorReply(err)
 		}
 		s.m.Close()
 		s.m = m
 		return packet.Packet{Type: packet.RPCAck}
 	}
-	return fail(fmt.Errorf("soc: unsupported RTL RPC %v", req.Type))
+	return packet.ErrorReply(fmt.Errorf("soc: unsupported RTL RPC %v", req.Type))
 }
 
 // rtlStatus is the machine status a RemoteRTL caches between calls: all

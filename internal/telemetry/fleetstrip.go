@@ -8,40 +8,35 @@ import (
 	"repro/internal/obs"
 )
 
-// FleetStrip renders the latest live StreamFrame of each mission as one
+// FleetStrip renders the latest quantum record of each mission as one
 // table — the body of the rose-top display. It shares the HealthStrip
-// formatting helpers so live and post-run views read the same way. Frames
+// formatting helpers so live and post-run views read the same way. Rows
 // are sorted by mission ID ("" — a solo rose-sim run — sorts first and
-// prints as "-"). Heartbeat frames carry no telemetry and are skipped;
-// callers should retain the last real frame per mission instead.
-func FleetStrip(frames []obs.StreamFrame) string {
-	rows := make([]obs.StreamFrame, 0, len(frames))
-	for _, f := range frames {
-		if !f.Heartbeat {
-			rows = append(rows, f)
-		}
-	}
+// prints as "-").
+func FleetStrip(recs []obs.QuantumRecord) string {
+	rows := append([]obs.QuantumRecord(nil), recs...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Mission < rows[j].Mission })
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %8s %7s %17s %5s %9s %8s %14s %9s %6s  %s\n",
+	fmt.Fprintf(&b, "%-10s %8s %7s %17s %5s %9s %8s %14s %9s  %s\n",
 		"mission", "quantum", "t", "pos", "coll", "cycles", "power",
-		"infer(mean)", "q-wall", "drops", "fingerprint")
-	for _, f := range rows {
-		name := f.Mission
+		"infer(mean)", "q-wall", "fingerprint")
+	for _, q := range rows {
+		name := q.Mission
 		if name == "" {
 			name = "-"
 		}
+		tel := q.Telemetry
 		status := ""
-		if f.MissionComplete {
+		if tel.MissionComplete {
 			status = " done"
 		}
-		fmt.Fprintf(&b, "%-10s %8d %7s %17s %5d %9s %8s %14s %9s %6d  %s%s\n",
-			name, f.Seq, fmtSec(f.TimeSec),
-			fmt.Sprintf("(%6.1f,%6.1f)", f.PosX, f.PosY),
-			f.CollisionCount, fmtCount(f.Cycles), fmtWatts(float64(f.PowerMW)*1e-3),
-			fmt.Sprintf("%d (%s)", f.Inferences, fmtSec(f.InferMeanSec)),
-			fmtSec(float64(f.WallNs)*1e-9), f.Dropped, f.Fingerprint, status)
+		fmt.Fprintf(&b, "%-10s %8d %7s %17s %5d %9s %8s %14s %9s  %s%s\n",
+			name, q.Seq, fmtSec(tel.TimeSec),
+			fmt.Sprintf("(%6.1f,%6.1f)", tel.PosX, tel.PosY),
+			tel.CollisionCount, fmtCount(q.Cycles), fmtWatts(float64(q.PowerMW)*1e-3),
+			fmt.Sprintf("%d (%s)", q.Inferences, fmtSec(q.InferMeanSec)),
+			fmtSec(float64(q.WallNs)*1e-9), q.Fingerprint, status)
 	}
 	return b.String()
 }

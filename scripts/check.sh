@@ -49,9 +49,11 @@ go test -race -shuffle=on ./...
 
 echo "== go test -race (observability hot paths) =="
 # Re-run the packages whose instrumentation is exercised from multiple
-# goroutines (synchronizer + env worker + RPC server) with -count=1 so the
-# obs hooks are always raced fresh, never served from the test cache.
-go test -race -count=1 ./internal/core/... ./internal/env/... ./internal/obs/...
+# goroutines (synchronizer + env worker + the packet serve loop behind both
+# RPC servers) with -count=1 so the obs hooks are always raced fresh, never
+# served from the test cache.
+go test -race -count=1 ./internal/core/... ./internal/env/... ./internal/obs/... \
+    ./internal/packet/... ./internal/soc/...
 
 echo "== GEMM kernel parity matrix (forced kernels) =="
 # The numerics contract under every dispatchable microkernel: float32
@@ -148,7 +150,9 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # synchronization quantum — render, bridge exchange, inference, physics,
 # always-on fingerprint fold — must not allocate with observability
 # disabled, in every harness: the TCP-remote env exchange, the TCP-remote
-# RTL quantum, and the fully assembled steady-state mission quantum; and the
+# RTL quantum, and the fully assembled steady-state mission quantum. The
+# TCP env exchange must not allocate with request accounting on at both
+# ends either (the packet serve loop's observed path); nor may the
 # int8 forward pass, which allocates nothing at any GOMAXPROCS (the fp32
 # rows start the parallel GEMM's band goroutines above GOMAXPROCS=1). Any
 # benchmark line the pattern selects with an alloc/op above 0, or without
@@ -175,6 +179,7 @@ alloc_gate() {
     fi
 }
 alloc_gate . 'BenchmarkQuantumTCP$' 200x
+alloc_gate . 'BenchmarkQuantumTCPObserved$' 200x
 alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
