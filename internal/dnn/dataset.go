@@ -97,8 +97,9 @@ func AngularClass(yawErr float64) int {
 }
 
 // Generate renders a balanced dataset of perClass samples per class on the
-// given map, with randomized positions, angles, corridor geometry, and wall
-// textures (§4.2.2), plus photometric jitter.
+// given map, with randomized positions, angles, corridor geometry, and (on
+// maps other than the tunnel) wall textures (§4.2.2), plus photometric
+// jitter.
 func Generate(m *world.Map, head HeadKind, perClass int, seed int64, camW, camH int) *Dataset {
 	return GenerateWith(m, head, perClass, seed, camW, camH, false)
 }
@@ -120,12 +121,14 @@ func GenerateWith(m *world.Map, head HeadKind, perClass int, seed int64, camW, c
 
 	for class := 0; class < 3; class++ {
 		for i := 0; i < perClass; i++ {
-			// Randomize the environment on a private copy of the map:
-			// corridor width varies per sample (so the classifier
-			// generalizes from the 3.2 m tunnel to the wider s-shape),
-			// and half the samples swap in randomized wall textures while
-			// the rest keep the canonical materials so the deployed
-			// environment stays in-distribution.
+			// Randomize the environment on a private copy of the map.
+			// Half the samples draw variant wall textures (IDs >= 1000)
+			// here. On the tunnel, the only map the model registry
+			// trains on, the corridor rebuild below then replaces every
+			// wall with canonical materials, so no tunnel sample shows a
+			// variant texture; the draws still run, which keeps the RNG
+			// sequence, and with it every trained weight, unchanged
+			// (ROADMAP, benchmark follow-ups).
 			mm := *m
 			mm.Walls = append([]world.Wall(nil), m.Walls...)
 			if !clean && rng.Intn(2) == 0 {
@@ -140,7 +143,8 @@ func GenerateWith(m *world.Map, head HeadKind, perClass int, seed int64, camW, c
 			if !clean && m.Name == "tunnel" {
 				// Rebuild the training corridor with randomized width and
 				// gentle curvature so the classifier generalizes from the
-				// straight 3.2 m tunnel to the wider, curving s-shape.
+				// straight 3.2 m tunnel to the wider, curving s-shape. The
+				// rebuilt walls carry the canonical textures.
 				hw = 1.3 + rng.Float64()*2.2
 				kappa := (rng.Float64()*2 - 1) * 0.015
 				mm.HalfWidth = hw

@@ -28,11 +28,14 @@ func WriteFingerprintLog(w io.Writer, fps []uint64) error {
 }
 
 // ParseFingerprintLog reads a fingerprint log (blank lines and #-comments
-// ignored).
+// ignored). Every error names the line it stopped at, including a read
+// error and a line longer than the scanner's 64 KiB buffer.
 func ParseFingerprintLog(r io.Reader) ([]uint64, error) {
 	var fps []uint64
 	sc := bufio.NewScanner(r)
-	for line := 1; sc.Scan(); line++ {
+	line := 0
+	for sc.Scan() {
+		line++
 		s := strings.TrimSpace(sc.Text())
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue
@@ -44,7 +47,7 @@ func ParseFingerprintLog(r io.Reader) ([]uint64, error) {
 		fps = append(fps, v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: fingerprint log line %d: %w", line+1, err)
 	}
 	return fps, nil
 }

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +39,44 @@ func TestFingerprintLogRoundTrip(t *testing.T) {
 	if fps, err := ParseFingerprintLog(bytes.NewBufferString("# comment\n\n0000000000000007\n")); err != nil || len(fps) != 1 || fps[0] != 7 {
 		t.Errorf("comment/blank handling: %v, %v", fps, err)
 	}
+}
+
+// TestParseFingerprintLogLongLine: a line longer than the scanner's 64 KiB
+// buffer fails with the line number, wrapping bufio.ErrTooLong.
+func TestParseFingerprintLogLongLine(t *testing.T) {
+	log := "0000000000000001\n# c\n" + strings.Repeat("7", 70000) + "\n0000000000000002\n"
+	_, err := ParseFingerprintLog(strings.NewReader(log))
+	if err == nil || !errors.Is(err, bufio.ErrTooLong) ||
+		!strings.HasPrefix(err.Error(), "experiments: fingerprint log line 3: ") {
+		t.Fatalf("err = %v, want line 3 wrapping bufio.ErrTooLong", err)
+	}
+}
+
+// FuzzParseFingerprintLog: the parser never panics, and any log it accepts
+// parses back to the same values after WriteFingerprintLog rewrites it.
+func FuzzParseFingerprintLog(f *testing.F) {
+	f.Add([]byte("cbf29ce484222325\n0000000000000001\nffffffffffffffff\n"))
+	f.Add([]byte("# comment\n\n  7 \r\n0x7\n"))
+	f.Add([]byte("zz\n"))
+	f.Add([]byte("10000000000000000\n"))
+	f.Add([]byte(strings.Repeat("f", 70000)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fps, err := ParseFingerprintLog(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "experiments: fingerprint log line ") {
+				t.Fatalf("error without a line number: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFingerprintLog(&buf, fps); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseFingerprintLog(&buf)
+		if err != nil || !slices.Equal(again, fps) {
+			t.Fatalf("rewritten log parses to %x (%v), want %x", again, err, fps)
+		}
+	})
 }
 
 func TestFirstDivergentQuantum(t *testing.T) {

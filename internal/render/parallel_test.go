@@ -9,23 +9,39 @@ import (
 )
 
 // TestRenderBandsBitIdentical forces the row-band parallel ray caster (which
-// the pixel-count threshold and GOMAXPROCS may keep off in CI) and checks it
-// against the serial scanline loop bit for bit, across worker counts that do
-// and do not divide the row count evenly.
+// the pixel-count threshold and GOMAXPROCS may keep off in CI), with every
+// band reading one ray fan built for the frame, and checks it bit for bit
+// against the serial scanline loop casting every ray with Map.Raycast
+// (Scene.Raycast for a scene with moving walls and a peer), across worker
+// counts that do and do not divide the row count evenly.
 func TestRenderBandsBitIdentical(t *testing.T) {
 	m := world.SShape()
 	cam := DefaultCamera(64, 48)
 	pose := levelPose(vec.V3(12, 0.5, 1.4), 0.3)
+	sc := &world.Scene{Map: m,
+		Walls:  []world.Wall{{A: vec.V3(16, -1, 0), B: vec.V3(17, 1.5, 0), ZMax: 2, Texture: world.TexObstacle}},
+		Bodies: []world.Body{{Pos: vec.V3(15, 0.2, 1.5), Radius: 0.3, Texture: world.TexDrone}},
+	}
 
-	want := NewImage(cam.W, cam.H)
-	renderRows(cam, m, pose, want, 0, cam.H)
-
-	for _, workers := range []int{2, 3, 5, 7, cam.H, cam.H + 9} {
-		got := NewImage(cam.W, cam.H)
-		renderBands(cam, m, pose, got, workers)
-		for i := range want.Pix {
-			if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
-				t.Fatalf("workers=%d pixel %d = %v, want %v", workers, i, got.Pix[i], want.Pix[i])
+	for _, tc := range []struct {
+		name   string
+		direct Caster
+		build  func(f *world.RayFan)
+	}{
+		{"map", m, func(f *world.RayFan) { f.Build(m, pose.Pos) }},
+		{"scene", sc, func(f *world.RayFan) { f.BuildScene(sc, pose.Pos) }},
+	} {
+		want := NewImage(cam.W, cam.H)
+		renderRows(cam, posed{tc.direct, pose.Pos}, pose.Ori, want, 0, cam.H)
+		f := new(world.RayFan)
+		tc.build(f)
+		for _, workers := range []int{1, 2, 3, 5, 7, cam.H, cam.H + 9} {
+			got := NewImage(cam.W, cam.H)
+			renderBands(cam, f, pose.Ori, got, workers)
+			for i := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Fatalf("%s workers=%d pixel %d = %v, want %v", tc.name, workers, i, got.Pix[i], want.Pix[i])
+				}
 			}
 		}
 	}

@@ -117,11 +117,11 @@ const (
 	ambient     = 0.35
 )
 
-// Caster is the geometry interface the renderer casts rays against. Both
-// *world.Map and *world.Scene satisfy it; the render internals are generic
-// over a concrete Caster type, so the Map hot path keeps static dispatch
-// (no interface call per pixel) while Scenes and test doubles reuse the
-// exact same shading code.
+// Caster is the geometry interface RenderCaster casts rays against: both
+// *world.Map and *world.Scene satisfy it, and so do test references.
+// RenderInto and RenderSceneInto cast through a world.RayFan instead; the
+// render internals are generic over the frame's caster type, so every path
+// runs the exact same shading code.
 type Caster interface {
 	Raycast(origin, dir vec.Vec3, maxDist float64) (world.Hit, bool)
 }
@@ -139,40 +139,70 @@ func (c Camera) Render(m *world.Map, pose Pose) *Image {
 const renderParallelPixels = 2048
 
 // RenderInto draws into an existing image (must match the camera dimensions),
-// avoiding per-frame allocation in tight simulation loops. Large frames are
-// ray-cast in parallel by row bands; every pixel is a pure function of the
-// pose and world, so the output is identical to a serial render.
+// avoiding per-frame allocation in tight simulation loops. The map's walls
+// are binned once per frame into a world.RayFan at the camera, so each ray
+// tests only the walls in its direction; large frames are then ray-cast in
+// parallel row bands that share the fan. Every pixel is a pure function of
+// the pose and world, so the output is identical to a serial render that
+// casts every ray with Map.Raycast.
 func (c Camera) RenderInto(m *world.Map, pose Pose, im *Image) {
-	renderInto(c, m, pose, im)
+	f := fanPool.Get().(*world.RayFan)
+	f.Build(m, pose.Pos)
+	renderInto(c, f, pose.Ori, im)
+	fanPool.Put(f)
 }
 
 // RenderSceneInto draws a dynamic scene (static map + moving obstacles +
-// peer bodies) into an existing image.
+// peer bodies) into an existing image: the static walls through a fan, as
+// in RenderInto, then the dynamic walls and bodies as Scene.Raycast tests
+// them.
 func (c Camera) RenderSceneInto(sc *world.Scene, pose Pose, im *Image) {
-	renderInto(c, sc, pose, im)
+	f := fanPool.Get().(*world.RayFan)
+	f.BuildScene(sc, pose.Pos)
+	renderInto(c, f, pose.Ori, im)
+	fanPool.Put(f)
 }
 
 // RenderCaster draws arbitrary geometry satisfying Caster — reference
 // implementations in tests cast through the identical shading pipeline.
 func (c Camera) RenderCaster(w Caster, pose Pose, im *Image) {
-	renderInto(c, w, pose, im)
+	renderInto(c, posed{w, pose.Pos}, pose.Ori, im)
 }
 
-func renderInto[C Caster](c Camera, m C, pose Pose, im *Image) {
+// fanPool holds the per-frame ray fans, so concurrent renders (sweep
+// missions) each get their own and steady-state frames do not allocate.
+var fanPool = sync.Pool{New: func() any { return new(world.RayFan) }}
+
+// frameCaster casts one frame's rays, which all start at the camera:
+// *world.RayFan, or a Caster posed at the camera.
+type frameCaster interface {
+	Raycast(dir vec.Vec3, maxDist float64) (world.Hit, bool)
+}
+
+type posed struct {
+	w      Caster
+	origin vec.Vec3
+}
+
+func (p posed) Raycast(dir vec.Vec3, maxDist float64) (world.Hit, bool) {
+	return p.w.Raycast(p.origin, dir, maxDist)
+}
+
+func renderInto[C frameCaster](c Camera, m C, ori vec.Quat, im *Image) {
 	if im.W != c.W || im.H != c.H {
 		panic("render: image dimensions do not match camera")
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 && c.W*c.H >= renderParallelPixels {
-		renderBands(c, m, pose, im, workers)
+		renderBands(c, m, ori, im, workers)
 		return
 	}
-	renderRows(c, m, pose, im, 0, c.H)
+	renderRows(c, m, ori, im, 0, c.H)
 }
 
 // renderBands fans row bands out across the given number of workers. Bands
 // write disjoint rows, so no synchronization beyond the final join is needed.
-func renderBands[C Caster](c Camera, m C, pose Pose, im *Image, workers int) {
+func renderBands[C frameCaster](c Camera, m C, ori vec.Quat, im *Image, workers int) {
 	if workers > c.H {
 		workers = c.H
 	}
@@ -188,15 +218,15 @@ func renderBands[C Caster](c Camera, m C, pose Pose, im *Image, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			renderRows(c, m, pose, im, lo, hi)
+			renderRows(c, m, ori, im, lo, hi)
 		}(y0, y1)
 		y0 = y1
 	}
 	wg.Wait()
 }
 
-// renderRows ray-casts pixel rows [y0, y1).
-func renderRows[C Caster](c Camera, m C, pose Pose, im *Image, y0, y1 int) {
+// renderRows ray-casts pixel rows [y0, y1) from a camera with orientation ori.
+func renderRows[C frameCaster](c Camera, m C, ori vec.Quat, im *Image, y0, y1 int) {
 	halfW := math.Tan(vec.Deg(c.FOVDeg) / 2)
 	halfH := halfW * float64(c.H) / float64(c.W)
 	for y := y0; y < y1; y++ {
@@ -206,14 +236,14 @@ func renderRows[C Caster](c Camera, m C, pose Pose, im *Image, y0, y1 int) {
 			u := halfW * (2*(float64(x)+0.5)/float64(c.W) - 1)
 			// Body frame: forward +X, left +Y, up +Z. Screen-right is −Y.
 			dirBody := vec.V3(1, -u, v).Unit()
-			dir := pose.Ori.Rotate(dirBody)
-			im.Set(x, y, shade(c, m, pose.Pos, dir))
+			dir := ori.Rotate(dirBody)
+			im.Set(x, y, shade(c, m, dir))
 		}
 	}
 }
 
-func shade[C Caster](c Camera, m C, origin, dir vec.Vec3) float32 {
-	h, ok := m.Raycast(origin, dir, c.MaxDist)
+func shade[C frameCaster](c Camera, m C, dir vec.Vec3) float32 {
+	h, ok := m.Raycast(dir, c.MaxDist)
 	if !ok {
 		return skyColor(dir)
 	}
@@ -287,7 +317,9 @@ func Texture(tex int, u, v float64) float64 {
 }
 
 // texVariant provides additional deterministic materials for randomized
-// dataset textures (texture IDs >= 1000 select procedural variants).
+// dataset textures (texture IDs >= 1000 select procedural variants). On the
+// tunnel, the map every model trains on, dnn.GenerateWith's corridor
+// rebuild discards those IDs, so only tests render them today.
 func texVariant(tex int, u, v float64) float64 {
 	k := float64(tex%7) + 1
 	s := 0.5 + 0.3*math.Sin(u*k+v*0.7*k)

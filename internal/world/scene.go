@@ -36,18 +36,15 @@ func (sc *Scene) Raycast(origin, dir vec.Vec3, maxDist float64) (Hit, bool) {
 	// Scene must be bit-identical to the bare Map, and re-normalizing an
 	// already-unit vector perturbs the last ulp.
 	best, found := sc.Map.Raycast(origin, dir, maxDist)
+	return sc.castDynamic(origin, dir, best, found)
+}
+
+// castDynamic continues a static-wall cast (best, found) over the dynamic
+// walls, then the bodies, each with the strict t < best.Dist rule.
+func (sc *Scene) castDynamic(origin, dir vec.Vec3, best Hit, found bool) (Hit, bool) {
 	d := dir.Unit()
-	if !found {
-		best = Hit{Dist: maxDist}
-	}
 	for i := range sc.Walls {
-		if t, u, ok := rayWall(origin, d, &sc.Walls[i]); ok && t < best.Dist {
-			p := origin.Add(d.Scale(t))
-			n := sc.Walls[i].Normal2D()
-			if n.Dot(d) > 0 {
-				n = n.Neg()
-			}
-			best = Hit{Dist: t, Point: p, Normal: n, Texture: sc.Walls[i].Texture, U: u, V: p.Z}
+		if castWall(&best, origin, d, &sc.Walls[i]) {
 			found = true
 		}
 	}

@@ -76,57 +76,50 @@ const FloorTexture = 100
 
 // Raycast shoots a ray from origin along dir (unit not required) and returns
 // the nearest intersection with walls or the ground plane (z = 0), up to
-// maxDist. ok is false if nothing is hit within maxDist.
-func (m *Map) Raycast(origin, dir vec.Vec3, maxDist float64) (Hit, bool) {
+// maxDist. found is false if nothing is hit within maxDist. It tests every
+// wall; a RayFan casts a frame's rays from one origin with the same result.
+func (m *Map) Raycast(origin, dir vec.Vec3, maxDist float64) (best Hit, found bool) {
 	d := dir.Unit()
-	best := Hit{Dist: maxDist}
-	found := false
-
-	// Ground plane z = 0 (only when looking downward).
-	if d.Z < -1e-12 {
-		t := -origin.Z / d.Z
-		if t > 1e-9 && t < best.Dist {
-			p := origin.Add(d.Scale(t))
-			best = Hit{
-				Dist: t, Point: p, Normal: vec.V3(0, 0, 1),
-				Texture: FloorTexture, U: p.X, V: p.Y, Floor: true,
-			}
-			found = true
-		}
-	}
-
+	found = castFloor(&best, origin, d, maxDist)
 	for i := range m.Walls {
-		if t, u, ok := rayWall(origin, d, &m.Walls[i]); ok && t < best.Dist {
-			p := origin.Add(d.Scale(t))
-			n := m.Walls[i].Normal2D()
-			if n.Dot(d) > 0 { // face the ray
-				n = n.Neg()
-			}
-			best = Hit{
-				Dist: t, Point: p, Normal: n,
-				Texture: m.Walls[i].Texture, U: u, V: p.Z,
-			}
+		if castWall(&best, origin, d, &m.Walls[i]) {
 			found = true
 		}
 	}
 	return best, found
 }
 
-// rayWall intersects a ray (origin o, unit direction d) with one wall.
-// Returns the ray parameter t and the distance u along the wall from A.
-func rayWall(o, d vec.Vec3, w *Wall) (t, u float64, ok bool) {
+// castFloor sets *h to a ray's hit (origin o, unit direction d) on the
+// ground plane z = 0 (only when looking downward) and returns true, or, when
+// it misses within maxDist, to Hit{Dist: maxDist} and returns false.
+func castFloor(h *Hit, o, d vec.Vec3, maxDist float64) bool {
+	if d.Z < -1e-12 {
+		t := -o.Z / d.Z
+		if t > 1e-9 && t < maxDist {
+			p := o.Add(d.Scale(t))
+			h.set(t, p, vec.V3(0, 0, 1), FloorTexture, p.X, p.Y, true)
+			return true
+		}
+	}
+	h.set(maxDist, vec.Vec3{}, vec.Vec3{}, 0, 0, 0, false)
+	return false
+}
+
+// castWall intersects a ray (origin o, unit direction d) with w. If it hits
+// nearer than h.Dist, castWall records the hit in *h and returns true.
+func castWall(h *Hit, o, d vec.Vec3, w *Wall) bool {
 	// 2-D segment intersection in the XY plane.
 	ax, ay := w.A.X, w.A.Y
 	ex, ey := w.B.X-ax, w.B.Y-ay // wall edge vector
 	// Solve o.XY + t*d.XY = A + s*E  for t, s ∈ [0,1].
 	den := d.X*ey - d.Y*ex
 	if math.Abs(den) < 1e-15 {
-		return 0, 0, false // parallel
+		return false // parallel
 	}
 	ox, oy := o.X-ax, o.Y-ay
-	t = (ex*oy - ey*ox) / den
-	if t <= 1e-9 {
-		return 0, 0, false
+	t := (ex*oy - ey*ox) / den
+	if t <= 1e-9 || !(t < h.Dist) {
+		return false
 	}
 	var s float64
 	if math.Abs(ex) >= math.Abs(ey) {
@@ -135,14 +128,24 @@ func rayWall(o, d vec.Vec3, w *Wall) (t, u float64, ok bool) {
 		s = (oy + t*d.Y) / ey
 	}
 	if s < 0 || s > 1 {
-		return 0, 0, false
+		return false
 	}
-	z := o.Z + t*d.Z
-	if z < w.ZMin || z > w.ZMax {
-		return 0, 0, false
+	if z := o.Z + t*d.Z; z < w.ZMin || z > w.ZMax {
+		return false
 	}
-	edgeLen := math.Hypot(ex, ey)
-	return t, s * edgeLen, true
+	p := o.Add(d.Scale(t))
+	n := w.Normal2D()
+	if n.Dot(d) > 0 { // face the ray
+		n = n.Neg()
+	}
+	h.set(t, p, n, w.Texture, s*math.Hypot(ex, ey), p.Z, false)
+	return true
+}
+
+// set assigns every field of *h; the hit paths write through it so a Hit is
+// built in place, not copied.
+func (h *Hit) set(dist float64, p, n vec.Vec3, tex int, u, v float64, floor bool) {
+	h.Dist, h.Point, h.Normal, h.Texture, h.U, h.V, h.Floor = dist, p, n, tex, u, v, floor
 }
 
 // CollisionInfo describes a collision between the UAV and the environment.

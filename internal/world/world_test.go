@@ -296,7 +296,7 @@ func TestGeneratedMapsNavigable(t *testing.T) {
 // naiveNearest is an independent brute-force reference for Raycast: it
 // solves each wall with plane algebra (project onto the wall plane, then
 // check the segment/height window) and takes the minimum, with no shared
-// code path with rayWall.
+// code path with castWall.
 func naiveNearest(m *Map, o, dir vec.Vec3, maxDist float64) (float64, bool) {
 	d := dir.Unit()
 	best, found := maxDist, false

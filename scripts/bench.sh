@@ -23,10 +23,15 @@
 #     40-iteration round of the stream pair spread from -1.4 to 8.0 on a
 #     2-vCPU host, wider than its 2% bound, so each pair runs five rounds
 #     and is recorded as the median with every round beside it
-#     (<key>_rounds): the median judges its contract only when the rounds
-#     agree on which side of the bound they fall;
+#     (<key>_rounds), and <key>_verdict judges the contract from the rounds:
+#     "within" when every round is under the bound, "over" when every round
+#     is above it, "unresolved" when they straddle it (the median then falls
+#     on either side by chance);
 #   - the forward pass missions run (BenchmarkForward: ResNet6 and ResNet14
 #     on fp32 and int8, at -cpu 1), with the int8 rows' a_zero_pct;
+#   - one 64x48 camera frame per map (BenchmarkRenderFrame at -cpu 1: the
+#     tunnel, slalom:1, rooms:1, corridor:1 and the s-shape), with each
+#     map's wall count;
 #   - missions/sec/host for four concurrent ResNet14 missions
 #     (BenchmarkFleetSolo);
 #   - warm-start sweeps: cold vs warm sweep walls, the drift-cancelling
@@ -36,9 +41,10 @@
 #     and int8 (int8/kernel/shape, the operands of a ResNet14 int8 forward,
 #     with their a_zero_pct), with avx2_speedup_vs_sse (fp32) and
 #     int8_avx2_speedup_vs_noasm;
-#   - vs_prev: ns/op deltas against BENCH_PR<n-1>.json, for benchmarks
-#     present in both (empty when that file does not exist). Informational
-#     only: the two snapshots ran at different times, so host drift enters
+#   - vs_prev: ns/op deltas against the newest earlier snapshot
+#     BENCH_PR<m>.json (m < n, recorded as prev_pr; PRs without a snapshot
+#     are skipped), for benchmarks present in both (empty when there is no
+#     earlier snapshot). Informational only: the two snapshots ran at different times, so host drift enters
 #     every delta (short benchmarks have read several times slower in one
 #     snapshot than the other on an unchanged path); a regression claim
 #     needs a paired before/after run of the two trees.
@@ -53,7 +59,18 @@ case "${1:-}" in
 esac
 pr=$1
 out="BENCH_PR${pr}.json"
-prev="BENCH_PR$((pr - 1)).json"
+# The newest earlier snapshot: not every PR writes one.
+prev=""
+prevpr=null
+for f in BENCH_PR*.json; do
+    m=${f#BENCH_PR}
+    m=${m%.json}
+    case $m in '' | *[!0-9]*) continue ;; esac
+    if [ "$m" -lt "$pr" ] && { [ -z "$prev" ] || [ "$m" -gt "$prevpr" ]; }; then
+        prev=$f
+        prevpr=$m
+    fi
+done
 raw=$(mktemp)
 prevpairs=$(mktemp)
 trap 'rm -f "$raw" "$prevpairs"' EXIT
@@ -78,6 +95,9 @@ go test -run xxx -bench 'BenchmarkMissionStepEnergyPaired$|BenchmarkMissionStepS
 
 echo "== forward pass (-cpu 1) =="
 go test -run xxx -bench 'BenchmarkForward$' -cpu 1 -benchmem ./internal/dnn/ | tee -a "$raw"
+
+echo "== camera frame per map (-cpu 1) =="
+go test -run xxx -bench 'BenchmarkRenderFrame$' -cpu 1 -benchmem ./internal/render/ | tee -a "$raw"
 
 echo "== fleet throughput (missions/sec/host) =="
 go test -run xxx -bench 'BenchmarkFleetSolo$' -benchtime 3x -benchmem . | tee -a "$raw"
@@ -111,14 +131,14 @@ grep -q '^Benchmark' "$raw" || {
 }
 
 # Previous snapshot's ns/op per benchmark, as "name value" pairs, for the
-# vs_prev delta section. Missing file (or first PR) yields an empty list.
-if [ -f "$prev" ]; then
+# vs_prev delta section. No earlier snapshot yields an empty list.
+if [ -n "$prev" ]; then
     sed -n 's/^ *"\(Benchmark[^"]*\)": {"ns_op": \([0-9.eE+-]*\).*/\1 \2/p' "$prev" > "$prevpairs"
 fi
 # Keep the pairs file non-empty so awk's FNR==NR file split stays correct.
 [ -s "$prevpairs" ] || echo "#" > "$prevpairs"
 
-awk -v pr="$pr" '
+awk -v pr="$pr" -v prevpr="$prevpr" '
 # median returns the median of the space-separated numbers in list.
 function median(list,    v, c, i, j, t) {
     c = split(list, v, " ")
@@ -128,14 +148,22 @@ function median(list,    v, c, i, j, t) {
         }
     return (c % 2 ? v[(c+1)/2] : (v[c/2] + v[c/2+1]) / 2)
 }
-# rounds prints "key": median, "key_rounds": [every round] for a paired
-# metric, or "key": null when the benchmark did not run.
-function rounds(key, list,    v, c, i) {
+# rounds prints "key": median, "key_rounds": [every round] and
+# "key_verdict" against the contract bound for a paired metric: "within"
+# when every round is under bound, "over" when every round is above it,
+# "unresolved" otherwise; or "key": null when the benchmark did not run.
+function rounds(key, list, bound,    v, c, i, under, above, verdict) {
     if (list == "") { printf "  \"%s\": null", key; return }
     c = split(list, v, " ")
     printf "  \"%s\": %s,\n  \"%s_rounds\": [", key, median(list), key
-    for (i = 1; i <= c; i++) printf "%s%s", v[i], (i < c ? ", " : "")
-    printf "]"
+    under = above = 0
+    for (i = 1; i <= c; i++) {
+        printf "%s%s", v[i], (i < c ? ", " : "")
+        if (v[i] + 0 < bound) under++
+        if (v[i] + 0 > bound) above++
+    }
+    verdict = (under == c ? "within" : (above == c ? "over" : "unresolved"))
+    printf "],\n  \"%s_verdict\": \"%s\"", key, verdict
 }
 # speedup prints "key": {shape: base/fast} for every shape whose GEMM row
 # exists under both kernel prefixes of gemm_kernels.
@@ -170,6 +198,7 @@ FNR == NR { if (NF == 2) prevns[$1] = $2; next }
         if ($(i+1) == "stream_fprint_overhead_pct") strm[name] = strm[name] " " $i
         if ($(i+1) == "image_bytes") imgb[name] = $i
         if ($(i+1) == "a_zero_pct") azero[name] = $i
+        if ($(i+1) == "walls") walls[name] = $i
     }
 }
 END {
@@ -185,6 +214,7 @@ END {
         if (name in imgb)   printf ", \"image_bytes\": %s", imgb[name]
         if (name in macs)   printf ", \"macs_per_ns\": %s", macs[name]
         if (name in azero)  printf ", \"a_zero_pct\": %s", azero[name]
+        if (name in walls)  printf ", \"walls\": %s", walls[name]
         if (name in bop)    printf ", \"b_op\": %s", bop[name]
         if (name in allocs) printf ", \"allocs_op\": %s", allocs[name]
         printf "}%s\n", (i < n-1 ? "," : "")
@@ -217,10 +247,10 @@ END {
     # drift-cancelling paired run.
     printf ",\n  \"warmstart_speedup\": %s,\n", \
         ("BenchmarkWarmstartPaired" in warm ? warm["BenchmarkWarmstartPaired"] : "null")
-    rounds("energy_overhead_pct", nrg["BenchmarkMissionStepEnergyPaired"])
+    rounds("energy_overhead_pct", nrg["BenchmarkMissionStepEnergyPaired"], 1.5)
     printf ",\n"
-    rounds("stream_fprint_overhead_pct", strm["BenchmarkMissionStepStreamPaired"])
-    printf ",\n  \"vs_prev\": {\n"
+    rounds("stream_fprint_overhead_pct", strm["BenchmarkMissionStepStreamPaired"], 2)
+    printf ",\n  \"prev_pr\": %s,\n  \"vs_prev\": {\n", prevpr
     # ns/op deltas against the previous PR snapshot, for benchmarks present
     # in both (negative = faster now); informational, see the header.
     m = 0

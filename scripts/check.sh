@@ -105,6 +105,19 @@ echo "== energy parity matrix =="
 require_tests 'TestEnergy' ./internal/experiments/
 go test -race -count=1 -run 'TestEnergy' ./internal/experiments/
 
+echo "== render parity =="
+# The camera's exactness contract: a ray cast through the per-frame ray fan
+# (world.RayFan) returns the Hit Map.Raycast returns (Scene.Raycast for
+# scenes with moving walls and peers), every field bit for bit — on the
+# paper maps, ten seeds of each procedural family, kilometre-long walls and
+# the dataset's curved training corridors, from poses inside and outside
+# the corridor, above the walls, rolled and pitched to ±80°, on a wall's
+# line or endpoint, and not finite — and every rendered pixel matches,
+# serial or in row bands sharing one fan, raced fresh.
+render_run='TestRayFanBitIdentical|TestFanKeyMonotone|TestRenderFanBitIdentical|TestRenderBandsBitIdentical|TestRenderSceneEmptyBitIdentical|TestCurvedCorridorFanBitIdentical'
+require_tests "$render_run" ./internal/world/ ./internal/render/ ./internal/dnn/
+go test -race -count=1 -run "$render_run" ./internal/world/ ./internal/render/ ./internal/dnn/
+
 echo "== scenario fuzz (bounded) =="
 # The property-based mission sweep on a bounded seed budget: every scenario
 # family x 6 seeds on rotating procedural worlds, each mission checked for
@@ -116,14 +129,15 @@ scen_run='TestScenarioFuzz|TestInjectedFault'
 require_tests "$scen_run" ./internal/experiments/fuzz/
 ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 -run "$scen_run" ./internal/experiments/fuzz/
 
-echo "== fuzz smoke (50s) =="
+echo "== fuzz smoke (60s) =="
 # A short native-fuzzing burst per decoder of outside bytes: packet framing
 # (buffer and stream decoders, including the resilience extension + CRC),
 # the telemetry codec, the remote-RTL reply payloads (status codec and
-# packet batch), and rose-snap/1 snapshot images. Each -fuzz pattern must
+# packet batch), rose-snap/1 snapshot images, and fingerprint logs. Each -fuzz pattern must
 # match exactly one target: go test rejects more than one, require_tests
-# rejects none. Snapshot seeds are KiB-sized, so their minimization is
-# capped at 1s; the default 60s would eat the whole burst.
+# rejects none. Snapshot seeds are KiB-sized and one fingerprint-log seed
+# is a 70,000-digit line, so their minimization is capped at 1s; the
+# default 60s would eat the whole burst.
 fuzz_smoke() {
     pkg=$1
     target=$2
@@ -136,6 +150,7 @@ fuzz_smoke ./internal/packet/ 'FuzzReaderNext$'
 fuzz_smoke ./internal/env/ 'FuzzDecodeTelemetry$'
 fuzz_smoke ./internal/soc/ 'FuzzRTLReply$'
 fuzz_smoke ./internal/snapshot/ 'FuzzImageDecode$' -fuzzminimizetime 1s
+fuzz_smoke ./internal/experiments/ 'FuzzParseFingerprintLog$' -fuzzminimizetime 1s
 
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
