@@ -80,14 +80,14 @@ scenariofuzz:
 	ROSE_SCENARIOFUZZ_SEEDS=16 $(GO) test -race -count=1 -v \
 		-run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
-# fuzz gives each framing/codec/log fuzz target a short native-fuzzing burst
-# (snapshot and fingerprint-log minimization capped at 1s, as in
-# scripts/check.sh).
+# fuzz gives each framing/codec/log/restore fuzz target a short
+# native-fuzzing burst (minimization capped at 1s, as in scripts/check.sh).
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s ./internal/packet/
-	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s ./internal/packet/
-	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s ./internal/env/
-	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/packet/
+	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/packet/
+	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/env/
+	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzRestoreMachine$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/app/
 	$(GO) test -run xxx -fuzz FuzzImageDecode$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzParseFingerprintLog$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 

@@ -8,6 +8,7 @@
 package app
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -206,14 +207,21 @@ func recvOfType(rt *soc.Runtime, want packet.Type) packet.Packet {
 	}
 }
 
-// decodeFrameInto converts a CAM_DATA packet into the network input
-// tensor. When scratch matches the frame's element count it is refilled in
-// place (zero allocation on the steady-state control loop); otherwise, or
-// when scratch is nil, a fresh tensor is allocated.
-func decodeFrameInto(p packet.Packet, scratch *tensor.Tensor) (*tensor.Tensor, error) {
+// decodeFrameInto converts a CAM_DATA packet into the input tensor of net.
+// When scratch matches the frame's element count it is refilled in place
+// (zero allocation on the steady-state control loop); otherwise, or when
+// scratch is nil, a fresh tensor is allocated. A frame narrower or shorter
+// than the network's input is rejected: the backbone's pooling grid would
+// not fit it, while any larger frame shrinks to at least what the input
+// does.
+func decodeFrameInto(p packet.Packet, scratch *tensor.Tensor, net *dnn.Net) (*tensor.Tensor, error) {
 	frame, err := packet.UnmarshalCamFrame(p)
 	if err != nil {
 		return nil, err
+	}
+	if frame.W < net.InW || frame.H < net.InH {
+		return nil, fmt.Errorf("camera frame %dx%d is smaller than %s's %dx%d input",
+			frame.W, frame.H, net.Name, net.InW, net.InH)
 	}
 	t := scratch
 	if t == nil || len(t.Data) != frame.H*frame.W {

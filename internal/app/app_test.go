@@ -121,7 +121,7 @@ func TestLogRecords(t *testing.T) {
 
 // hostHarness drives a machine as the synchronizer would, answering camera
 // and depth requests with canned data.
-func hostHarness(t *testing.T, m *soc.Machine, quanta int, depth float64) {
+func hostHarness(t testing.TB, m *soc.Machine, quanta int, depth float64) {
 	t.Helper()
 	pix := make([]byte, 64*48)
 	for i := range pix {
@@ -156,7 +156,7 @@ func hostHarness(t *testing.T, m *soc.Machine, quanta int, depth float64) {
 	}
 }
 
-func untrainedSession(t *testing.T, name string) *ort.Session {
+func untrainedSession(t testing.TB, name string) *ort.Session {
 	t.Helper()
 	s, err := ort.NewSession(dnn.MustBuild(name, 3), gemmini.Default())
 	if err != nil {

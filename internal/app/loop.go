@@ -90,7 +90,7 @@ func (sl *StaticLoop) Run(rt *soc.Runtime) error {
 			if p.Type != packet.CamData {
 				continue // discard stragglers; PC stays put
 			}
-			input, err := decodeFrameInto(p, sl.frame)
+			input, err := decodeFrameInto(p, sl.frame, sl.sess.Net())
 			if err != nil {
 				return fmt.Errorf("app: %w", err)
 			}
@@ -175,6 +175,9 @@ func (sl *StaticLoop) RestoreState(data []byte) error {
 	var b staticBlob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
 		return err
+	}
+	if b.ChargeIdx < 0 {
+		return fmt.Errorf("app: static loop blob has charge index %d", b.ChargeIdx)
 	}
 	sl.pc = b.PC
 	sl.chargeIdx = b.ChargeIdx
@@ -268,16 +271,16 @@ func (dl *DynamicLoop) Run(rt *soc.Runtime) error {
 			if p.Type != packet.CamData {
 				continue
 			}
-			input, err := decodeFrameInto(p, dl.frame)
-			if err != nil {
-				return fmt.Errorf("app: %w", err)
-			}
-			dl.frame = input
 			tCollision := math.Inf(1)
 			if dl.ctrl.VForward > 0 {
 				tCollision = dl.depthM / dl.ctrl.VForward
 			}
 			dl.useSmall = tCollision < dl.dyn.DeadlineSec
+			input, err := decodeFrameInto(p, dl.frame, dl.session().Net())
+			if err != nil {
+				return fmt.Errorf("app: %w", err)
+			}
+			dl.frame = input
 			dl.out = dl.session().Forward(rt, input)
 			dl.chargeIdx = 0
 			dl.plan = dl.plan[:0]
@@ -371,6 +374,9 @@ func (dl *DynamicLoop) RestoreState(data []byte) error {
 	var b dynBlob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
 		return err
+	}
+	if b.ChargeIdx < 0 {
+		return fmt.Errorf("app: dynamic loop blob has charge index %d", b.ChargeIdx)
 	}
 	dl.pc = b.PC
 	dl.chargeIdx = b.ChargeIdx

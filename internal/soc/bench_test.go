@@ -7,7 +7,8 @@ import (
 )
 
 // BenchmarkEngineStep measures synchronization-quantum overhead: the
-// per-Step cost of the coroutine engine with a bridge-chatty program.
+// per-Step cost of the coroutine engine with a bridge-chatty program. The
+// reply packet is built once: the bridge only reads payloads.
 func BenchmarkEngineStep(b *testing.B) {
 	m := NewMachine(Config{Core: BOOM, Gemmini: true}, func(rt *Runtime) error {
 		for {
@@ -17,9 +18,10 @@ func BenchmarkEngineStep(b *testing.B) {
 		}
 	})
 	defer m.Close()
+	reply := []packet.Packet{packet.Depth{Meters: 5}.Marshal()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Push([]packet.Packet{packet.Depth{Meters: 5}.Marshal()})
+		m.Push(reply)
 		m.Step(10_000_000)
 		m.Pull()
 	}

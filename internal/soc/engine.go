@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/bridge"
 	"repro/internal/fprint"
@@ -15,7 +16,10 @@ import (
 // of the simulated SoC. Every call advances simulated time through the
 // engine's timing models; the program itself never observes host time or
 // any simulator API (the paper's simulation abstraction, §3.4.2).
-type Runtime struct{ m *Machine }
+type Runtime struct {
+	m     *Machine
+	yield func(request) bool // hands a request to the engine; false = killed
+}
 
 // Program is the application deployed on the simulated companion computer.
 // It runs as a coroutine against the engine; returning ends the workload.
@@ -27,7 +31,8 @@ type Program func(rt *Runtime) error
 //
 //   - Run must update the program's resume state *before* issuing each
 //     Runtime request, so the state observed while the request is in flight
-//     names exactly that request (the reqCh handoff is the memory barrier).
+//     names exactly that request (the coroutine switch into the engine is
+//     the memory barrier).
 //   - After a RestoreState, Run must re-issue the request that was in
 //     flight at capture; the engine swallows it and substitutes the
 //     partially-charged original.
@@ -60,10 +65,14 @@ type Machine struct {
 	stats Stats
 	obs   *obs.SoCObs // nil = observability disabled
 
-	reqCh  chan request
-	resCh  chan response
-	exitCh chan error
-	killCh chan struct{}
+	// The program coroutine (iter.Pull): next resumes the program on the
+	// caller's goroutine until it issues its next request (false once it
+	// has returned, its error in runErr); stop unwinds a parked program.
+	// res is the slot a completed request's response waits in until the
+	// program is resumed.
+	next func() (request, bool)
+	stop func()
+	res  response
 
 	// pending is a value slot (validity tracked by hasPending) so carrying
 	// a partially-served request across quanta never heap-allocates — the
@@ -124,7 +133,7 @@ type Config struct {
 	EnergyOff bool
 }
 
-// NewMachine builds a machine and starts the program coroutine. The program
+// NewMachine builds a machine around the program coroutine. The program
 // does not execute until cycles are granted via Step.
 func NewMachine(cfg Config, prog Program) *Machine {
 	m := newMachine(cfg)
@@ -162,27 +171,24 @@ func newMachine(cfg Config) *Machine {
 		energyOn: !cfg.EnergyOff,
 		obs:      cfg.Obs,
 		br:       bridge.New(cfg.RxQueueBytes, cfg.TxQueueBytes),
-		reqCh:    make(chan request),
-		resCh:    make(chan response),
-		exitCh:   make(chan error, 1),
-		killCh:   make(chan struct{}),
 	}
 }
 
-// launch starts the program coroutine.
+// launch wraps the program as the machine's coroutine, which first runs at
+// the first next. The errKilled panic is how stop unwinds a parked program,
+// so it is recovered here; any other panic surfaces on the goroutine that
+// resumed the program (Step, SnapState or RestoreMachine).
 func (m *Machine) launch(prog Program) {
-	go func() {
+	m.next, m.stop = iter.Pull(func(yield func(request) bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, errKilled) {
-					m.exitCh <- errKilled
-					return
+				if err, ok := r.(error); !ok || !errors.Is(err, errKilled) {
+					panic(r)
 				}
-				panic(r)
 			}
 		}()
-		m.exitCh <- prog(&Runtime{m: m})
-	}()
+		m.runErr = prog(&Runtime{m: m, yield: yield})
+	})
 }
 
 // Params returns the machine's timing parameters.
@@ -250,26 +256,12 @@ func (m *Machine) Pull() ([]packet.Packet, error) {
 	return out, nil
 }
 
-// Close tears down the program coroutine. The machine must not be used
-// afterwards.
+// Close tears down the program coroutine: a program parked in a request
+// unwinds from it (the Runtime call panics errKilled). The machine must not
+// be used afterwards.
 func (m *Machine) Close() {
-	if m.done {
-		return
-	}
-	close(m.killCh)
-	// Unblock the coroutine if it is waiting on a response or about to
-	// send a request; it will observe killCh and panic out.
-	for {
-		select {
-		case <-m.reqCh:
-		case err := <-m.exitCh:
-			m.done = true
-			if !errors.Is(err, errKilled) {
-				m.runErr = err
-			}
-			return
-		}
-	}
+	m.stop()
+	m.done = true
 }
 
 // Step grants the machine a quantum of cycles (a SYNC_GRANT through the
@@ -311,14 +303,13 @@ func (m *Machine) Step(cycles uint64) (uint64, error) {
 			m.beginRequest(r)
 			continue
 		}
-		// Wait for the program's next action (or exit).
-		select {
-		case r := <-m.reqCh:
-			m.beginRequest(r)
-		case err := <-m.exitCh:
+		// Resume the program until its next request (or its exit).
+		r, ok := m.next()
+		if !ok {
 			m.done = true
-			m.runErr = err
+			continue
 		}
+		m.beginRequest(r)
 	}
 	// Advance the rolling determinism fingerprint over the quantum's end
 	// state. Always-on: a dozen integer folds per quantum, no allocation.
@@ -381,7 +372,7 @@ func (m *Machine) beginRequest(r request) {
 			m.pending, m.hasPending = r, true
 			m.pendLeft = r.cycles
 		} else {
-			m.resCh <- response{ok: false, cycle: m.cycle}
+			m.res = response{ok: false, cycle: m.cycle}
 		}
 	case reqRecv:
 		if pkt, ok := m.br.RecvData(); ok {
@@ -471,15 +462,15 @@ func (m *Machine) chargePending() bool {
 	if m.pendLeft > 0 {
 		return false
 	}
-	// Complete: respond to the program.
+	// Complete: leave the response for the program's next resume.
 	m.hasPending = false
 	switch r.kind {
 	case reqCompute:
-		m.resCh <- response{cycle: m.cycle}
+		m.res = response{cycle: m.cycle}
 	case reqRecv, reqTryRecv:
-		m.resCh <- response{pkt: r.pkt, ok: true, cycle: m.cycle}
+		m.res = response{pkt: r.pkt, ok: true, cycle: m.cycle}
 	case reqSend:
-		m.resCh <- response{ok: true, cycle: m.cycle}
+		m.res = response{ok: true, cycle: m.cycle}
 	}
 	m.pending = request{} // drop the packet reference
 	return true
@@ -541,18 +532,13 @@ func (m *Machine) idle(c uint64) {
 
 // --- Runtime: the program-facing API ---
 
+// do hands r to the engine and parks the program until the engine resumes
+// it with r's response in the machine's slot.
 func (rt *Runtime) do(r request) response {
-	select {
-	case rt.m.reqCh <- r:
-	case <-rt.m.killCh:
+	if !rt.yield(r) {
 		panic(errKilled)
 	}
-	select {
-	case res := <-rt.m.resCh:
-		return res
-	case <-rt.m.killCh:
-		panic(errKilled)
-	}
+	return rt.m.res
 }
 
 // Now returns the current simulated cycle.

@@ -264,6 +264,25 @@ func TestCloseMidBlock(t *testing.T) {
 	}
 }
 
+// A program's own panic (anything but the engine's teardown) surfaces on
+// the goroutine that resumed it, where the caller can see it, and leaves a
+// machine that still closes.
+func TestProgramPanicSurfacesOnCaller(t *testing.T) {
+	m := NewMachine(Config{Core: BOOM}, func(rt *Runtime) error {
+		rt.Compute(10)
+		panic("program fault")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		m.Step(100)
+		return nil
+	}()
+	if got != "program fault" {
+		t.Errorf("Step's caller recovered %v, want the program's panic", got)
+	}
+	m.Close() // must not deadlock or re-panic
+}
+
 func TestDeterministicExecution(t *testing.T) {
 	run := func() (uint64, Stats) {
 		m := NewMachine(Config{Core: BOOM, Gemmini: true}, func(rt *Runtime) error {

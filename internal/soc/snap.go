@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/bridge"
 	"repro/internal/packet"
@@ -18,21 +17,16 @@ import (
 // bill) and restore exactly there.
 //
 // Capture protocol (SnapState): if no request is in flight the program is
-// quiesced by pulling its next request into Machine.fetched — a semantically
-// neutral move (the request has not been priced or charged) that doubles as
-// the happens-before edge making the program's resume state visible here.
+// quiesced by resuming it until it issues its next request, which is parked
+// in Machine.fetched — a semantically neutral move (the request has not been
+// priced or charged). The resume is synchronous: when it returns the program
+// is parked in that request and its resume state names it.
 //
 // Restore protocol (RestoreMachine): the program blob is installed, a fresh
 // coroutine started, and — per the StateProgram contract — the coroutine
 // re-issues the request that was in flight at capture. The engine swallows
 // that re-issue, verifies it names the same request, and substitutes the
 // snapshot's partially-charged original so not a single cycle is re-billed.
-
-// quiesceTimeout bounds how long capture/restore waits for the program
-// coroutine to reach a request boundary. A program that never issues its
-// next request (blocked on a host resource, or looping without touching the
-// engine) fails fast instead of deadlocking the caller.
-const quiesceTimeout = 2 * time.Second
 
 // ErrNotResumable marks machines built with NewMachine rather than
 // NewStateMachine.
@@ -72,8 +66,8 @@ type SnapState struct {
 
 // SnapState captures the machine at a quantum boundary (budget drained, i.e.
 // between Step calls). Capture is non-destructive: the live machine keeps
-// running afterwards. It fails for non-resumable machines, exited programs,
-// and programs that issue no engine request within quiesceTimeout.
+// running afterwards. It fails for non-resumable machines and exited
+// programs.
 func (m *Machine) SnapState() (*SnapState, error) {
 	if m.sp == nil {
 		return nil, ErrNotResumable
@@ -86,16 +80,12 @@ func (m *Machine) SnapState() (*SnapState, error) {
 	}
 	// Quiesce: make sure the program is parked in a request we hold.
 	if !m.hasPending && m.fetched == nil {
-		select {
-		case r := <-m.reqCh:
-			m.fetched = &r
-		case err := <-m.exitCh:
+		r, ok := m.next()
+		if !ok {
 			m.done = true
-			m.runErr = err
 			return nil, errors.New("soc: cannot snapshot an exited program")
-		case <-time.After(quiesceTimeout):
-			return nil, fmt.Errorf("soc: program not quiescent: no engine request within %v", quiesceTimeout)
 		}
+		m.fetched = &r
 	}
 	app, err := m.sp.SnapshotState()
 	if err != nil {
@@ -141,6 +131,18 @@ func RestoreMachine(cfg Config, sp StateProgram, st *SnapState) (*Machine, error
 	if st == nil {
 		return nil, errors.New("soc: nil snapshot")
 	}
+	// SnapState captures with the budget drained and exactly one request in
+	// flight, a pending one already priced (a time read is priced as a
+	// 1-cycle compute); an image that says otherwise was not taken by it.
+	if st.Bridge.Budget != 0 {
+		return nil, fmt.Errorf("soc: snapshot taken mid-quantum (bridge budget %d)", st.Bridge.Budget)
+	}
+	if st.HasPending == st.HasFetched {
+		return nil, errors.New("soc: snapshot must carry exactly one in-flight request")
+	}
+	if st.HasPending && reqKind(st.Pending.Kind) == reqNow {
+		return nil, errors.New("soc: snapshot's pending request is an unpriced time read")
+	}
 	if err := sp.RestoreState(st.App); err != nil {
 		return nil, fmt.Errorf("soc: program restore: %w", err)
 	}
@@ -158,23 +160,15 @@ func RestoreMachine(cfg Config, sp StateProgram, st *SnapState) (*Machine, error
 	if st.HasFetched {
 		want = st.Fetched
 	}
-	var got request
-	select {
-	case got = <-m.reqCh:
-	case err := <-m.exitCh:
-		m.done = true
-		m.runErr = err
-		return nil, fmt.Errorf("soc: restored program exited instead of re-issuing its request (err=%v)", err)
-	case <-time.After(quiesceTimeout):
-		m.Close()
-		return nil, errors.New("soc: restored program did not re-issue its in-flight request")
+	got, ok := m.next()
+	if !ok {
+		return nil, fmt.Errorf("soc: restored program exited instead of re-issuing its request (err=%v)", m.runErr)
 	}
 	if err := matchReissue(want, got); err != nil {
 		m.Close()
 		return nil, err
 	}
-	switch {
-	case st.HasPending:
+	if st.HasPending {
 		// Re-arm the priced request. For kinds whose side effects already
 		// happened at capture (recv dequeued its packet, send pushed into
 		// the TX queue when Left > 0), the captured bridge state and Pkt
@@ -189,7 +183,7 @@ func RestoreMachine(cfg Config, sp StateProgram, st *SnapState) (*Machine, error
 		}
 		m.pending, m.hasPending = r, true
 		m.pendLeft = st.Pending.Left
-	case st.HasFetched:
+	} else {
 		// Not yet priced: park it for the next Step to price normally.
 		r := request{
 			kind:   reqKind(st.Fetched.Kind),
@@ -200,9 +194,6 @@ func RestoreMachine(cfg Config, sp StateProgram, st *SnapState) (*Machine, error
 			pkt:    clonePkt(st.Fetched.Pkt),
 		}
 		m.fetched = &r
-	default:
-		m.Close()
-		return nil, errors.New("soc: snapshot carries no in-flight request")
 	}
 	return m, nil
 }

@@ -15,18 +15,20 @@
 #     faultnet wrapper with nothing armed, and over the resilient transport
 #     (replay window, deadlines, CRCs); and the remote-RTL quantum
 #     (BenchmarkQuantumRemoteRTL);
+#   - the SoC engine's quantum (BenchmarkEngineStep): one Step resuming the
+#     program coroutine of a bridge-chatty program, 0 allocs/op;
 #   - energy_overhead_pct from BenchmarkMissionStepEnergyPaired and
 #     stream_fprint_overhead_pct from BenchmarkMissionStepStreamPaired, the
 #     only overhead numbers: each alternates its bare and instrumented arms
 #     inside one timing loop, so shared-vCPU drift cancels, where a delta
-#     between two separately run benchmarks would be host noise. Even so one
-#     40-iteration round of the stream pair spread from -1.4 to 8.0 on a
-#     2-vCPU host, wider than its 2% bound, so each pair runs five rounds
-#     and is recorded as the median with every round beside it
-#     (<key>_rounds), and <key>_verdict judges the contract from the rounds:
-#     "within" when every round is under the bound, "over" when every round
-#     is above it, "unresolved" when they straddle it (the median then falls
-#     on either side by chance);
+#     between two separately run benchmarks would be host noise. Even so
+#     five 40-iteration rounds of the stream pair spread from -1.4 to 6.2
+#     on a 2-vCPU host, straddling its 2% bound, so each pair runs five
+#     rounds of 200 iterations and is recorded as the median with every
+#     round beside it (<key>_rounds), and <key>_verdict judges the contract
+#     from the rounds: "within" when every round is under the bound, "over"
+#     when every round is above it, "unresolved" when they straddle it (the
+#     median then falls on either side by chance);
 #   - the forward pass missions run (BenchmarkForward: ResNet6 and ResNet14
 #     on fp32 and int8, at -cpu 1), with the int8 rows' a_zero_pct;
 #   - one 64x48 camera frame per map (BenchmarkRenderFrame at -cpu 1: the
@@ -81,6 +83,7 @@ go test -run xxx \
     -benchtime 4x -benchmem . | tee "$raw"
 
 go test -run xxx -bench 'BenchmarkQuantumRemoteRTL$' -benchmem . | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkEngineStep$' -benchmem ./internal/soc/ | tee -a "$raw"
 go test -run xxx -bench 'BenchmarkMissionQuantum' -benchtime 500x -benchmem \
     ./internal/experiments/ | tee -a "$raw"
 
@@ -91,7 +94,7 @@ echo "== instrumentation cost (drift-cancelling pairs, five rounds) =="
 # plus one live viewer (≤2% contract). The snapshot keeps every round and
 # their median.
 go test -run xxx -bench 'BenchmarkMissionStepEnergyPaired$|BenchmarkMissionStepStreamPaired$' \
-    -benchtime 40x -count 5 . | tee -a "$raw"
+    -benchtime 200x -count 5 . | tee -a "$raw"
 
 echo "== forward pass (-cpu 1) =="
 go test -run xxx -bench 'BenchmarkForward$' -cpu 1 -benchmem ./internal/dnn/ | tee -a "$raw"

@@ -129,28 +129,29 @@ scen_run='TestScenarioFuzz|TestInjectedFault'
 require_tests "$scen_run" ./internal/experiments/fuzz/
 ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 -run "$scen_run" ./internal/experiments/fuzz/
 
-echo "== fuzz smoke (60s) =="
+echo "== fuzz smoke (70s) =="
 # A short native-fuzzing burst per decoder of outside bytes: packet framing
 # (buffer and stream decoders, including the resilience extension + CRC),
 # the telemetry codec, the remote-RTL reply payloads (status codec and
-# packet batch), rose-snap/1 snapshot images, and fingerprint logs. Each -fuzz pattern must
-# match exactly one target: go test rejects more than one, require_tests
-# rejects none. Snapshot seeds are KiB-sized and one fingerprint-log seed
-# is a 70,000-digit line, so their minimization is capped at 1s; the
-# default 60s would eat the whole burst.
+# packet batch), the remote-RTL restore path (a gob SnapState restored into
+# a StaticLoop machine and stepped), rose-snap/1 snapshot images, and
+# fingerprint logs. Each -fuzz pattern must match exactly one target: go
+# test rejects more than one, require_tests rejects none. Every burst caps
+# minimizing a new input at 1s: the default 60s stalls a burst at 0
+# execs/sec as soon as one input is found interesting.
 fuzz_smoke() {
     pkg=$1
     target=$2
-    shift 2
     require_tests "$target" "$pkg"
-    go test -run xxx -fuzz "$target" -fuzztime 10s "$@" "$pkg"
+    go test -run xxx -fuzz "$target" -fuzztime 10s -fuzzminimizetime 1s "$pkg"
 }
 fuzz_smoke ./internal/packet/ 'FuzzDecode$'
 fuzz_smoke ./internal/packet/ 'FuzzReaderNext$'
 fuzz_smoke ./internal/env/ 'FuzzDecodeTelemetry$'
 fuzz_smoke ./internal/soc/ 'FuzzRTLReply$'
-fuzz_smoke ./internal/snapshot/ 'FuzzImageDecode$' -fuzzminimizetime 1s
-fuzz_smoke ./internal/experiments/ 'FuzzParseFingerprintLog$' -fuzzminimizetime 1s
+fuzz_smoke ./internal/app/ 'FuzzRestoreMachine$'
+fuzz_smoke ./internal/snapshot/ 'FuzzImageDecode$'
+fuzz_smoke ./internal/experiments/ 'FuzzParseFingerprintLog$'
 
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
@@ -169,12 +170,15 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # TCP env exchange must not allocate with request accounting on at both
 # ends either (the packet serve loop's observed path); nor may the
 # int8 forward pass, which allocates nothing at any GOMAXPROCS (the fp32
-# rows start the parallel GEMM's band goroutines above GOMAXPROCS=1). Any
-# benchmark line the pattern selects with an alloc/op above 0, or without
-# an allocs/op figure, fails the gate.
+# rows start the parallel GEMM's band goroutines above GOMAXPROCS=1), nor
+# the SoC engine's quantum (resuming the program coroutine), which starts
+# no goroutine and is gated at both -cpu 1 and 2. Any benchmark line the
+# pattern selects with an alloc/op above 0, or without an allocs/op figure,
+# fails the gate. Arguments after the third go to go test.
 alloc_gate() {
     pkg=$1; bench=$2; times=$3
-    out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$pkg")
+    shift 3
+    out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$@" "$pkg")
     lines=$(echo "$out" | grep "^Benchmark" || true)
     if [ -z "$lines" ]; then
         echo "$out"
@@ -198,5 +202,6 @@ alloc_gate . 'BenchmarkQuantumTCPObserved$' 200x
 alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
+alloc_gate ./internal/soc/ 'BenchmarkEngineStep$' 20000x -cpu 1,2
 
 echo "check: OK"
