@@ -81,15 +81,16 @@ scenariofuzz:
 		-run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
 # fuzz gives each framing/codec/log/restore fuzz target a short
-# native-fuzzing burst (minimization capped at 1s, as in scripts/check.sh).
+# native-fuzzing burst (minimization capped at 100 executions, as in
+# scripts/check.sh).
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/packet/
-	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/packet/
-	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/env/
-	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/soc/
-	$(GO) test -run xxx -fuzz FuzzRestoreMachine$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/app/
-	$(GO) test -run xxx -fuzz FuzzImageDecode$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
-	$(GO) test -run xxx -fuzz FuzzParseFingerprintLog$$ -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
+	$(GO) test -run xxx -fuzz FuzzDecode$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/packet/
+	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/packet/
+	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/env/
+	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzRestoreMachine$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/app/
+	$(GO) test -run xxx -fuzz FuzzImageDecode$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot/
+	$(GO) test -run xxx -fuzz FuzzParseFingerprintLog$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/experiments/
 
 # bench regenerates every paper table/figure as a benchmark (minutes).
 bench:
@@ -98,6 +99,6 @@ bench:
 # bench-kernels times just the perf-critical kernels and the forward pass
 # missions run (seconds).
 bench-kernels:
-	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchmem ./internal/tensor/
+	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv' -benchmem ./internal/tensor/
 	$(GO) test -run xxx -bench 'BenchmarkForward$$|BenchmarkMatMulInt8$$' -benchmem ./internal/dnn/
 	$(GO) test -run xxx -bench 'BenchmarkRender' -benchmem ./internal/render/

@@ -178,7 +178,9 @@ func (l *Conv) Describe(c, h, w int) ([]OpDesc, [3]int) {
 	m := outH * outW
 	kk := c * k * k
 	ops := []OpDesc{
-		// im2col materialization on the CPU.
+		// im2col materialization on the target's CPU. The modelled
+		// software stack lowers every conv, even though the host's fp32
+		// conv reads its patches in place.
 		{Kind: OpStream, Bytes: uint64(m*kk) * f32},
 		{Kind: OpMatMul, M: m, K: kk, N: outC},
 	}

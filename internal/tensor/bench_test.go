@@ -35,7 +35,7 @@ func BenchmarkMatMulSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulRows(c.Data, a.Data, w.Data, 0, 768, 144, 64, ActiveKernel())
+		matMulRows(c.Data, plainA(a.Data, 144), w.Data, 0, 768, 144, 64, ActiveKernel())
 	}
 }
 
@@ -49,7 +49,7 @@ func BenchmarkMatMulParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulParallel(c.Data, a.Data, w.Data, 768, 144, 64, 4, ActiveKernel())
+		matMulParallel(c.Data, plainA(a.Data, 144), w.Data, 768, 144, 64, 4, ActiveKernel())
 	}
 }
 
@@ -78,6 +78,51 @@ func BenchmarkConv2DWorkspace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := Conv2DWS(ws, x, w, wt, Epilogue{Bias: bias}, 1, 1)
 		ws.Put(out)
+	}
+}
+
+// BenchmarkConvKernels times Conv2DWS (bias epilogue, precomputed weight
+// transpose) on a warm workspace under each forced kernel, on ResNet14's
+// conv shapes: the 5×5/s2 stem, the 3×3/s1 block convs at 16, 32 and 64
+// channels, the 3×3/s2 downsampling convs 16→32 and 32→64, and the 1×1/s2
+// projection 16→32. It reports us/op beside ns/op, and 0 allocs/op at
+// -cpu 1 (at GOMAXPROCS > 1 the larger convs start the GEMM's band
+// goroutines). Unsupported kernels skip.
+func BenchmarkConvKernels(b *testing.B) {
+	shapes := []struct {
+		name string
+		c    convCase
+	}{
+		{"stem5x5s2", convCase{1, 16, 48, 64, 5, 2, 2}},
+		{"3x3s1c16", convCase{16, 16, 24, 32, 3, 1, 1}},
+		{"3x3s1c32", convCase{32, 32, 12, 16, 3, 1, 1}},
+		{"3x3s1c64", convCase{64, 64, 6, 8, 3, 1, 1}},
+		{"3x3s2c16to32", convCase{16, 32, 24, 32, 3, 2, 1}},
+		{"3x3s2c32to64", convCase{32, 64, 12, 16, 3, 2, 1}},
+		{"1x1s2c16to32", convCase{16, 32, 24, 32, 1, 2, 0}},
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, kern := range kernelMatrix {
+		for _, s := range shapes {
+			x, w, bias := randConv(rng, s.c)
+			b.Run(kern.String()+"/"+s.name, func(b *testing.B) {
+				prev := ActiveKernel()
+				if err := ForceKernel(kern); err != nil {
+					b.Skipf("kernel %v unsupported on this host", kern)
+				}
+				defer ForceKernel(prev)
+				wt := ConvWeightT(w)
+				ep := Epilogue{Bias: bias}
+				ws := NewWorkspace()
+				ws.Put(Conv2DWS(ws, x, w, wt, ep, s.c.stride, s.c.pad))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws.Put(Conv2DWS(ws, x, w, wt, ep, s.c.stride, s.c.pad))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/op")
+			})
+		}
 	}
 }
 
@@ -113,7 +158,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					matMulRows(c.Data, a.Data, w.Data, 0, s.m, s.k, s.n, kern)
+					matMulRows(c.Data, plainA(a.Data, s.k), w.Data, 0, s.m, s.k, s.n, kern)
 				}
 				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "macs/ns")
 			})

@@ -4,26 +4,28 @@ package tensor
 
 // sgemm2x8 computes one 2-row × 8-column tile of C over a K panel:
 //
-//	c0[0:8] (+)= Σ_kk a0[kk] · b[kk·n : kk·n+8]
-//	c1[0:8] (+)= Σ_kk a1[kk] · b[kk·n : kk·n+8]
+//	c0[0:8] (+)= Σ_kk a0[off[kk]] · b[kk·n : kk·n+8]
+//	c1[0:8] (+)= Σ_kk a1[off[kk]] · b[kk·n : kk·n+8]
 //
-// for kk in [0, k). a0/a1 point at the panel's first A elements, b at the
-// panel's first B row offset to the tile's column, c0/c1 at the tile's two C
-// rows. n is the row stride of B in elements; k must be ≥ 1. When acc is
-// false the tile overwrites C, otherwise it accumulates into it (the C values
-// are loaded before the K loop, so per-element summation order stays strictly
-// k-ascending across panels — results are bit-identical to the scalar
-// kernel, which performs the same IEEE-754 single ops per lane).
+// for kk in [0, k). a0/a1 point at the two A rows' origins and off at the
+// panel's offset table (gemmA), b at the panel's first B row offset to the
+// tile's column, c0/c1 at the tile's two C rows. n is the row stride of B
+// in elements; k must be ≥ 1. The kernel does not bounds-check: its Go
+// caller has indexed the largest A address beforehand (gemm). When acc is
+// false the tile overwrites C, otherwise it accumulates into it (the C
+// values are loaded before the K loop, so per-element summation order stays
+// strictly k-ascending across panels — results are bit-identical to the
+// scalar kernel, which performs the same IEEE-754 single ops per lane).
 //
 //go:noescape
-func sgemm2x8(k, n int, a0, a1, b, c0, c1 *float32, acc bool)
+func sgemm2x8(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool)
 
 // sgemm4x16 is the AVX2 4-row × 16-column twin of sgemm2x8: same contract,
 // wider register tile. It uses separate VMULPS+VADDPS (never FMA) so its
 // float32 results remain bit-identical to the scalar and SSE kernels.
 //
 //go:noescape
-func sgemm4x16(k, n int, a0, a1, a2, a3, b, c0, c1, c2, c3 *float32, acc bool)
+func sgemm4x16(k, n int, a0, a1, a2, a3 *float32, off *int32, b, c0, c1, c2, c3 *float32, acc bool)
 
 // i8gemm4x16 computes one 4-row × 16-column tile of the int8 GEMM exactly:
 //

@@ -2,21 +2,23 @@
 
 #include "textflag.h"
 
-// func sgemm2x8(k, n int, a0, a1, b, c0, c1 *float32, acc bool)
+// func sgemm2x8(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool)
 //
 // SSE microkernel: 2 rows × 8 columns of C held in X0-X3 across the K loop.
-// Per iteration: two 4-wide loads of a B row, splat of a0[kk] and a1[kk],
-// four MULPS+ADDPS pairs (16 MACs). Lane-wise ADDPS applies the same IEEE
-// single-precision add as the scalar kernel, in the same k-ascending order,
-// so the result bits are identical.
-TEXT ·sgemm2x8(SB), NOSPLIT, $0-57
+// Per iteration: one load of the offset off[kk], two 4-wide loads of a B
+// row, splats of a0[off[kk]] and a1[off[kk]], four MULPS+ADDPS pairs (16
+// MACs). Lane-wise ADDPS applies the same IEEE single-precision add as the
+// scalar kernel, in the same k-ascending order, so the result bits are
+// identical.
+TEXT ·sgemm2x8(SB), NOSPLIT, $0-65
 	MOVQ k+0(FP), CX
 	MOVQ n+8(FP), DX
 	MOVQ a0+16(FP), SI
 	MOVQ a1+24(FP), DI
-	MOVQ b+32(FP), BX
-	MOVQ c0+40(FP), R8
-	MOVQ c1+48(FP), R9
+	MOVQ off+32(FP), R10
+	MOVQ b+40(FP), BX
+	MOVQ c0+48(FP), R8
+	MOVQ c1+56(FP), R9
 
 	SHLQ $2, DX             // B row stride in bytes
 
@@ -24,7 +26,7 @@ TEXT ·sgemm2x8(SB), NOSPLIT, $0-57
 	XORPS X1, X1            // c0[4:8]
 	XORPS X2, X2            // c1[0:4]
 	XORPS X3, X3            // c1[4:8]
-	MOVBLZX acc+56(FP), AX
+	MOVBLZX acc+64(FP), AX
 	TESTB AL, AL
 	JZ   kloop
 	MOVUPS (R8), X0         // accumulate mode: start from current C
@@ -33,12 +35,13 @@ TEXT ·sgemm2x8(SB), NOSPLIT, $0-57
 	MOVUPS 16(R9), X3
 
 kloop:
+	MOVLQSX (R10), AX       // off[kk]
 	MOVUPS (BX), X4         // b[kk·n+j : +4]
 	MOVUPS 16(BX), X5       // b[kk·n+j+4 : +8]
-	MOVSS  (SI), X6
-	SHUFPS $0x00, X6, X6    // splat a0[kk]
-	MOVSS  (DI), X7
-	SHUFPS $0x00, X7, X7    // splat a1[kk]
+	MOVSS  (SI)(AX*4), X6
+	SHUFPS $0x00, X6, X6    // splat a0[off[kk]]
+	MOVSS  (DI)(AX*4), X7
+	SHUFPS $0x00, X7, X7    // splat a1[off[kk]]
 
 	MOVAPS X4, X8
 	MULPS  X6, X8
@@ -51,8 +54,7 @@ kloop:
 	MULPS  X7, X5
 	ADDPS  X5, X3
 
-	ADDQ $4, SI
-	ADDQ $4, DI
+	ADDQ $4, R10
 	ADDQ DX, BX
 	DECQ CX
 	JNZ  kloop

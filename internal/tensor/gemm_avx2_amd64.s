@@ -2,29 +2,28 @@
 
 #include "textflag.h"
 
-// func sgemm4x16(k, n int, a0, a1, a2, a3, b, c0, c1, c2, c3 *float32, acc bool)
+// func sgemm4x16(k, n int, a0, a1, a2, a3 *float32, off *int32, b, c0, c1, c2, c3 *float32, acc bool)
 //
 // AVX2 microkernel: 4 rows × 16 columns of C held in Y0-Y7 across the K
-// loop (two 8-lane accumulators per row). Per iteration: two 8-wide loads
-// of a B row, one broadcast per A row, and a VMULPS+VADDPS pair per
-// accumulator (64 MACs). The multiply and add are deliberately separate
-// instructions rather than a fused VFMADD: FMA's single rounding would
-// change result bits, and the repo's contract is bit-identical float32
-// output across every kernel (scalar, SSE, AVX2). Lane-wise VADDPS applies
-// the same IEEE single-precision add as the scalar kernel in the same
-// k-ascending order, so the result bits are identical.
-TEXT ·sgemm4x16(SB), NOSPLIT, $0-89
+// loop (two 8-lane accumulators per row). Per iteration: one load of the
+// offset off[kk], two 8-wide loads of a B row, one broadcast of a_r[off[kk]]
+// per A row, and a VMULPS+VADDPS pair per accumulator (64 MACs). The
+// multiply and add are deliberately separate instructions rather than a
+// fused VFMADD: FMA's single rounding would change result bits, and the
+// repo's contract is bit-identical float32 output across every kernel
+// (scalar, SSE, AVX2). Lane-wise VADDPS applies the same IEEE
+// single-precision add as the scalar kernel in the same k-ascending order,
+// so the result bits are identical. The C row pointers are read from the
+// frame only around the loop, leaving the loop its nine registers.
+TEXT ·sgemm4x16(SB), NOSPLIT, $0-97
 	MOVQ k+0(FP), CX
 	MOVQ n+8(FP), DX
 	MOVQ a0+16(FP), SI
 	MOVQ a1+24(FP), DI
 	MOVQ a2+32(FP), R10
 	MOVQ a3+40(FP), R11
-	MOVQ b+48(FP), BX
-	MOVQ c0+56(FP), R8
-	MOVQ c1+64(FP), R9
-	MOVQ c2+72(FP), R12
-	MOVQ c3+80(FP), R13
+	MOVQ off+48(FP), R12
+	MOVQ b+56(FP), BX
 
 	SHLQ $2, DX             // B row stride in bytes
 
@@ -36,62 +35,68 @@ TEXT ·sgemm4x16(SB), NOSPLIT, $0-89
 	VXORPS Y5, Y5, Y5       // c2[8:16]
 	VXORPS Y6, Y6, Y6       // c3[0:8]
 	VXORPS Y7, Y7, Y7       // c3[8:16]
-	MOVBLZX acc+88(FP), AX
+	MOVBLZX acc+96(FP), AX
 	TESTB AL, AL
 	JZ   kloop
-	VMOVUPS (R8), Y0        // accumulate mode: start from current C
+	MOVQ c0+64(FP), R8      // accumulate mode: start from current C
+	VMOVUPS (R8), Y0
 	VMOVUPS 32(R8), Y1
-	VMOVUPS (R9), Y2
-	VMOVUPS 32(R9), Y3
-	VMOVUPS (R12), Y4
-	VMOVUPS 32(R12), Y5
-	VMOVUPS (R13), Y6
-	VMOVUPS 32(R13), Y7
+	MOVQ c1+72(FP), R8
+	VMOVUPS (R8), Y2
+	VMOVUPS 32(R8), Y3
+	MOVQ c2+80(FP), R8
+	VMOVUPS (R8), Y4
+	VMOVUPS 32(R8), Y5
+	MOVQ c3+88(FP), R8
+	VMOVUPS (R8), Y6
+	VMOVUPS 32(R8), Y7
 
 kloop:
+	MOVLQSX (R12), AX       // off[kk]
 	VMOVUPS (BX), Y8        // b[kk·n+j : +8]
 	VMOVUPS 32(BX), Y9      // b[kk·n+j+8 : +16]
 
-	VBROADCASTSS (SI), Y10  // splat a0[kk]
+	VBROADCASTSS (SI)(AX*4), Y10  // splat a0[off[kk]]
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y0, Y0
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y1, Y1
 
-	VBROADCASTSS (DI), Y10  // splat a1[kk]
+	VBROADCASTSS (DI)(AX*4), Y10  // splat a1[off[kk]]
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y2, Y2
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y3, Y3
 
-	VBROADCASTSS (R10), Y10 // splat a2[kk]
+	VBROADCASTSS (R10)(AX*4), Y10 // splat a2[off[kk]]
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y4, Y4
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y5, Y5
 
-	VBROADCASTSS (R11), Y10 // splat a3[kk]
+	VBROADCASTSS (R11)(AX*4), Y10 // splat a3[off[kk]]
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y6, Y6
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y7, Y7
 
-	ADDQ $4, SI
-	ADDQ $4, DI
-	ADDQ $4, R10
-	ADDQ $4, R11
+	ADDQ $4, R12
 	ADDQ DX, BX
 	DECQ CX
 	JNZ  kloop
 
+	MOVQ c0+64(FP), R8
 	VMOVUPS Y0, (R8)
 	VMOVUPS Y1, 32(R8)
-	VMOVUPS Y2, (R9)
-	VMOVUPS Y3, 32(R9)
-	VMOVUPS Y4, (R12)
-	VMOVUPS Y5, 32(R12)
-	VMOVUPS Y6, (R13)
-	VMOVUPS Y7, 32(R13)
+	MOVQ c1+72(FP), R8
+	VMOVUPS Y2, (R8)
+	VMOVUPS Y3, 32(R8)
+	MOVQ c2+80(FP), R8
+	VMOVUPS Y4, (R8)
+	VMOVUPS Y5, 32(R8)
+	MOVQ c3+88(FP), R8
+	VMOVUPS Y6, (R8)
+	VMOVUPS Y7, 32(R8)
 	VZEROUPPER
 	RET
 

@@ -7,10 +7,12 @@ import "unsafe"
 // sgemm2x8 on platforms without assembly. It performs the exact same
 // IEEE-754 single-precision operations per output element in the same
 // k-ascending order as the SSE and AVX2 kernels, so every kernel produces
-// identical bits.
-func sgemm2x8generic(k, n int, a0, a1, b, c0, c1 *float32, acc bool) {
-	as0 := unsafe.Slice(a0, k)
-	as1 := unsafe.Slice(a1, k)
+// identical bits. Like them it reads A row r's element kk at
+// a_r[off[kk]] without a bounds check: gemm has indexed the largest A
+// address before any kernel runs.
+func sgemm2x8generic(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool) {
+	offs := unsafe.Slice(off, k)
+	r0, r1 := unsafe.Pointer(a0), unsafe.Pointer(a1)
 	bs := unsafe.Slice(b, (k-1)*n+8)
 	cs0 := unsafe.Slice(c0, 8)
 	cs1 := unsafe.Slice(c1, 8)
@@ -24,10 +26,10 @@ func sgemm2x8generic(k, n int, a0, a1, b, c0, c1 *float32, acc bool) {
 		s14, s15, s16, s17 = cs1[4], cs1[5], cs1[6], cs1[7]
 	}
 	p := 0
-	for kk := 0; kk < k; kk++ {
+	for _, o := range offs {
 		bq := bs[p : p+8 : p+8]
 		p += n
-		av := as0[kk]
+		av := *(*float32)(unsafe.Add(r0, uintptr(o)*4))
 		s00 += av * bq[0]
 		s01 += av * bq[1]
 		s02 += av * bq[2]
@@ -36,7 +38,7 @@ func sgemm2x8generic(k, n int, a0, a1, b, c0, c1 *float32, acc bool) {
 		s05 += av * bq[5]
 		s06 += av * bq[6]
 		s07 += av * bq[7]
-		av = as1[kk]
+		av = *(*float32)(unsafe.Add(r1, uintptr(o)*4))
 		s10 += av * bq[0]
 		s11 += av * bq[1]
 		s12 += av * bq[2]

@@ -4,13 +4,13 @@ package tensor
 
 // sgemm2x8 on platforms without assembly delegates to the portable kernel;
 // same IEEE ops in the same order, so asm and fallback are bit-identical.
-func sgemm2x8(k, n int, a0, a1, b, c0, c1 *float32, acc bool) {
-	sgemm2x8generic(k, n, a0, a1, b, c0, c1, acc)
+func sgemm2x8(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool) {
+	sgemm2x8generic(k, n, a0, a1, off, b, c0, c1, acc)
 }
 
 // sgemm4x16 is unreachable without assembly: KernelAVX2 is never supported
 // (KernelSupported gates on gemmHasAsm), so dispatch cannot select it.
-func sgemm4x16(k, n int, a0, a1, a2, a3, b, c0, c1, c2, c3 *float32, acc bool) {
+func sgemm4x16(k, n int, a0, a1, a2, a3 *float32, off *int32, b, c0, c1, c2, c3 *float32, acc bool) {
 	panic("tensor: AVX2 kernel dispatched without assembly support")
 }
 

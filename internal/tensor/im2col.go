@@ -1,25 +1,33 @@
 package tensor
 
-// im2col lowering, shared by the float32 and int8 pipelines via a type
-// parameter (both are pure element moves, so the generic code is exactly the
-// scalar code twice-instantiated — results stay bit-identical to the naive
-// triple loop by construction).
+import "math"
+
+// Convolution operands. An fp32 convolution builds no patch matrix: its
+// GEMM reads the (padded) input in place through a per-conv offset table
+// (convA), so every product reads the elements the lowering would have
+// copied, in the same order. The int8 pipeline still lowers with im2col,
+// because its AVX2 kernel broadcasts contiguous activation pairs and its
+// portable kernel skips all-zero ones (quant.go); the lowering is generic
+// over the element type so a float32 instantiation can serve as the tests'
+// reference.
 //
 // There is one lowering for every shape. A padded convolution first copies
 // its input once into a zero-bordered scratch plane per channel (padInto),
 // so every patch element afterwards is in bounds: each output pixel is
 // lowered with unconditional moves, one kw-long run per (pixel, channel,
-// kernel row), the 3×3 run unrolled. The per-element bounds tests and the
-// separate border path that profiles once showed at a third of the lowering
-// are gone; the padding copy costs one pass over the input.
+// kernel row), the 3×3 run unrolled. The fp32 path reads the same padded
+// planes.
 
 // im2colElem constrains the element types im2col is instantiated for.
 type im2colElem interface{ ~float32 | ~int8 }
 
 // padInto copies the c planes of h×w in x into the zero-bordered
 // (h+2p)×(w+2p) planes of dst. Every element of dst is written, so a
-// recycled workspace buffer needs no prior clearing.
+// recycled workspace buffer needs no prior clearing. An x shorter than its
+// c·h·w elements panics: the row copies slice x, and a slice expression
+// may reach past len up to cap, so the last element is indexed first.
 func padInto[T im2colElem](dst, x []T, c, h, w, p int) {
+	_ = x[c*h*w-1]
 	wp := w + 2*p
 	i := 0
 	for ch := 0; ch < c; ch++ {
@@ -37,6 +45,32 @@ func padInto[T im2colElem](dst, x []T, c, h, w, p int) {
 		clear(dst[i : i+p+p*wp])
 		i += p + p*wp
 	}
+}
+
+// convA returns the in-place GEMM operand of a convolution over the c
+// planes of hp×wp in src, which already hold any padding: row p is output
+// pixel p of a row of outW, whose kh×kw windows start at
+// (p/outW)·stride·wp + (p%outW)·stride, and kk = (channel, kernel row,
+// kernel column) sits off[kk] = channel·hp·wp + row·wp + column past it,
+// the order lowerInto copies a patch in. off must hold c·kh·kw entries;
+// every one is written. The table is strictly increasing (kw ≤ wp and
+// kh ≤ hp), which gemm's bounds check relies on.
+func convA(src []float32, off []int32, c, hp, wp, kh, kw, stride, outW int) gemmA {
+	plane := hp * wp
+	if c*plane > math.MaxInt32 {
+		panic("tensor: conv input too large for int32 offsets")
+	}
+	off = off[:c*kh*kw]
+	i := 0
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				off[i] = int32(ch*plane + ky*wp + kx)
+				i++
+			}
+		}
+	}
+	return gemmA{data: src, off: off, cols: outW, rowStride: stride * wp, colStride: stride}
 }
 
 // lowerInto writes the patch matrix of the c planes of hp×wp in src, which
@@ -85,10 +119,13 @@ func lowerInto[T im2colElem](cd, src []T, c, hp, wp, kh, kw, stride, outH, outW 
 
 // im2col lowers the c×h×w input xd into cd. scratch holds the padded planes
 // when pad > 0 (c·(h+2·pad)·(w+2·pad) elements) and is unused otherwise.
+// lowerInto reads its windows as slices of xd, which may reach past len up
+// to cap, so the last element is indexed first.
 func im2col[T im2colElem](cd, xd, scratch []T, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	if pad > 0 {
 		padInto(scratch, xd, c, h, w, pad)
 		xd, h, w = scratch, h+2*pad, w+2*pad
 	}
+	_ = xd[c*h*w-1]
 	lowerInto(cd, xd, c, h, w, kh, kw, stride, outH, outW)
 }

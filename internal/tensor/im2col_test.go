@@ -6,6 +6,35 @@ import (
 	"testing"
 )
 
+// Im2Col lowers a CHW input for a KH×KW convolution with the given stride
+// and padding into a matrix of shape [outH*outW, C*KH*KW]: the float32
+// instantiation of the lowering Im2ColI8Into runs, which the tests pin to
+// the naive loop and to the int8 lowering. No product code lowers float32:
+// Conv2DWS reads its patches in place.
+func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
+	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
+	cols := New(outH*outW, x.Shape[0]*kh*kw)
+	Im2ColInto(nil, cols, x, kh, kw, stride, pad)
+	return cols, outH, outW
+}
+
+// Im2ColInto is Im2Col into cols, drawing a padded lowering's
+// zero-bordered copy of x from ws (nil allocates), as Im2ColI8Into does.
+func Im2ColInto(ws *Workspace, cols, x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
+	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	checkCols(len(cols.Data), c, kh, kw, outH, outW)
+	var padded *Tensor
+	var scratch []float32
+	if pad > 0 {
+		padded = ws.Get(c, h+2*pad, w+2*pad)
+		scratch = padded.Data
+	}
+	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
+	ws.Put(padded)
+	return outH, outW
+}
+
 // im2colNaive is the reference lowering the optimized paths must match
 // element-for-element: the original per-element triple loop with bounds
 // checks in the innermost position.

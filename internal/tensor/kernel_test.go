@@ -267,7 +267,7 @@ func TestKernelParallelParityMatrix(t *testing.T) {
 		withKernel(t, kern, func() {
 			for _, workers := range []int{2, 5, m + 1} {
 				got := make([]float32, m*n)
-				matMulParallel(got, a.Data, b.Data, m, k, n, workers, kern)
+				matMulParallel(got, plainA(a.Data, k), b.Data, m, k, n, workers, kern)
 				assertSameBits(t, kern.String()+" parallel workers="+itoa(workers), got, want.Data)
 			}
 		})

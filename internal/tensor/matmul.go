@@ -21,11 +21,93 @@ const (
 	gemmNR16 = 16  // columns of B per AVX2 register tile
 	gemmKC   = 256 // K-panel height kept hot in L1
 
-	// gemmParallelMACs is the m·k·n threshold above which MatMulInto fans
-	// row panels out across cores; below it (e.g. the 1×K×3 head GEMMs)
+	// gemmParallelMACs is the m·k·n threshold above which a GEMM fans row
+	// panels out across cores; below it (e.g. the 1×K×3 head GEMMs)
 	// goroutine overhead would dominate and the serial kernel runs inline.
 	gemmParallelMACs = 1 << 18
 )
+
+// gemmA is a GEMM's A operand, addressed in place instead of copied into a
+// row-major matrix:
+//
+//	A[i][kk] = data[origin(i) + off[kk]]
+//	origin(i) = (i/cols)·rowStride + (i%cols)·colStride
+//
+// A convolution's A is its patch matrix read straight from the (padded)
+// input: row i is output pixel (i/outW, i%outW), origin(i) its window
+// corner, and off the K (channel, kernel row, kernel column) offsets
+// (convA). A plain row-major m×k matrix is cols = 1, rowStride = k and a
+// nil off, which stands for the identity: each K panel advances the row
+// origins to the panel and reads through the fixed gemmIdent table. Every
+// kernel reads A through row pointers plus a panel of the table, so one
+// microkernel per family serves both. origin and off are both
+// non-decreasing, so the largest address any tile reads is
+// origin(m−1) + off[k−1] (last).
+type gemmA struct {
+	data                       []float32
+	off                        []int32
+	cols, rowStride, colStride int
+}
+
+// gemmIdent is the offset table of a plain row-major A: a panel's row
+// pointers already sit at its first column.
+var gemmIdent = func() (t [gemmKC]int32) {
+	for i := range t {
+		t[i] = int32(i)
+	}
+	return t
+}()
+
+// plainA is the row-major matrix with k columns in data.
+func plainA(data []float32, k int) gemmA {
+	return gemmA{data: data, cols: 1, rowStride: k}
+}
+
+// origin returns the address of row i's first element.
+func (a *gemmA) origin(i int) int {
+	return i/a.cols*a.rowStride + i%a.cols*a.colStride
+}
+
+// last returns the largest address an m×k product reads.
+func (a *gemmA) last(m, k int) int {
+	if a.off == nil {
+		return a.origin(m-1) + k - 1
+	}
+	return a.origin(m-1) + int(a.off[k-1])
+}
+
+// panel returns the offset table of the K panel [k0, k1) and the shift its
+// row origins take.
+func (a *gemmA) panel(k0, k1 int) (tab []int32, shift int) {
+	if a.off == nil {
+		return gemmIdent[:k1-k0], k0
+	}
+	return a.off[k0:k1], 0
+}
+
+// rowCursor walks the origins of consecutive A rows without a division per
+// row.
+type rowCursor struct {
+	o, x                  int // the next row's origin and its column in the output row
+	cols, colStride, wrap int
+}
+
+// rows returns a cursor at row i whose origins are shifted by shift.
+func (a *gemmA) rows(i, shift int) rowCursor {
+	return rowCursor{o: a.origin(i) + shift, x: i % a.cols, cols: a.cols,
+		colStride: a.colStride, wrap: a.rowStride - a.cols*a.colStride}
+}
+
+// next returns the current row's origin and advances to the next row.
+func (r *rowCursor) next() int {
+	o := r.o
+	r.o += r.colStride
+	if r.x++; r.x == r.cols {
+		r.x = 0
+		r.o += r.wrap
+	}
+	return o
+}
 
 // MatMul computes C[M×N] = A[M×K] · B[K×N] into a fresh tensor. A and B are
 // interpreted as 2-D row-major matrices regardless of their declared shapes;
@@ -39,12 +121,7 @@ func MatMul(a, b *Tensor, m, k, n int) *Tensor {
 
 // MatMulInto computes C = A·B into dst, which must hold at least m*n
 // elements. Every element of dst[:m*n] is overwritten; no zeroing is
-// required beforehand. Large products are computed in parallel across row
-// panels (each goroutine owns disjoint rows of C, so per-element summation
-// order — and therefore the bit pattern of the result — is identical to the
-// serial kernel). The microkernel is resolved once per call from the
-// runtime-dispatched selection (kernel.go); in-flight calls are unaffected
-// by concurrent ForceKernel.
+// required beforehand.
 func MatMulInto(dst, a, b *Tensor, m, k, n int) {
 	if len(a.Data) != m*k || len(b.Data) != k*n {
 		panic(fmt.Sprintf("tensor: matmul %dx%d · %dx%d with %d/%d elements",
@@ -53,25 +130,37 @@ func MatMulInto(dst, a, b *Tensor, m, k, n int) {
 	if len(dst.Data) < m*n {
 		panic(fmt.Sprintf("tensor: matmul dst holds %d elements, need %d", len(dst.Data), m*n))
 	}
-	if k == 0 {
-		for i := range dst.Data[:m*n] {
-			dst.Data[i] = 0
-		}
+	if k == 0 || m*n == 0 {
+		clear(dst.Data[:m*n])
 		return
 	}
+	gemm(dst.Data, plainA(a.Data, k), b.Data, m, k, n)
+}
+
+// gemm computes C[m×n] = A·B into cd for m, k, n ≥ 1. Large products are
+// computed in parallel across row panels (each goroutine owns disjoint rows
+// of C, so per-element summation order — and therefore the bit pattern of
+// the result — is identical to the serial kernel). The microkernel is resolved once per
+// call from the runtime-dispatched selection (kernel.go); in-flight calls
+// are unaffected by concurrent ForceKernel.
+func gemm(cd []float32, a gemmA, bd []float32, m, k, n int) {
+	// The asm kernels do not bounds-check. Index the largest address any
+	// tile reads, so an operand shorter than its geometry panics here.
+	_ = a.data[a.last(m, k)]
+	_ = bd[k*n-1]
 	kern := ActiveKernel()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 && m*k*n >= gemmParallelMACs && m >= 2*gemmMR {
-		matMulParallel(dst.Data, a.Data, b.Data, m, k, n, workers, kern)
+		matMulParallel(cd, a, bd, m, k, n, workers, kern)
 		return
 	}
-	matMulRows(dst.Data, a.Data, b.Data, 0, m, k, n, kern)
+	matMulRows(cd, a, bd, 0, m, k, n, kern)
 }
 
 // matMulParallel splits the row range into one contiguous band per worker.
 // Bands are disjoint, so no synchronization beyond the final join is needed
 // and the output is bit-identical to the serial kernel.
-func matMulParallel(cd, ad, bd []float32, m, k, n, workers int, kern Kernel) {
+func matMulParallel(cd []float32, a gemmA, bd []float32, m, k, n, workers int, kern Kernel) {
 	if workers > m {
 		workers = m
 	}
@@ -87,169 +176,121 @@ func matMulParallel(cd, ad, bd []float32, m, k, n, workers int, kern Kernel) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			matMulRows(cd, ad, bd, lo, hi, k, n, kern)
+			matMulRows(cd, a, bd, lo, hi, k, n, kern)
 		}(i0, i1)
 		i0 = i1
 	}
 	wg.Wait()
 }
 
-// matMulRows computes rows [i0, i1) of C, dispatching on the selected
-// microkernel family. Every family uses the same K-panel blocking and the
-// same per-element summation order.
-func matMulRows(cd, ad, bd []float32, i0, i1, k, n int, kern Kernel) {
-	switch kern {
-	case KernelAVX2:
-		matMulRowsAVX2(cd, ad, bd, i0, i1, k, n)
-	case KernelNoAsm:
-		matMulRows2x8(cd, ad, bd, i0, i1, k, n, sgemm2x8generic)
-	default:
-		matMulRows2x8(cd, ad, bd, i0, i1, k, n, sgemm2x8)
-	}
-}
+// tile2x8 is the 2×8 microkernel signature shared by sgemm2x8 and
+// sgemm2x8generic.
+type tile2x8 = func(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool)
 
-// matMulRows2x8 computes rows [i0, i1) of C with a 2x8 register tile. The K
-// dimension is processed in gemmKC panels: the first panel overwrites C (so
-// callers never pre-zero), subsequent panels accumulate into it. Within a
-// panel, 2×8 register tiles run through the given microkernel (SIMD asm or
-// its portable twin); row/column remainders use scalar loops with the same
-// per-element summation order.
-func matMulRows2x8(cd, ad, bd []float32, i0, i1, k, n int,
-	tile func(k, n int, a0, a1, b, c0, c1 *float32, acc bool)) {
+// matMulRows computes rows [i0, i1) of C, one gemmKC panel of K at a time:
+// the first panel overwrites C (so callers never pre-zero), later ones
+// accumulate into it. Each panel runs on the selected microkernel family,
+// whose every fragment keeps the same k-ascending per-element order, so
+// the result is bit-identical across families.
+func matMulRows(cd []float32, a gemmA, bd []float32, i0, i1, k, n int, kern Kernel) {
 	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := k0 + gemmKC
-		if k1 > k {
-			k1 = k
-		}
-		acc := k0 > 0
-		kc := k1 - k0
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			a0 := ad[i*k+k0 : i*k+k1 : i*k+k1]
-			a1 := ad[(i+1)*k+k0 : (i+1)*k+k1 : (i+1)*k+k1]
-			c0 := cd[i*n : (i+1)*n : (i+1)*n]
-			c1 := cd[(i+1)*n : (i+2)*n : (i+2)*n]
-			j := 0
-			for ; j+gemmNR <= n; j += gemmNR {
-				tile(kc, n, &a0[0], &a1[0], &bd[k0*n+j], &c0[j], &c1[j], acc)
-			}
-			for ; j < n; j++ {
-				var s0, s1 float32
-				if acc {
-					s0, s1 = c0[j], c1[j]
-				}
-				p := k0*n + j
-				for kk := 0; kk < kc; kk++ {
-					bv := bd[p]
-					p += n
-					s0 += a0[kk] * bv
-					s1 += a1[kk] * bv
-				}
-				c0[j], c1[j] = s0, s1
-			}
-		}
-		for ; i < i1; i++ {
-			matMulTile1(cd, ad, bd, i, k0, k1, k, n, acc)
+		tab, shift := a.panel(k0, min(k0+gemmKC, k))
+		rows := a.rows(i0, shift)
+		bp, acc := bd[k0*n:], k0 > 0
+		switch kern {
+		case KernelAVX2:
+			panel4x16(cd, a.data, &rows, tab, bp, i0, i1, n, acc)
+		case KernelNoAsm:
+			panel2x8(cd, a.data, &rows, tab, bp, i0, i1, n, acc, sgemm2x8generic)
+		default:
+			panel2x8(cd, a.data, &rows, tab, bp, i0, i1, n, acc, sgemm2x8)
 		}
 	}
 }
 
-// matMulRowsAVX2 computes rows [i0, i1) of C with the 4x16 AVX2 register
-// tile. Column remainders step down to 8-wide SSE tiles and then scalar;
-// row remainders fall back to the 2x8 stripes. Every fragment keeps the
-// k-ascending per-element order, so the result is bit-identical to the
-// other kernels.
-func matMulRowsAVX2(cd, ad, bd []float32, i0, i1, k, n int) {
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := k0 + gemmKC
-		if k1 > k {
-			k1 = k
+// panel4x16 computes rows [i, i1) of C for one K panel with the 4x16 AVX2
+// register tile: A rows at rows' origins in ad, read through tab; bp the
+// panel's first B row. Column remainders step down to 8-wide SSE tiles and
+// then scalar; the row remainder goes to panel2x8.
+func panel4x16(cd, ad []float32, rows *rowCursor, tab []int32, bp []float32, i, i1, n int, acc bool) {
+	kc := len(tab)
+	for ; i+gemmMR4 <= i1; i += gemmMR4 {
+		r0, r1 := ad[rows.next():], ad[rows.next():]
+		r2, r3 := ad[rows.next():], ad[rows.next():]
+		c := cd[i*n : (i+4)*n : (i+4)*n]
+		j := 0
+		for ; j+gemmNR16 <= n; j += gemmNR16 {
+			sgemm4x16(kc, n, &r0[0], &r1[0], &r2[0], &r3[0], &tab[0],
+				&bp[j], &c[j], &c[n+j], &c[2*n+j], &c[3*n+j], acc)
 		}
-		acc := k0 > 0
-		kc := k1 - k0
-		i := i0
-		for ; i+gemmMR4 <= i1; i += gemmMR4 {
-			a0 := ad[i*k+k0 : i*k+k1 : i*k+k1]
-			a1 := ad[(i+1)*k+k0 : (i+1)*k+k1 : (i+1)*k+k1]
-			a2 := ad[(i+2)*k+k0 : (i+2)*k+k1 : (i+2)*k+k1]
-			a3 := ad[(i+3)*k+k0 : (i+3)*k+k1 : (i+3)*k+k1]
-			c0 := cd[i*n : (i+1)*n : (i+1)*n]
-			c1 := cd[(i+1)*n : (i+2)*n : (i+2)*n]
-			c2 := cd[(i+2)*n : (i+3)*n : (i+3)*n]
-			c3 := cd[(i+3)*n : (i+4)*n : (i+4)*n]
-			j := 0
-			for ; j+gemmNR16 <= n; j += gemmNR16 {
-				sgemm4x16(kc, n, &a0[0], &a1[0], &a2[0], &a3[0],
-					&bd[k0*n+j], &c0[j], &c1[j], &c2[j], &c3[j], acc)
-			}
-			for ; j+gemmNR <= n; j += gemmNR {
-				sgemm2x8(kc, n, &a0[0], &a1[0], &bd[k0*n+j], &c0[j], &c1[j], acc)
-				sgemm2x8(kc, n, &a2[0], &a3[0], &bd[k0*n+j], &c2[j], &c3[j], acc)
-			}
-			for ; j < n; j++ {
-				var s0, s1, s2, s3 float32
-				if acc {
-					s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
-				}
-				p := k0*n + j
-				for kk := 0; kk < kc; kk++ {
-					bv := bd[p]
-					p += n
-					s0 += a0[kk] * bv
-					s1 += a1[kk] * bv
-					s2 += a2[kk] * bv
-					s3 += a3[kk] * bv
-				}
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			}
+		for ; j+gemmNR <= n; j += gemmNR {
+			sgemm2x8(kc, n, &r0[0], &r1[0], &tab[0], &bp[j], &c[j], &c[n+j], acc)
+			sgemm2x8(kc, n, &r2[0], &r3[0], &tab[0], &bp[j], &c[2*n+j], &c[3*n+j], acc)
 		}
-		// Row remainder: 2-row stripes, then a final single row.
-		for ; i+gemmMR <= i1; i += gemmMR {
-			a0 := ad[i*k+k0 : i*k+k1 : i*k+k1]
-			a1 := ad[(i+1)*k+k0 : (i+1)*k+k1 : (i+1)*k+k1]
-			c0 := cd[i*n : (i+1)*n : (i+1)*n]
-			c1 := cd[(i+1)*n : (i+2)*n : (i+2)*n]
-			j := 0
-			for ; j+gemmNR <= n; j += gemmNR {
-				sgemm2x8(kc, n, &a0[0], &a1[0], &bd[k0*n+j], &c0[j], &c1[j], acc)
-			}
-			for ; j < n; j++ {
-				var s0, s1 float32
-				if acc {
-					s0, s1 = c0[j], c1[j]
-				}
-				p := k0*n + j
-				for kk := 0; kk < kc; kk++ {
-					bv := bd[p]
-					p += n
-					s0 += a0[kk] * bv
-					s1 += a1[kk] * bv
-				}
-				c0[j], c1[j] = s0, s1
-			}
+		if j < n {
+			tail2(c[:2*n], r0, r1, tab, bp, j, n, acc)
+			tail2(c[2*n:], r2, r3, tab, bp, j, n, acc)
 		}
-		for ; i < i1; i++ {
-			matMulTile1(cd, ad, bd, i, k0, k1, k, n, acc)
+	}
+	panel2x8(cd, ad, rows, tab, bp, i, i1, n, acc, sgemm2x8)
+}
+
+// panel2x8 computes rows [i, i1) of C for one K panel, as panel4x16 does,
+// with 2x8 register tiles through the given microkernel (SIMD asm or its
+// portable twin), scalar column remainders, and a last odd row in tile1.
+func panel2x8(cd, ad []float32, rows *rowCursor, tab []int32, bp []float32, i, i1, n int, acc bool, tile tile2x8) {
+	kc := len(tab)
+	for ; i+gemmMR <= i1; i += gemmMR {
+		r0, r1 := ad[rows.next():], ad[rows.next():]
+		c := cd[i*n : (i+2)*n : (i+2)*n]
+		j := 0
+		for ; j+gemmNR <= n; j += gemmNR {
+			tile(kc, n, &r0[0], &r1[0], &tab[0], &bp[j], &c[j], &c[n+j], acc)
 		}
+		if j < n {
+			tail2(c, r0, r1, tab, bp, j, n, acc)
+		}
+	}
+	if i < i1 {
+		tile1(cd[i*n:(i+1)*n], ad[rows.next():], tab, bp, n, acc)
 	}
 }
 
-// matMulTile1 computes a single row of C for one K panel (the remainder of
-// the row stripes, and small-M GEMMs like the classifier heads).
-func matMulTile1(cd, ad, bd []float32, i, k0, k1, k, n int, acc bool) {
-	arow := ad[i*k+k0 : i*k+k1 : i*k+k1]
-	crow := cd[i*n : (i+1)*n : (i+1)*n]
+// tail2 computes columns [j, n) of the two C rows in c (2·n elements) for
+// one K panel in scalar loops, in the kernels' per-element order.
+func tail2(c, r0, r1 []float32, tab []int32, bp []float32, j, n int, acc bool) {
+	c0, c1 := c[:n:n], c[n:2*n:2*n]
+	for ; j < n; j++ {
+		var s0, s1 float32
+		if acc {
+			s0, s1 = c0[j], c1[j]
+		}
+		p := j
+		for _, o := range tab {
+			bv := bp[p]
+			p += n
+			s0 += r0[o] * bv
+			s1 += r1[o] * bv
+		}
+		c0[j], c1[j] = s0, s1
+	}
+}
+
+// tile1 computes a single row of C for one K panel (the remainder of the
+// row stripes, and small-M GEMMs like the classifier heads): A row r read
+// through tab, bp the panel's first B row.
+func tile1(crow, r []float32, tab []int32, bp []float32, n int, acc bool) {
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		var s0, s1, s2, s3 float32
 		if acc {
 			s0, s1, s2, s3 = crow[j], crow[j+1], crow[j+2], crow[j+3]
 		}
-		p := k0*n + j
-		for kk := 0; kk < k1-k0; kk++ {
-			bq := bd[p : p+4 : p+4]
+		p := j
+		for _, o := range tab {
+			bq := bp[p : p+4 : p+4]
 			p += n
-			av := arow[kk]
+			av := r[o]
 			s0 += av * bq[0]
 			s1 += av * bq[1]
 			s2 += av * bq[2]
@@ -262,9 +303,9 @@ func matMulTile1(cd, ad, bd []float32, i, k0, k1, k, n int, acc bool) {
 		if acc {
 			s = crow[j]
 		}
-		p := k0*n + j
-		for kk := 0; kk < k1-k0; kk++ {
-			s += arow[kk] * bd[p]
+		p := j
+		for _, o := range tab {
+			s += r[o] * bp[p]
 			p += n
 		}
 		crow[j] = s

@@ -277,9 +277,13 @@ func matMulI8Rows(cd []int32, ad []int8, b *PackedI8, i0, i1 int) {
 }
 
 // Im2ColI8Into lowers a quantized CHW input for a KH×KW convolution into
-// int8 columns, mirroring Im2ColInto, including its zero-bordered scratch
-// drawn from ws. With zero-point 0, padding positions are exact zeros in the
-// quantized domain, so quantize-then-im2col equals im2col-then-quantize.
+// int8 columns, which must hold outH*outW × C*KH*KW elements: the patch
+// matrix, pixel-major, in (channel, kernel row, kernel column) order. A
+// padded lowering draws its zero-bordered copy of x from ws (nil
+// allocates). Every element of cols and of that copy is written, so recycled
+// workspace buffers need no prior clearing. With zero-point 0, padding
+// positions are exact zeros in the quantized domain, so quantize-then-im2col
+// equals im2col-then-quantize.
 func Im2ColI8Into(ws *Workspace, cols, x *I8, kh, kw, stride, pad int) (outH, outW int) {
 	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]

@@ -1,6 +1,7 @@
 // Package tensor provides the dense FP32 tensor operations that the DNN
-// substrate builds on: conv2d via im2col + matmul (the lowering Gemmini's
-// software stack uses, so timing maps 1:1 onto the accelerator model),
+// substrate builds on: conv2d as a GEMM over the im2col patch matrix (the
+// lowering Gemmini's software stack uses, so timing maps 1:1 onto the
+// accelerator model; on the host the fp32 GEMM reads the patches in place),
 // pooling, batch normalization, activations, and fully-connected layers.
 //
 // Layout is CHW (single image per forward pass, as the UAV controller runs
@@ -61,15 +62,6 @@ func (t *Tensor) Clone() *Tensor {
 	return &Tensor{Shape: append([]int(nil), t.Shape...), Data: d}
 }
 
-// Im2Col lowers a CHW input for a KH×KW convolution with the given stride
-// and padding into a matrix of shape [outH*outW, C*KH*KW].
-func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
-	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
-	cols := New(outH*outW, x.Shape[0]*kh*kw)
-	Im2ColInto(nil, cols, x, kh, kw, stride, pad)
-	return cols, outH, outW
-}
-
 // convOutDims validates an im2col lowering of a CHW shape and returns the
 // output extent.
 func convOutDims(shape []int, kh, kw, stride, pad int) (outH, outW int) {
@@ -93,25 +85,6 @@ func checkCols(n, c, kh, kw, outH, outW int) {
 	}
 }
 
-// Im2ColInto lowers x into cols, which must hold outH*outW × C*KH*KW
-// elements. A padded lowering draws its zero-bordered copy of x from ws (nil
-// allocates). Every element of cols and of that copy is written, so
-// recycled workspace buffers need no prior clearing.
-func Im2ColInto(ws *Workspace, cols, x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
-	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	checkCols(len(cols.Data), c, kh, kw, outH, outW)
-	var padded *Tensor
-	var scratch []float32
-	if pad > 0 {
-		padded = ws.Get(c, h+2*pad, w+2*pad)
-		scratch = padded.Data
-	}
-	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
-	ws.Put(padded)
-	return outH, outW
-}
-
 // ConvWeightT transposes OIHW convolution weights into the [inC*KH*KW, outC]
 // matrix the im2col GEMM consumes. Layers precompute this once per weight
 // tensor instead of re-transposing on every forward pass.
@@ -132,16 +105,21 @@ func ConvWeightT(w *Tensor) *Tensor {
 
 // Conv2D computes a 2-D convolution of the CHW input with weights shaped
 // [outC, inC, KH, KW] and per-channel bias (may be nil), returning a CHW
-// output. Implemented as im2col followed by MatMul.
+// output. Implemented as a GEMM over the im2col patch matrix.
 func Conv2D(x, w *Tensor, bias []float32, stride, pad int) *Tensor {
 	return Conv2DWS(nil, x, w, nil, Epilogue{Bias: bias}, stride, pad)
 }
 
-// Conv2DWS is Conv2D drawing its im2col/product scratch and the output from
-// ws (nil ws allocates fresh tensors), finishing with ep in the pass that
-// transposes the GEMM product to CHW. wt is the precomputed ConvWeightT(w)
-// transpose, or nil to transpose on the fly. The returned tensor is
-// ws-owned; the caller releases it with ws.Put when done.
+// Conv2DWS is Conv2D drawing its scratch and the output from ws (nil ws
+// allocates fresh tensors), finishing with ep in the pass that transposes
+// the GEMM product to CHW. wt is the precomputed ConvWeightT(w) transpose,
+// or nil to transpose on the fly. The returned tensor is ws-owned; the
+// caller releases it with ws.Put when done.
+//
+// The GEMM reads its patch matrix in place (convA): from x.Data itself when
+// pad is 0, else from the zero-bordered copy padInto writes to scratch, both
+// through an offset table drawn from ws's int32 pool. No M×K matrix is
+// built.
 func Conv2DWS(ws *Workspace, x, w, wt *Tensor, ep Epilogue, stride, pad int) *Tensor {
 	if len(w.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: conv weights must be OIHW, got %v", w.Shape))
@@ -153,17 +131,27 @@ func Conv2DWS(ws *Workspace, x, w, wt *Tensor, ep Epilogue, stride, pad int) *Te
 	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
 	m := outH * outW
 	k := inC * kh * kw
-
-	cols := ws.Get(m, k)
-	Im2ColInto(ws, cols, x, kh, kw, stride, pad)
-
 	if wt == nil {
 		wt = ConvWeightT(w)
 	}
+	if len(wt.Data) != k*outC {
+		panic(fmt.Sprintf("tensor: conv weight transpose holds %d elements, need %d", len(wt.Data), k*outC))
+	}
 
+	h, wd := x.Shape[1], x.Shape[2]
+	src := x.Data
+	var padded *Tensor
+	if pad > 0 {
+		padded = ws.Get(inC, h+2*pad, wd+2*pad)
+		padInto(padded.Data, x.Data, inC, h, wd, pad)
+		src = padded.Data
+	}
+	off := ws.GetI32(k)
 	prod := ws.Get(m, outC)
-	MatMulInto(prod, cols, wt, m, k, outC) // [M, outC]
-	ws.Put(cols)
+	gemm(prod.Data, convA(src, off.Data, inC, h+2*pad, wd+2*pad, kh, kw, stride, outW),
+		wt.Data, m, k, outC) // [M, outC]
+	ws.PutI32(off)
+	ws.Put(padded)
 
 	out := ws.Get(outC, outH, outW)
 	ep.transpose(out, prod.Data, m, outC)

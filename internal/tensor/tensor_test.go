@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -103,7 +104,12 @@ type convCase struct{ inC, outC, h, w, k, stride, pad int }
 
 // convCases covers every ResNet conv shape (stem, block, strided block,
 // projection) and odd ones: pad wider than the kernel, 1-pixel and 1-row
-// inputs, stride 3, and an even kernel.
+// inputs, stride 3, and an even kernel. The last six reach every fragment
+// of the in-place GEMM: K over three gemmKC panels, an outC that needs a
+// 16-wide tile, an 8-wide tile and scalar columns, products big enough for
+// the parallel band path (m·k·n ≥ 2^18) whose M — and, at two workers,
+// whose bands — leave row remainders of 1, 2 and 3, and a 1×1/s2/p0 conv
+// whose last pixel reads the last element of x.Data.
 var convCases = []convCase{
 	{1, 16, 48, 64, 5, 2, 2},  // stem 5×5/s2/p2
 	{16, 16, 24, 32, 3, 1, 1}, // block conv 3×3/s1/p1
@@ -117,7 +123,13 @@ var convCases = []convCase{
 	{3, 4, 1, 1, 3, 1, 1}, // 1-pixel input
 	{2, 3, 1, 7, 3, 1, 1}, // 1-row input
 	{3, 5, 11, 13, 3, 3, 1},
-	{2, 4, 10, 9, 4, 3, 2}, // even kernel, stride 3
+	{2, 4, 10, 9, 4, 3, 2},   // even kernel, stride 3
+	{64, 64, 6, 8, 3, 1, 1},  // K = 576: three K panels
+	{8, 27, 10, 12, 3, 1, 1}, // outC 27 = 16 + 8 + 3 columns
+	{16, 32, 3, 23, 3, 1, 1}, // M = 69 (M%4 = 1; bands of 35 and 34)
+	{16, 32, 6, 13, 3, 1, 1}, // M = 78 (M%4 = 2; bands of 39)
+	{16, 32, 5, 15, 3, 1, 1}, // M = 75 (M%4 = 3; bands of 38 and 37)
+	{8, 16, 9, 7, 1, 2, 0},   // 1×1/s2/p0 on odd extents
 }
 
 // randConv draws a case's input (about a quarter exact zeros, as after a
@@ -239,6 +251,78 @@ func TestConvEpilogueMatchesUnfused(t *testing.T) {
 			ws.Put(gotAct)
 		}
 	}
+}
+
+// TestConvBandsBitIdentical forces the GEMM's parallel row bands on every
+// conv case's in-place operand, whatever GOMAXPROCS is, and requires the
+// serial result bit for bit, at worker counts that do and do not divide M.
+func TestConvBandsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, tc := range convCases {
+		x, w, _ := randConv(rng, tc)
+		wt := ConvWeightT(w)
+		outH, outW := convOutDims(x.Shape, tc.k, tc.k, tc.stride, tc.pad)
+		m, k := outH*outW, tc.inC*tc.k*tc.k
+		hp, wp := tc.h+2*tc.pad, tc.w+2*tc.pad
+		src := make([]float32, tc.inC*hp*wp)
+		padInto(src, x.Data, tc.inC, tc.h, tc.w, tc.pad)
+		a := convA(src, make([]int32, k), tc.inC, hp, wp, tc.k, tc.k, tc.stride, outW)
+		want := make([]float32, m*tc.outC)
+		matMulRows(want, a, wt.Data, 0, m, k, tc.outC, ActiveKernel())
+		for _, workers := range []int{2, 3, 5} {
+			got := make([]float32, m*tc.outC)
+			matMulParallel(got, a, wt.Data, m, k, tc.outC, workers, ActiveKernel())
+			assertSameBits(t, fmt.Sprintf("conv %+v workers=%d", tc, workers), got, want)
+		}
+	}
+}
+
+// TestConvShortInputPanics requires a convolution whose input Data is
+// shorter than its Shape to panic in Go rather than be read past: the asm
+// kernels do not bounds-check, so gemm indexes the largest address any tile
+// reads before entering them. At pad 0 that index is the only guard; at
+// pad > 0 the padding copy trips first. Both inputs keep one element of
+// spare capacity, where a slice expression could still reach. Each case
+// runs under every kernel, twice on one poisoned workspace, and the int8
+// lowering of the same short input must panic too.
+func TestConvShortInputPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
+	for _, tc := range []convCase{
+		{8, 16, 9, 7, 1, 2, 0},    // 1×1/s2/p0: the last pixel reads the last element
+		{2, 4, 6, 5, 3, 1, 0},     // 3×3/s1/p0
+		{16, 16, 24, 32, 3, 1, 1}, // 3×3/s1/p1
+	} {
+		x, w, bias := randConv(rng, tc)
+		x.Data = x.Data[:len(x.Data)-1]
+		qx := &I8{Shape: x.Shape, Data: make([]int8, len(x.Data)+1)[:len(x.Data)]}
+		outH, outW := convOutDims(x.Shape, tc.k, tc.k, tc.stride, tc.pad)
+		cols := NewI8(outH*outW, tc.inC*tc.k*tc.k)
+		r := panicOf(func() { Im2ColI8Into(ws, cols, qx, tc.k, tc.k, tc.stride, tc.pad) })
+		if _, ok := r.(runtime.Error); !ok {
+			t.Fatalf("int8 lowering %+v on %d of %d elements: recovered %v, want a runtime error",
+				tc, len(qx.Data), len(qx.Data)+1, r)
+		}
+		for _, kern := range kernelMatrix {
+			withKernel(t, kern, func() {
+				for run := 0; run < 2; run++ {
+					r := panicOf(func() { ws.Put(Conv2DWS(ws, x, w, nil, Epilogue{Bias: bias}, tc.stride, tc.pad)) })
+					if _, ok := r.(runtime.Error); !ok {
+						t.Fatalf("%v conv %+v on %d of %d elements: recovered %v, want a runtime error",
+							kern, tc, len(x.Data), len(x.Data)+1, r)
+					}
+				}
+			})
+		}
+	}
+}
+
+// panicOf returns what f panicked with, or nil when it returned.
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
 
 func TestIm2ColShape(t *testing.T) {

@@ -38,6 +38,10 @@
 #     (BenchmarkFleetSolo);
 #   - warm-start sweeps: cold vs warm sweep walls, the drift-cancelling
 #     warmstart_speedup, and snapshot capture/restore costs;
+#   - conv_kernels: us/op and allocs/op of Conv2DWS per dispatchable
+#     microkernel on ResNet14's conv shapes (BenchmarkConvKernels at -cpu 1,
+#     a warm workspace; the fp32 GEMM reads its patches in place), keyed
+#     kernel/shape;
 #   - gemm_kernels: ns/op and macs/ns per dispatchable GEMM microkernel on
 #     the ResNet14 GEMM shapes, fp32 (kernel/shape, random dense operands)
 #     and int8 (int8/kernel/shape, the operands of a ResNet14 int8 forward,
@@ -116,6 +120,9 @@ go test -run xxx -bench 'BenchmarkSweepCold$|BenchmarkSweepWarm$' \
 go test -run xxx -bench 'BenchmarkWarmstartPaired$' -benchtime 5x . | tee -a "$raw"
 go test -run xxx -bench 'BenchmarkSnapshotCapture$|BenchmarkSnapshotRestore$' \
     -benchmem ./internal/experiments/ | tee -a "$raw"
+
+echo "== conv kernels (-cpu 1) =="
+go test -run xxx -bench 'BenchmarkConvKernels$' -cpu 1 -benchmem ./internal/tensor/ | tee -a "$raw"
 
 echo "== GEMM kernel table =="
 go test -run xxx -bench 'BenchmarkMatMulKernels' -benchmem ./internal/tensor/ | tee -a "$raw"
@@ -202,6 +209,7 @@ FNR == NR { if (NF == 2) prevns[$1] = $2; next }
         if ($(i+1) == "image_bytes") imgb[name] = $i
         if ($(i+1) == "a_zero_pct") azero[name] = $i
         if ($(i+1) == "walls") walls[name] = $i
+        if ($(i+1) == "us/op") us[name] = $i
     }
 }
 END {
@@ -241,6 +249,17 @@ END {
             nsop[kname[i]], macs[kname[i]]
         if (kname[i] in azero) printf ", \"a_zero_pct\": %s", azero[kname[i]]
         printf "}%s\n", (i < m-1 ? "," : "")
+    }
+    printf "  },\n  \"conv_kernels\": {\n"
+    # us/op and allocs/op of one convolution per kernel per shape, keyed
+    # kernel/shape.
+    c = 0
+    for (i = 0; i < n; i++)
+        if (split(order[i], part, "/") == 3 && part[1] == "BenchmarkConvKernels") cname[c++] = order[i]
+    for (i = 0; i < c; i++) {
+        split(cname[i], part, "/")
+        printf "    \"%s/%s\": {\"us_op\": %s, \"allocs_op\": %s}%s\n", part[2], part[3], \
+            us[cname[i]], allocs[cname[i]], (i < c-1 ? "," : "")
     }
     printf "  },\n"
     speedup("avx2_speedup_vs_sse", "sse/", "avx2/")

@@ -137,13 +137,16 @@ echo "== fuzz smoke (70s) =="
 # a StaticLoop machine and stepped), rose-snap/1 snapshot images, and
 # fingerprint logs. Each -fuzz pattern must match exactly one target: go
 # test rejects more than one, require_tests rejects none. Every burst caps
-# minimizing a new input at 1s: the default 60s stalls a burst at 0
-# execs/sec as soon as one input is found interesting.
+# minimizing a new input at 100 executions, not at a time: the default 60s
+# stalls a burst at 0 execs/sec as soon as one input is found interesting,
+# and on a fresh fuzz cache even a 1s cap let minimization eat most of a
+# burst (FuzzRestoreMachine ran 86 execs in one 10s burst, FuzzImageDecode
+# 4,548; both ran over 80,000 at 100x).
 fuzz_smoke() {
     pkg=$1
     target=$2
     require_tests "$target" "$pkg"
-    go test -run xxx -fuzz "$target" -fuzztime 10s -fuzzminimizetime 1s "$pkg"
+    go test -run xxx -fuzz "$target" -fuzztime 10s -fuzzminimizetime 100x "$pkg"
 }
 fuzz_smoke ./internal/packet/ 'FuzzDecode$'
 fuzz_smoke ./internal/packet/ 'FuzzReaderNext$'
@@ -156,7 +159,7 @@ fuzz_smoke ./internal/experiments/ 'FuzzParseFingerprintLog$'
 echo "== short benchmarks =="
 # One iteration each: catches kernels that stopped compiling or regressed to
 # pathological allocation, without turning the gate into a perf run.
-go test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv2D' -benchtime 1x -benchmem ./internal/tensor/
+go test -run xxx -bench 'BenchmarkMatMul|BenchmarkConv' -benchtime 1x -benchmem ./internal/tensor/
 go test -run xxx -bench 'BenchmarkForward$|BenchmarkMatMulInt8$' -benchtime 1x -benchmem ./internal/dnn/
 go test -run xxx -bench 'BenchmarkRender' -benchtime 1x -benchmem ./internal/render/
 go test -run xxx -bench 'BenchmarkQuantumTCP' -benchtime 100x -benchmem .
@@ -169,21 +172,30 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # RTL quantum, and the fully assembled steady-state mission quantum. The
 # TCP env exchange must not allocate with request accounting on at both
 # ends either (the packet serve loop's observed path); nor may the
-# int8 forward pass, which allocates nothing at any GOMAXPROCS (the fp32
-# rows start the parallel GEMM's band goroutines above GOMAXPROCS=1), nor
-# the SoC engine's quantum (resuming the program coroutine), which starts
-# no goroutine and is gated at both -cpu 1 and 2. Any benchmark line the
-# pattern selects with an alloc/op above 0, or without an allocs/op figure,
-# fails the gate. Arguments after the third go to go test.
+# int8 forward pass, which allocates nothing at any GOMAXPROCS, nor the
+# fp32 forward at -cpu 1, whose convolutions read their patches in place
+# through an offset table drawn from the workspace (above GOMAXPROCS=1
+# the parallel GEMM starts its band goroutines), nor the SoC engine's
+# quantum (resuming the program coroutine), which starts no goroutine and
+# is gated at both -cpu 1 and 2. Any benchmark line the pattern selects
+# with an alloc/op above 0, or without an allocs/op figure, fails its gate,
+# as does a gate whose go test fails or selects nothing. Every gate runs:
+# a failure is recorded and the next gate starts, and after the last the
+# script names every failed gate and exits 1. Arguments after the third go
+# to go test.
+alloc_failed=""
 alloc_gate() {
     pkg=$1; bench=$2; times=$3
     shift 3
-    out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$@" "$pkg")
-    lines=$(echo "$out" | grep "^Benchmark" || true)
+    lines=""
+    if out=$(go test -run xxx -bench "$bench" -benchtime "$times" -benchmem "$@" "$pkg"); then
+        lines=$(echo "$out" | grep "^Benchmark" || true)
+    fi
     if [ -z "$lines" ]; then
         echo "$out"
         echo "alloc gate: $bench did not run" >&2
-        exit 1
+        alloc_failed="$alloc_failed $bench"
+        return
     fi
     echo "$lines"
     bad=$(echo "$lines" | awk '{
@@ -194,7 +206,7 @@ alloc_gate() {
     if [ -n "$bad" ]; then
         echo "$bad" >&2
         echo "alloc gate: $bench regressed (want 0 allocs/op on every line)" >&2
-        exit 1
+        alloc_failed="$alloc_failed $bench"
     fi
 }
 alloc_gate . 'BenchmarkQuantumTCP$' 200x
@@ -202,6 +214,11 @@ alloc_gate . 'BenchmarkQuantumTCPObserved$' 200x
 alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
+alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/fp32$' 20x -cpu 1
 alloc_gate ./internal/soc/ 'BenchmarkEngineStep$' 20000x -cpu 1,2
+if [ -n "$alloc_failed" ]; then
+    echo "alloc gate: failed:$alloc_failed" >&2
+    exit 1
+fi
 
 echo "check: OK"
