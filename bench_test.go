@@ -117,15 +117,15 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 			EnergyOff: off,
 		}
 	}
-	on, off := timePaired(b, specFor(false), specFor(true))
+	on, off, _, _ := timePaired(b, specFor(false), specFor(true))
 	b.ReportMetric((float64(on)/float64(off)-1)*100, "energy_overhead_pct")
 }
 
 // timePaired warms both arms, then runs one mission of each per
 // iteration, alternating which arm goes first so an order effect (a cache
 // or clock state the first run leaves behind) lands on both arms equally.
-// It returns each arm's total time.
-func timePaired(b *testing.B, x, y experiments.MissionSpec) (tx, ty time.Duration) {
+// It returns each arm's total time and the quanta its missions flew.
+func timePaired(b *testing.B, x, y experiments.MissionSpec) (tx, ty time.Duration, qx, qy uint64) {
 	arms := [2]experiments.MissionSpec{x, y}
 	for _, spec := range arms {
 		if _, err := experiments.RunMission(spec); err != nil {
@@ -133,18 +133,21 @@ func timePaired(b *testing.B, x, y experiments.MissionSpec) (tx, ty time.Duratio
 		}
 	}
 	var total [2]time.Duration
+	var quanta [2]uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < 2; k++ {
 			arm := (i + k) % 2
 			t0 := time.Now()
-			if _, err := experiments.RunMission(arms[arm]); err != nil {
+			out, err := experiments.RunMission(arms[arm])
+			if err != nil {
 				b.Fatal(err)
 			}
 			total[arm] += time.Since(t0)
+			quanta[arm] += out.Result.Syncs
 		}
 	}
-	return total[0], total[1]
+	return total[0], total[1], quanta[0], quanta[1]
 }
 
 // BenchmarkMissionStepObserved measures the overlapped configuration with
@@ -162,7 +165,9 @@ func BenchmarkMissionStepObserved(b *testing.B) {
 // drift cancels (the PR 6/8 paired idiom). The reported
 // stream_fprint_overhead_pct is the authoritative number for the ≤2%
 // contract: always-on fingerprinting and one live rose-top viewer together
-// must stay within 2% of the untouched hot path.
+// must stay within 2% of the untouched hot path. Each arm's ns/quantum and
+// their difference in µs/quantum put the share in absolute terms, so a
+// cheaper mission step is not mistaken for a costlier instrumentation.
 func BenchmarkMissionStepStreamPaired(b *testing.B) {
 	pretrain(b, "ResNet6")
 	bare := experiments.MissionSpec{
@@ -190,8 +195,13 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 		close(done)
 		suite.Bus.Unsubscribe(sub)
 	}()
-	base, obsd := timePaired(b, bare, instr)
+	base, obsd, qBase, qObsd := timePaired(b, bare, instr)
 	b.ReportMetric((float64(obsd)/float64(base)-1)*100, "stream_fprint_overhead_pct")
+	baseNs := float64(base.Nanoseconds()) / float64(qBase)
+	obsdNs := float64(obsd.Nanoseconds()) / float64(qObsd)
+	b.ReportMetric(baseNs, "bare_ns/quantum")
+	b.ReportMetric(obsdNs, "instr_ns/quantum")
+	b.ReportMetric((obsdNs-baseNs)/1e3, "overhead_us/quantum")
 }
 
 // BenchmarkMissionStepEnergyOff disables the energy ledger
@@ -357,48 +367,76 @@ func BenchmarkQuantumTCPResilient(b *testing.B) {
 
 // BenchmarkQuantumRemoteRTL is one quantum's RTL traffic against a
 // loopback soc.Server, issued as the synchronizer issues it on a quantum
-// with no packets in flight: an empty push, the step grant, and the drain.
-// The target program computes without I/O. 0 allocs/op across both
-// endpoints is part of the perf contract (DESIGN.md §4.7).
+// whose exchange has nothing to push: the drain, an empty push and the
+// step grant. "quiet": the program computes without I/O, so every step
+// leaves the TX queue empty; the drain is answered locally and the empty
+// push sends nothing, and only the step reaches the wire. "one-packet":
+// the program sends one packet per quantum, so each drain is a wire Pull
+// too. 0 allocs/op across both endpoints is part of the perf contract
+// (DESIGN.md §4.7).
 func BenchmarkQuantumRemoteRTL(b *testing.B) {
-	m := soc.NewMachine(config.A.SoCConfig(), func(rt *soc.Runtime) error {
-		for {
-			rt.Compute(1_000_000)
-		}
-	})
-	defer m.Close()
-	srv, err := soc.NewServer(m, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
+	const quantum = 1_000_000
+	progs := []struct {
+		name string
+		prog soc.Program
+	}{
+		{"quiet", func(rt *soc.Runtime) error {
+			for {
+				rt.Compute(quantum)
+			}
+		}},
+		{"one-packet", func(rt *soc.Runtime) error {
+			// Send at the start of every quantum, then compute to its end.
+			for next := uint64(quantum); ; next += quantum {
+				rt.Send(packet.Packet{Type: packet.DepthReq})
+				rt.Compute(next - rt.Now())
+			}
+		}},
 	}
-	defer srv.Close()
-	go srv.Serve()
-	r, err := soc.DialRTL(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
+	for _, p := range progs {
+		b.Run(p.name, func(b *testing.B) {
+			m := soc.NewMachine(config.A.SoCConfig(), p.prog)
+			defer m.Close()
+			srv, err := soc.NewServer(m, "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			go srv.Serve()
+			r, err := soc.DialRTL(srv.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
 
-	quantum := func() {
-		if err := r.Push(nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Step(1_000_000); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Pull(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm the client arena, the server's per-connection scratch and the
-	// socket buffers before measuring the steady state.
-	for i := 0; i < 16; i++ {
-		quantum()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quantum()
+			var pulled int
+			step := func() {
+				pkts, err := r.Pull()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pulled += len(pkts)
+				if err := r.Push(nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Step(quantum); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Warm the client arena, the server's per-connection scratch
+			// and the socket buffers before measuring the steady state.
+			for i := 0; i < 16; i++ {
+				step()
+			}
+			pulled = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(pulled)/float64(b.N), "pkts/quantum")
+		})
 	}
 }
 

@@ -266,6 +266,10 @@ func (b *Bridge) RecvData() (packet.Packet, bool) {
 // status-register read would.
 func (b *Bridge) PeekRxLen() int { return b.rx.Len() }
 
+// PeekTxLen returns the number of packets waiting in the TX queue for the
+// next DrainToHost.
+func (b *Bridge) PeekTxLen() int { return b.tx.Len() }
+
 // SendData pushes a data packet into the TX queue (a write of the bridge's
 // TX registers). It reports false when the queue is full — back-pressure
 // stalls the SoC until the synchronizer drains the queue.

@@ -122,9 +122,15 @@ func TestDataPathSoCToHost(t *testing.T) {
 	if !b.SendData(packet.Packet{Type: packet.CamReq}) {
 		t.Fatal("SendData failed")
 	}
+	if b.PeekTxLen() != 2 {
+		t.Errorf("tx len = %d before the drain, want 2", b.PeekTxLen())
+	}
 	out := b.DrainToHost()
 	if len(out) != 2 || out[0].Type != packet.CmdVel || out[1].Type != packet.CamReq {
 		t.Errorf("drained %+v", out)
+	}
+	if b.PeekTxLen() != 0 {
+		t.Errorf("tx len = %d after the drain, want 0", b.PeekTxLen())
 	}
 	if len(b.DrainToHost()) != 0 {
 		t.Error("second drain not empty")

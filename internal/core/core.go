@@ -65,6 +65,7 @@ const (
 	// OverlapOn executes env.StepFrames and rtl.Step concurrently and
 	// joins before the boundary bookkeeping. Because data crosses only at
 	// quantum boundaries, results are byte-identical to serial execution.
+	// A quantum due no frame has no env step to overlap and runs serially.
 	OverlapOn OverlapMode = iota
 	// OverlapOff executes the two steps back-to-back on one goroutine.
 	OverlapOff
@@ -360,7 +361,9 @@ func (s *Synchronizer) Start() error {
 	// telemetry while this goroutine runs the RTL quantum — the in-process
 	// analogue of FireSim and AirSim burning their quanta in parallel on
 	// separate hosts (Figure 5). The main goroutine touches the environment
-	// only between quanta (serve/exchange), so there is no shared access.
+	// only between quanta (serve/exchange) and, on a quantum due no frame,
+	// for the telemetry sample while the worker waits, so there is no
+	// shared access.
 	if cfg.Overlap == OverlapOn {
 		s.stepCh = make(chan int)
 		// Buffered so the worker can always complete its send and exit on
@@ -433,7 +436,7 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 		frames := int(s.st.frameDebt)
 		s.st.frameDebt -= float64(frames)
 		var tm env.Telemetry
-		if cfg.Overlap == OverlapOn {
+		if cfg.Overlap == OverlapOn && frames > 0 {
 			s.stepCh <- frames
 			t0 := s.o.Start()
 			_, rtlErr := s.rtl.Step(cfg.SyncCycles)
@@ -456,13 +459,18 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 			}
 			tm = q.tm
 		} else {
-			t0 := s.o.Start()
-			if err := s.env.StepFrames(frames); err != nil {
-				s.o.Fault("env step failed")
-				return false, fmt.Errorf("core: stepping environment: %w", err)
+			// Serial mode, and any quantum due no frame: with nothing to
+			// step, the env half is the telemetry sample alone, so there is
+			// nothing to overlap and StepFrames(0), a no-op, is not issued.
+			if frames > 0 {
+				t0 := s.o.Start()
+				if err := s.env.StepFrames(frames); err != nil {
+					s.o.Fault("env step failed")
+					return false, fmt.Errorf("core: stepping environment: %w", err)
+				}
+				s.o.ObserveEnv(t0)
 			}
-			s.o.ObserveEnv(t0)
-			t0 = s.o.Start()
+			t0 := s.o.Start()
 			if _, err := s.rtl.Step(cfg.SyncCycles); err != nil {
 				s.o.Fault("rtl step failed")
 				return false, fmt.Errorf("core: stepping RTL: %w", err)

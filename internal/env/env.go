@@ -30,6 +30,8 @@ import (
 // scoring; the modeled SoC never sees it (§3.4.2, simulation abstraction).
 type Env interface {
 	// StepFrames advances the simulation by n rendering/physics frames.
+	// n == 0 is a no-op, and the synchronizer never issues it: a quantum
+	// that is due no frame skips the call.
 	StepFrames(n int) error
 	// FrameRate returns the simulated frames per second.
 	FrameRate() float64

@@ -3,6 +3,8 @@ package env
 import (
 	"bytes"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,4 +203,145 @@ func TestServerDedupIsExactlyOnce(t *testing.T) {
 	if tm.Frame != 2 {
 		t.Fatalf("sim at frame %d after replayed StepFrames(2), want 2 (replay re-executed?)", tm.Frame)
 	}
+}
+
+// countingConn counts Write calls on a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// serverTelemetry asks the server for telemetry over a connection of its
+// own: the server Sim's reply, with no client cache in between.
+func serverTelemetry(t *testing.T, addr string) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := packet.NewWriter(conn)
+	if err := w.WritePacket(packet.Packet{Type: packet.RPCTelemetry}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := packet.NewReader(conn).Next()
+	if err != nil || resp.Type != packet.RPCTelemetry {
+		t.Fatalf("server telemetry: %v %v", resp.Type, err)
+	}
+	return append([]byte(nil), resp.Payload...)
+}
+
+// TestTelemetryCacheWire pins when Client.Telemetry reaches the wire. A
+// quantum that steps no frame — sensor reads and all — writes nothing for
+// its Telemetry; after StepFrames(n > 0), a Reset, a SetVelocity whose ack
+// is still owed, and a link recovery it writes, and each reply equals the
+// server Sim's bit for bit.
+func TestTelemetryCacheWire(t *testing.T) {
+	srv := startResilServer(t, nil)
+	var writes atomic.Int64
+	var mu sync.Mutex
+	var conns []net.Conn
+	c, err := DialWith(srv.Addr(), DialOptions{
+		MaxRetries:  3,
+		BackoffBase: time.Millisecond,
+		RPCTimeout:  30 * time.Second,
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			return countingConn{Conn: conn, writes: &writes}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	// telemetry calls Telemetry and reports whether it wrote, requiring the
+	// reply to equal the server's.
+	telemetry := func(what string) bool {
+		t.Helper()
+		before := writes.Load()
+		tm, err := c.Telemetry()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		wrote := writes.Load() != before
+		if got, want := AppendTelemetry(nil, tm), serverTelemetry(t, srv.Addr()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: telemetry differs from the server Sim's", what)
+		}
+		return wrote
+	}
+	mustWire := func(what string) {
+		t.Helper()
+		if !telemetry(what) {
+			t.Errorf("%s: Telemetry answered from its cache", what)
+		}
+	}
+	mustCache := func(what string) {
+		t.Helper()
+		if telemetry(what) {
+			t.Errorf("%s: Telemetry reached the wire", what)
+		}
+	}
+
+	mustWire("first call")
+	mustCache("no request since")
+	if err := c.SetVelocity(3, 0, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	mustWire("ack owed for SetVelocity")
+	// The sensor read between collects the step's ack, so only the step
+	// itself can send the next Telemetry to the wire.
+	if err := c.StepFrames(20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetDepth(); err != nil {
+		t.Fatal(err)
+	}
+	mustWire("after StepFrames(20)")
+
+	// A frame-less quantum: the exchange's sensor reads, then telemetry.
+	if _, err := c.FetchSensors([]packet.Type{packet.DepthReq, packet.CamReq, packet.IMUReq}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetDepth(); err != nil {
+		t.Fatal(err)
+	}
+	mustCache("frame-less quantum")
+
+	if err := c.Reset(1, 0.5, 0, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	mustWire("after Reset")
+	mustCache("no request since Reset")
+
+	// Break the connection under the client: the next wire call recovers
+	// the link, and the telemetry after it is fetched afresh.
+	mu.Lock()
+	conns[len(conns)-1].Close()
+	mu.Unlock()
+	if _, err := c.GetDepth(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	dials := len(conns)
+	mu.Unlock()
+	if dials != 2 {
+		t.Fatalf("%d dials, want the link recovered once", dials)
+	}
+	mustWire("after a link recovery")
+	mustCache("no request since the recovery")
 }

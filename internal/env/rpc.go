@@ -27,7 +27,9 @@ import (
 // the caller overlaps other work (the RTL quantum, in the synchronizer) —
 // and the deferred acks are collected by the next synchronous call.
 // FetchSensors issues a whole run of sensor requests as one batched
-// round-trip. Framing is buffered on both sides (packet.Reader/Writer)
+// round-trip. Telemetry answers from the last reply until a request that
+// can move the simulator is sent, so a quantum that steps no frame fetches
+// nothing. Framing is buffered on both sides (packet.Reader/Writer)
 // with one flush per message batch, and every payload codec on the
 // steady-state path (camera, IMU, depth, fixed-width Telemetry) reuses
 // scratch buffers, so a quantum's worth of RPC traffic makes zero heap
@@ -36,7 +38,10 @@ import (
 // Server serves one Sim to network clients over the packet serve loop.
 // Multiple clients may connect; they share the single simulator under a
 // lock held only around simulator access, never across network I/O, so a
-// slow client cannot stall other connections.
+// slow client cannot stall other connections. Only one of them may step or
+// reset the simulator: a Client keeps its last telemetry reply until it
+// steps or resets the simulator itself, so another client's steps would
+// leave it answering from a stale reply.
 type Server struct {
 	srv *packet.Server
 	mu  sync.Mutex
@@ -187,6 +192,19 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 // serialized by an internal lock; objects returned by GetImage and
 // FetchSensors reuse client-owned buffers and are valid only until the
 // next call of the same method.
+//
+// Telemetry keeps its last reply and answers from it until the client
+// steps (StepFrames with n > 0) or resets the simulator, or the link
+// recovers: every field of Sim.Telemetry — vehicle state, time, frame,
+// collision state, the mission flag and a ground-truth depth ray — is
+// unchanged by sensor reads and SetVelocity. That holds only while this
+// client is the one stepping and resetting the remote simulator, as in
+// every deployment here (tcpdeploy, rose-sim -env-addr, perfbench); a
+// second stepper would leave the cached reply stale. The cache answers
+// only while no deferred ack is owed or failed, so a Telemetry after
+// SetVelocity still collects its ack and reports its failure, as when
+// every Telemetry reached the wire, and unread acks cannot pile up over a
+// run of quanta that step no frame.
 type Client struct {
 	mu   sync.Mutex
 	link *packet.Link
@@ -196,6 +214,9 @@ type Client struct {
 	deferred error // first error surfaced by a deferred ack
 	obs      *obs.RPCObs
 	trace    *obs.TraceContext // nil = no cross-host propagation
+
+	tm      Telemetry // last Telemetry reply, valid while tmValid
+	tmValid bool
 
 	scratch  []byte          // request payload scratch (CmdVel, Reset)
 	img      *render.Image   // reused GetImage decode target
@@ -252,10 +273,11 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 // Close terminates the connection and disables reconnection.
 func (c *Client) Close() error { return c.link.Close() }
 
-// onRecover/onChecksum feed link resilience events into the RPC metrics.
-// The link only invokes them from calls made under c.mu, so reading c.obs
-// is safe.
+// onRecover/onChecksum feed link resilience events into the RPC metrics;
+// a recovery also drops the cached telemetry. The link only invokes them
+// from calls made under c.mu, so touching c's fields is safe.
 func (c *Client) onRecover(attempts, replayed int) {
+	c.tmValid = false
 	if c.obs != nil {
 		c.obs.Reconnects.Inc()
 		c.obs.ReplayedFrames.Add(uint64(replayed))
@@ -320,6 +342,11 @@ func (c *Client) countIn(n int) {
 func (c *Client) call(req packet.Packet, parent uint32) (packet.Packet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.callLocked(req, parent)
+}
+
+// callLocked is call for a caller that holds c.mu.
+func (c *Client) callLocked(req packet.Packet, parent uint32) (packet.Packet, error) {
 	c.stamp(parent)
 	if err := c.link.Send(req); err != nil {
 		return packet.Packet{}, err
@@ -414,6 +441,9 @@ func (c *Client) StepFrames(n int) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if n > 0 {
+		c.tmValid = false
+	}
 	c.stamp(packet.ParentEnvStep)
 	return c.deferCommand(func() error {
 		if err := c.link.SendU64(packet.RPCStepFrames, uint64(n)); err != nil {
@@ -568,6 +598,7 @@ func (c *Client) SetVelocity(forward, lateral, yawRate float64) error {
 func (c *Client) Reset(x, y, z, yaw float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.tmValid = false
 	c.stamp(packet.ParentNone)
 	c.scratch = c.scratch[:0]
 	for _, v := range [...]float64{x, y, z, yaw} {
@@ -581,11 +612,22 @@ func (c *Client) Reset(x, y, z, yaw float64) error {
 	return err
 }
 
-// Telemetry implements Env.
+// Telemetry implements Env. It answers from the last reply while that
+// reply is valid and no deferred ack is owed (see Client).
 func (c *Client) Telemetry() (Telemetry, error) {
-	resp, err := c.call(packet.Packet{Type: packet.RPCTelemetry}, packet.ParentEnvStep)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.tmValid && c.pending == 0 && c.deferred == nil {
+		return c.tm, nil
+	}
+	resp, err := c.callLocked(packet.Packet{Type: packet.RPCTelemetry}, packet.ParentEnvStep)
 	if err != nil {
 		return Telemetry{}, err
 	}
-	return DecodeTelemetry(resp.Payload)
+	tm, err := DecodeTelemetry(resp.Payload)
+	if err != nil {
+		return Telemetry{}, err
+	}
+	c.tm, c.tmValid = tm, true
+	return tm, nil
 }

@@ -279,31 +279,11 @@ func Figure15(opt Options) (*Report, error) {
 // measureGoThroughput runs a short synthetic co-simulation at the given
 // granularity and reports simulated MHz.
 func measureGoThroughput(syncCycles uint64) (float64, error) {
-	m := world.Tunnel()
-	ecfg := env.DefaultConfig(m)
-	sim, err := env.New(ecfg)
+	sy, machine, err := figure15Mission(syncCycles, 0.5)
 	if err != nil {
 		return 0, err
 	}
-	// A representative bridge-chatty program (sensor poll + compute).
-	prog := func(rt *soc.Runtime) error {
-		for {
-			rt.Send(packet.Packet{Type: packet.DepthReq})
-			rt.Recv()
-			rt.Compute(2_000_000)
-		}
-	}
-	machine := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, prog)
 	defer machine.Close()
-	ccfg := core.DefaultConfig()
-	ccfg.SyncCycles = syncCycles
-	ccfg.MaxSimSeconds = 0.5
-	ccfg.StopOnMissionComplete = false
-	ccfg.RecordTrajectory = false
-	sy, err := core.New(sim, machine, ccfg)
-	if err != nil {
-		return 0, err
-	}
 	start := time.Now()
 	res, err := sy.Run()
 	if err != nil {
@@ -314,6 +294,37 @@ func measureGoThroughput(syncCycles uint64) (float64, error) {
 		return 0, nil
 	}
 	return float64(res.Cycles) / wall / 1e6, nil
+}
+
+// figure15Mission builds Figure 15's synthetic co-simulation at the given
+// granularity, in process and overlapped: the tunnel environment and a
+// BOOM+Gemmini SoC running a representative bridge-chatty program (sensor
+// poll + compute) for maxSimSec simulated seconds. The caller closes the
+// machine.
+func figure15Mission(syncCycles uint64, maxSimSec float64) (*core.Synchronizer, *soc.Machine, error) {
+	sim, err := env.New(env.DefaultConfig(world.Tunnel()))
+	if err != nil {
+		return nil, nil, err
+	}
+	prog := func(rt *soc.Runtime) error {
+		for {
+			rt.Send(packet.Packet{Type: packet.DepthReq})
+			rt.Recv()
+			rt.Compute(2_000_000)
+		}
+	}
+	machine := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, prog)
+	ccfg := core.DefaultConfig()
+	ccfg.SyncCycles = syncCycles
+	ccfg.MaxSimSeconds = maxSimSec
+	ccfg.StopOnMissionComplete = false
+	ccfg.RecordTrajectory = false
+	sy, err := core.New(sim, machine, ccfg)
+	if err != nil {
+		machine.Close()
+		return nil, nil, err
+	}
+	return sy, machine, nil
 }
 
 // Figure16 regenerates the synchronization-granularity fidelity study:

@@ -7,11 +7,13 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/packet"
 	"repro/internal/soc"
 )
 
@@ -147,21 +149,36 @@ func TestLiveDivergenceRemoteRTL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The client makes two writes per quantum. Write op 0 is the dial's
-	// RTLStatus; quantum k then writes its pull at op 2k+1 and, at op 2k+2,
-	// its deferred push flushed together with its RTLStep, whose 8-byte
-	// payload is the quantum's cycle count. Corrupt one of those
-	// push+step writes mid-mission: on a quiet quantum it is an empty
-	// 8-byte push frame plus the 16-byte step frame, and the pinned seed's
-	// bit selector (first PRNG draw % 192 bits) hits cycle bit 18 of the
-	// step — a ±262144-cycle step, a real silent engine divergence, not a
-	// framing error. Everything downstream is deterministic.
-	const corruptOp = 300
+	// The corrupted write comes from a counted clean run's write schedule:
+	// the step write of the first quiet quantum (its previous step left the
+	// TX queue empty, so nothing else is written) from quantum 90 on. That
+	// write is the 16-byte RTLStep frame alone, whose 8-byte payload is the
+	// quantum's cycle count, and the pinned seed's bit selector (first PRNG
+	// draw % 128 bits) hits bit 82: cycle bit 18 of the step, a
+	// ±262144-cycle step — a real silent engine divergence, not a framing
+	// error. Everything downstream is deterministic.
+	clean := &writeLog{}
+	rm := dialRemoteMissionWith(t, spec, nil, soc.DialOptions{
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", addr, timeout)
+			clean.Conn = conn
+			return clean, err
+		},
+	})
+	cleanRes, err := rm.sy.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := FirstDivergentQuantum(ref.Result.Fingerprints, cleanRes.Fingerprints); ok {
+		t.Fatalf("the counted clean run diverges at quantum %d", q)
+	}
+	corruptOp, wantQuantum := clean.quietStep(t, 90)
+
 	inj := faultnet.New(faultnet.Config{
 		Seed:   1,
 		Script: []faultnet.Fault{{Conn: 0, Dir: faultnet.DirWrite, Op: corruptOp, Kind: faultnet.Corrupt}},
 	})
-	rm := dialRemoteMissionWith(t, spec, nil, soc.DialOptions{
+	rm = dialRemoteMissionWith(t, spec, nil, soc.DialOptions{
 		// A deadline turns an unexpected framing hang into a test failure
 		// instead of a test timeout.
 		RPCTimeout: 30 * time.Second,
@@ -187,9 +204,14 @@ func TestLiveDivergenceRemoteRTL(t *testing.T) {
 	}
 	t.Logf("%s", DivergenceReport("clean", ref.Result.Fingerprints, "faulted", faulty.Fingerprints))
 
-	// Localization: the corruption landed in quantum (corruptOp-2)/2; the
-	// chain must pin the divergence there, not at mission end.
-	wantQuantum := (corruptOp - 2) / 2
+	// The flip landed in the step's cycle payload: the faulted mission ran
+	// exactly 2^18 cycles more or fewer than the clean one.
+	if d := int64(faulty.Cycles) - int64(ref.Result.Cycles); d != 1<<18 && d != -1<<18 {
+		t.Errorf("faulted mission ran %d cycles more than the clean one, want ±%d", d, 1<<18)
+	}
+
+	// Localization: the corruption landed in quantum wantQuantum; the chain
+	// must pin the divergence there, not at mission end.
 	if q < wantQuantum-2 || q > wantQuantum+2 {
 		t.Errorf("divergence localized at quantum %d, expected within 2 of %d", q, wantQuantum)
 	}
@@ -213,4 +235,56 @@ func TestLiveDivergenceRemoteRTL(t *testing.T) {
 	if trajDiv >= 0 && q > trajDiv {
 		t.Errorf("fingerprint divergence (quantum %d) trails trajectory divergence (quantum %d)", q, trajDiv)
 	}
+}
+
+// writeLog records the bytes of every Write on a connection and where each
+// write ends in them.
+type writeLog struct {
+	net.Conn
+	mu   sync.Mutex
+	buf  []byte
+	ends []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.buf = append(w.buf, p...)
+	w.ends = append(w.ends, len(w.buf))
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
+
+// quietStep parses the recorded client stream into frames and returns the
+// write op and quantum of the first quantum from quantum `from` on whose
+// RTLStep frame was a write of its own: a quantum that wrote no pull and
+// no push. The synchronizer steps once per quantum, so the k-th RTLStep
+// frame is quantum k's.
+func (w *writeLog) quietStep(t *testing.T, from int) (op, quantum int) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	steps, write := 0, 0
+	for off := 0; off < len(w.buf); {
+		p, n, err := packet.Decode(w.buf[off:])
+		if err != nil {
+			t.Fatalf("recorded stream at byte %d: %v", off, err)
+		}
+		writeStart := 0
+		if write > 0 {
+			writeStart = w.ends[write-1]
+		}
+		end := off + n
+		if p.Type == packet.RTLStep {
+			if steps >= from && off == writeStart && end == w.ends[write] {
+				return write, steps
+			}
+			steps++
+		}
+		off = end
+		for write < len(w.ends) && w.ends[write] <= off {
+			write++
+		}
+	}
+	t.Fatalf("no quiet quantum among the %d steps from quantum %d on", steps, from)
+	return 0, 0
 }

@@ -74,3 +74,30 @@ func benchMissionQuantum(b *testing.B, spec MissionSpec) {
 		}
 	}
 }
+
+// BenchmarkQuantumFine is one steady-state quantum of Figure 15's synthetic
+// co-simulation at its finest point, 10k cycles per quantum, in process
+// and overlapped. One quantum in 1667 is due a frame, so nearly every
+// quantum costs the RTL step and the telemetry sample alone: the
+// per-synchronization overhead that sets Figure 15's fine-granularity
+// throughput. One op is one quantum.
+func BenchmarkQuantumFine(b *testing.B) {
+	sy, machine, err := figure15Mission(10_000, 1e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer machine.Close()
+	if err := sy.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer sy.Finish()
+	// Warm past a frame and several sensor round trips.
+	if _, err := sy.StepQuanta(4000); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := sy.StepQuanta(b.N); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -19,10 +19,13 @@ import (
 //
 // The wire follows the env link's discipline (DESIGN.md §4.7). Every
 // RTLStepped and RTLBatch reply carries the machine status the client
-// caches, in one fixed-width codec, and Push defers its ack, so a quantum
-// costs two round trips — Pull, then Push and Step in one flush — and the
-// steady state allocates nothing at either end. Gob carries only the
-// snapshot RPCs (RTLSnap, RTLRestore).
+// caches, in one fixed-width codec, and Push defers its ack. The status
+// counts the packets left in the bridge's TX queue, so Pull answers an
+// empty batch locally when the last step left none, and an empty Push
+// sends nothing: a quantum whose previous step left TX empty costs one
+// round trip (the Step), and one with SoC output two (Pull, then Push and
+// Step in one flush). The steady state allocates nothing at either end.
+// Gob carries only the snapshot RPCs (RTLSnap, RTLRestore).
 
 // Server serves one Machine over the packet serve loop, to a single
 // synchronizer connection at a time. The machine lock is held for the
@@ -162,25 +165,31 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 }
 
 // rtlStatus is the machine status a RemoteRTL caches between calls: all
-// that core.RTL and core.EnergyRTL read besides Step, Push and Pull.
+// that core.RTL and core.EnergyRTL read besides Step, Push and Pull, and
+// the number of packets waiting in the bridge's TX queue, which tells Pull
+// whether the drain can be answered without the wire.
 type rtlStatus struct {
 	cycle  uint64
 	done   bool
 	stats  Stats
 	energy EnergyBreakdown
+	txLen  uint64
 }
 
 func machineStatus(m *Machine) rtlStatus {
-	return rtlStatus{cycle: m.Cycle(), done: m.Done(), stats: m.Stats(), energy: m.EnergyBreakdown()}
+	return rtlStatus{cycle: m.Cycle(), done: m.Done(), stats: m.Stats(), energy: m.EnergyBreakdown(),
+		txLen: uint64(m.br.PeekTxLen())}
 }
 
 // statusSize is the width of the status codec, all integers little-endian:
 // cycle u64 @0, done u8 @8 (0 or 1), the twelve Stats counters as u64 @9
 // (Cycles, ComputeCycles, AccelCycles, IOCycles, IdleCycles, PacketsIn,
 // PacketsOut, Syncs, Energy.CorePJ, Energy.AccelPJ, Energy.MemPJ,
-// Fingerprint), and the six EnergyBreakdown ledgers as u64 @105
-// (Dynamic.CorePJ, .AccelPJ, .MemPJ, then the same three of Static).
-const statusSize = 9 + 12*8 + 6*8
+// Fingerprint), the six EnergyBreakdown ledgers as u64 @105
+// (Dynamic.CorePJ, .AccelPJ, .MemPJ, then the same three of Static), and
+// the TX queue's packet count as u64 @153. A status of any other length is
+// rejected.
+const statusSize = 9 + 12*8 + 6*8 + 8
 
 // appendTo appends the status codec's encoding of st to dst.
 func (st rtlStatus) appendTo(dst []byte) []byte {
@@ -197,6 +206,7 @@ func (st rtlStatus) appendTo(dst []byte) []byte {
 		s.Energy.CorePJ, s.Energy.AccelPJ, s.Energy.MemPJ, s.Fingerprint,
 		e.Dynamic.CorePJ, e.Dynamic.AccelPJ, e.Dynamic.MemPJ,
 		e.Static.CorePJ, e.Static.AccelPJ, e.Static.MemPJ,
+		st.txLen,
 	} {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
@@ -212,7 +222,7 @@ func decodeStatus(b []byte) (rtlStatus, error) {
 	if b[8] > 1 {
 		return rtlStatus{}, fmt.Errorf("soc: RTL status done flag is %d, want 0 or 1", b[8])
 	}
-	var v [18]uint64
+	var v [19]uint64
 	for i := range v {
 		v[i] = binary.LittleEndian.Uint64(b[9+8*i:])
 	}
@@ -229,6 +239,7 @@ func decodeStatus(b []byte) (rtlStatus, error) {
 			Dynamic: EnergyLedger{CorePJ: v[12], AccelPJ: v[13], MemPJ: v[14]},
 			Static:  EnergyLedger{CorePJ: v[15], AccelPJ: v[16], MemPJ: v[17]},
 		},
+		txLen: v[18],
 	}, nil
 }
 
@@ -247,6 +258,9 @@ func decodeStepped(b []byte) (uint64, rtlStatus, error) {
 
 // decodeBatchReply decodes an RTLBatch payload — the status, then the
 // packet batch — appending the packets to dst with payloads aliasing b.
+// The status is taken after the drain, so its TX count must be 0, which
+// also rejects a shorter status followed by a batch: the first packet
+// header would land in the count.
 func decodeBatchReply(dst []packet.Packet, b []byte) ([]packet.Packet, rtlStatus, error) {
 	if len(b) < statusSize {
 		return dst, rtlStatus{}, fmt.Errorf("soc: RTLBatch payload is %d bytes, shorter than its %d-byte status", len(b), statusSize)
@@ -254,6 +268,9 @@ func decodeBatchReply(dst []packet.Packet, b []byte) ([]packet.Packet, rtlStatus
 	st, err := decodeStatus(b[:statusSize])
 	if err != nil {
 		return dst, rtlStatus{}, err
+	}
+	if st.txLen != 0 {
+		return dst, rtlStatus{}, fmt.Errorf("soc: RTLBatch status reports %d packets left in the drained TX queue", st.txLen)
 	}
 	pkts, err := packet.SplitBatch(dst, b[statusSize:])
 	if err != nil {
@@ -417,12 +434,16 @@ func (r *RemoteRTL) Step(cycles uint64) (uint64, error) {
 // Push implements core.RTL. The batch is buffered, not flushed, and its ack
 // is deferred: it leaves in one segment with the next request (Step, in
 // the synchronizer's quantum), whose call collects the ack and reports a
-// failed push once.
+// failed push once. An empty batch sends nothing, since Machine.Push of no
+// packets changes nothing; it still reports a recorded deferred failure.
 func (r *RemoteRTL) Push(pkts []packet.Packet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.takeDeferred(); err != nil {
 		return err
+	}
+	if len(pkts) == 0 {
+		return nil
 	}
 	buf, err := packet.AppendBatch(r.push[:0], pkts)
 	if err != nil {
@@ -438,9 +459,17 @@ func (r *RemoteRTL) Push(pkts []packet.Packet) error {
 }
 
 // Pull implements core.RTL. The reply carries the status after the drain.
+// When the last status counted no packet in the TX queue, Pull returns an
+// empty batch without the wire: only a Step fills the queue, and every
+// Step reply brings a fresh count, while draining an empty queue changes
+// no machine state. A count gone stale the other way (a SyncReset push
+// emptied the queue) costs one wire Pull, never a lost packet.
 func (r *RemoteRTL) Pull() ([]packet.Packet, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.st.txLen == 0 {
+		return r.pulled[:0], nil
+	}
 	resp, err := r.call(packet.Packet{Type: packet.RTLPull}, packet.RTLBatch)
 	if err != nil {
 		return nil, err

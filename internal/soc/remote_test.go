@@ -192,8 +192,9 @@ func TestRemoteRTLRestoreReportsFreshStatus(t *testing.T) {
 }
 
 // TestStatusCodecRoundTrip puts a distinct value in every field of Stats
-// and EnergyBreakdown and requires the status codec to carry each one: a
-// field added to either struct without a matching codec change fails here.
+// and EnergyBreakdown, and in the TX count, and requires the status codec
+// to carry each one: a field added to either struct without a matching
+// codec change fails here.
 func TestStatusCodecRoundTrip(t *testing.T) {
 	next := uint64(0x0102030405060708)
 	var fill func(path string, v reflect.Value)
@@ -215,6 +216,8 @@ func TestStatusCodecRoundTrip(t *testing.T) {
 		next++
 		fill("Stats", reflect.ValueOf(&want.stats).Elem())
 		fill("EnergyBreakdown", reflect.ValueOf(&want.energy).Elem())
+		want.txLen = next
+		next++
 		b := want.appendTo(nil)
 		if len(b) != statusSize {
 			t.Fatalf("encoded status is %d bytes, want %d", len(b), statusSize)
@@ -225,6 +228,35 @@ func TestStatusCodecRoundTrip(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("round trip lost fields:\ngot  %+v\nwant %+v", got, want)
+		}
+	}
+}
+
+// TestStatusOldWidthFailsClosed: a status of the width before the TX count
+// was added — 153 bytes — is rejected by every decoder that reads one,
+// including an RTLBatch whose first packet header would otherwise be read
+// as the count.
+func TestStatusOldWidthFailsClosed(t *testing.T) {
+	const oldSize = statusSize - 8
+	old := rtlStatus{cycle: 7, stats: Stats{Cycles: 7, Syncs: 1}}.appendTo(nil)[:oldSize]
+	if _, err := decodeStatus(old); err == nil {
+		t.Error("decodeStatus accepted an old-width status")
+	}
+	if _, _, err := decodeStepped(append(binary.LittleEndian.AppendUint64(nil, 1000), old...)); err == nil {
+		t.Error("decodeStepped accepted an old-width status")
+	}
+	for _, pkts := range [][]packet.Packet{
+		nil,
+		{{Type: packet.DepthReq}},
+		{{Type: packet.DepthReq}, packet.Depth{Meters: 1}.Marshal()},
+		{packet.Cmd{VForward: 3}.Marshal()},
+	} {
+		b, err := packet.AppendBatch(append([]byte(nil), old...), pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeBatchReply(nil, b); err == nil {
+			t.Errorf("decodeBatchReply accepted an old-width status before %d packets", len(pkts))
 		}
 	}
 }
@@ -245,6 +277,12 @@ func FuzzRTLReply(f *testing.F) {
 	f.Add(append(binary.LittleEndian.AppendUint64(nil, 1000), status...))
 	f.Add(batch)
 	f.Add(batch[:len(batch)-3])
+	// A status reporting packets left in the TX queue (valid after a step,
+	// rejected in a drain's reply), and the old width.
+	st.txLen = 2
+	f.Add(st.appendTo(nil))
+	f.Add(append(st.appendTo(nil), batch[statusSize:]...))
+	f.Add(status[:statusSize-8])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if st, err := decodeStatus(b); err == nil && !bytes.Equal(st.appendTo(nil), b) {
 			t.Fatalf("status %x re-encodes as %x", b, st.appendTo(nil))
@@ -296,21 +334,26 @@ func TestRemoteRTLDeferredPushError(t *testing.T) {
 	}
 }
 
-// writeCounter counts Write calls on a connection.
+// writeCounter counts Write calls on a connection, and the bytes written.
 type writeCounter struct {
 	net.Conn
-	n *atomic.Int64
+	n, bytes *atomic.Int64
 }
 
 func (c writeCounter) Write(p []byte) (int, error) {
 	c.n.Add(1)
+	c.bytes.Add(int64(len(p)))
 	return c.Conn.Write(p)
 }
 
-// TestRemoteRTLTwoWritesPerQuantum pins the quantum's wire cost: Pull is
-// one write, and the deferred push leaves in the same write as the Step
-// behind it.
-func TestRemoteRTLTwoWritesPerQuantum(t *testing.T) {
+// TestRemoteRTLWritesPerQuantum pins the quantum's wire cost: one write
+// (the Step, carrying a non-empty push in the same segment) when the
+// previous step left the TX queue empty, two (Pull, then Step) otherwise.
+// An empty push sends no bytes: such a quantum writes the step frame
+// alone, after the pull frame when there was output to drain. A local
+// machine run through the same schedule says which quanta found packets
+// waiting.
+func TestRemoteRTLWritesPerQuantum(t *testing.T) {
 	m := NewMachine(Config{Core: BOOM, Gemmini: true}, echoProgram)
 	t.Cleanup(m.Close)
 	srv, err := NewServer(m, "127.0.0.1:0")
@@ -319,33 +362,63 @@ func TestRemoteRTLTwoWritesPerQuantum(t *testing.T) {
 	}
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
-	var writes atomic.Int64
+	var writes, written atomic.Int64
 	r, err := DialRTLWith(srv.Addr(), DialOptions{
 		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
 			c, err := net.DialTimeout("tcp", addr, timeout)
-			return writeCounter{Conn: c, n: &writes}, err
+			return writeCounter{Conn: c, n: &writes, bytes: &written}, err
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
+	local := NewMachine(Config{Core: BOOM, Gemmini: true}, echoProgram)
+	t.Cleanup(local.Close)
 
-	const quanta = 10
-	before := writes.Load()
-	for i := 0; i < quanta; i++ {
-		if _, err := r.Pull(); err != nil {
+	// Every third quantum pushes nothing, so the quantum after it finds
+	// the TX queue empty: the schedule reaches both costs.
+	var one, two int
+	for i := 0; i < 12; i++ {
+		var push []packet.Packet
+		if i%3 != 2 {
+			push = []packet.Packet{{Type: packet.DepthReq}}
+		}
+		want, wantBytes := int64(1), int64(packet.HeaderSize+8)
+		if local.Bridge().PeekTxLen() > 0 {
+			want, wantBytes, two = 2, wantBytes+packet.HeaderSize, two+1
+		} else {
+			one++
+		}
+		before, beforeBytes := writes.Load(), written.Load()
+		got, err := r.Pull()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Push([]packet.Packet{{Type: packet.DepthReq}}); err != nil {
+		wantPkts, _ := local.Pull()
+		if len(got) != len(wantPkts) {
+			t.Fatalf("quantum %d: pulled %d packets, local machine %d", i, len(got), len(wantPkts))
+		}
+		if err := r.Push(push); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Step(50_000); err != nil {
 			t.Fatal(err)
 		}
+		local.Push(push)
+		local.Step(50_000)
+		if got := writes.Load() - before; got != want {
+			t.Errorf("quantum %d made %d writes, want %d", i, got, want)
+		}
+		if got := written.Load() - beforeBytes; push == nil && got != wantBytes {
+			t.Errorf("quantum %d pushed nothing and wrote %d bytes, want %d", i, got, wantBytes)
+		}
 	}
-	if got := writes.Load() - before; got != 2*quanta {
-		t.Errorf("%d quanta made %d writes, want %d", quanta, got, 2*quanta)
+	if one == 0 || two == 0 {
+		t.Fatalf("schedule reached %d one-write and %d two-write quanta; want both", one, two)
+	}
+	if r.Stats() != local.Stats() {
+		t.Errorf("stats:\nremote %+v\nlocal  %+v", r.Stats(), local.Stats())
 	}
 }
 

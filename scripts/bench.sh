@@ -14,7 +14,12 @@
 #   - the TCP RPC quantum (allocs must stay 0): plain, observed, through the
 #     faultnet wrapper with nothing armed, and over the resilient transport
 #     (replay window, deadlines, CRCs); and the remote-RTL quantum
-#     (BenchmarkQuantumRemoteRTL);
+#     (BenchmarkQuantumRemoteRTL: a quiet quantum, where only the step
+#     reaches the wire, and one whose program sends a packet, which adds
+#     the wire drain);
+#   - the fine-granularity quantum (BenchmarkQuantumFine at -cpu 1):
+#     Figure 15's synthetic program in process and overlapped at 10k
+#     cycles per quantum, where nearly every quantum steps no frame;
 #   - the SoC engine's quantum (BenchmarkEngineStep): one Step resuming the
 #     program coroutine of a bridge-chatty program, 0 allocs/op;
 #   - energy_overhead_pct from BenchmarkMissionStepEnergyPaired and
@@ -28,7 +33,11 @@
 #     round beside it (<key>_rounds), and <key>_verdict judges the contract
 #     from the rounds: "within" when every round is under the bound, "over"
 #     when every round is above it, "unresolved" when they straddle it (the
-#     median then falls on either side by chance);
+#     median then falls on either side by chance); beside the stream
+#     pair's percentage, each arm's ns/quantum and their difference in
+#     µs/quantum (stream_fprint_bare_ns_quantum, _instr_ns_quantum,
+#     _overhead_us_quantum, median and rounds), which tell a fixed
+#     per-quantum cost from one that grows;
 #   - the forward pass missions run (BenchmarkForward: ResNet6 and ResNet14
 #     on fp32 and int8, at -cpu 1), with the int8 rows' a_zero_pct;
 #   - one 64x48 camera frame per map (BenchmarkRenderFrame at -cpu 1: the
@@ -87,6 +96,7 @@ go test -run xxx \
     -benchtime 4x -benchmem . | tee "$raw"
 
 go test -run xxx -bench 'BenchmarkQuantumRemoteRTL$' -benchmem . | tee -a "$raw"
+go test -run xxx -bench 'BenchmarkQuantumFine$' -cpu 1 -benchmem ./internal/experiments/ | tee -a "$raw"
 go test -run xxx -bench 'BenchmarkEngineStep$' -benchmem ./internal/soc/ | tee -a "$raw"
 go test -run xxx -bench 'BenchmarkMissionQuantum' -benchtime 500x -benchmem \
     ./internal/experiments/ | tee -a "$raw"
@@ -158,22 +168,30 @@ function median(list,    v, c, i, j, t) {
         }
     return (c % 2 ? v[(c+1)/2] : (v[c/2] + v[c/2+1]) / 2)
 }
-# rounds prints "key": median, "key_rounds": [every round] and
-# "key_verdict" against the contract bound for a paired metric: "within"
-# when every round is under bound, "over" when every round is above it,
-# "unresolved" otherwise; or "key": null when the benchmark did not run.
-function rounds(key, list, bound,    v, c, i, under, above, verdict) {
+# series prints "key": median and "key_rounds": [every round] for a metric
+# a paired benchmark reports once per round, or "key": null when the
+# benchmark did not run.
+function series(key, list,    v, c, i) {
     if (list == "") { printf "  \"%s\": null", key; return }
     c = split(list, v, " ")
     printf "  \"%s\": %s,\n  \"%s_rounds\": [", key, median(list), key
+    for (i = 1; i <= c; i++) printf "%s%s", v[i], (i < c ? ", " : "")
+    printf "]"
+}
+# rounds prints series(key, list) and "key_verdict" against the contract
+# bound for a paired metric: "within" when every round is under bound,
+# "over" when every round is above it, "unresolved" otherwise.
+function rounds(key, list, bound,    v, c, i, under, above, verdict) {
+    series(key, list)
+    if (list == "") return
+    c = split(list, v, " ")
     under = above = 0
     for (i = 1; i <= c; i++) {
-        printf "%s%s", v[i], (i < c ? ", " : "")
         if (v[i] + 0 < bound) under++
         if (v[i] + 0 > bound) above++
     }
     verdict = (under == c ? "within" : (above == c ? "over" : "unresolved"))
-    printf "],\n  \"%s_verdict\": \"%s\"", key, verdict
+    printf ",\n  \"%s_verdict\": \"%s\"", key, verdict
 }
 # speedup prints "key": {shape: base/fast} for every shape whose GEMM row
 # exists under both kernel prefixes of gemm_kernels.
@@ -206,6 +224,9 @@ FNR == NR { if (NF == 2) prevns[$1] = $2; next }
         if ($(i+1) == "warm_speedup_x") warm[name] = $i
         if ($(i+1) == "energy_overhead_pct") nrg[name] = nrg[name] " " $i
         if ($(i+1) == "stream_fprint_overhead_pct") strm[name] = strm[name] " " $i
+        if ($(i+1) == "bare_ns/quantum") sbare[name] = sbare[name] " " $i
+        if ($(i+1) == "instr_ns/quantum") sinstr[name] = sinstr[name] " " $i
+        if ($(i+1) == "overhead_us/quantum") sdiff[name] = sdiff[name] " " $i
         if ($(i+1) == "image_bytes") imgb[name] = $i
         if ($(i+1) == "a_zero_pct") azero[name] = $i
         if ($(i+1) == "walls") walls[name] = $i
@@ -272,6 +293,12 @@ END {
     rounds("energy_overhead_pct", nrg["BenchmarkMissionStepEnergyPaired"], 1.5)
     printf ",\n"
     rounds("stream_fprint_overhead_pct", strm["BenchmarkMissionStepStreamPaired"], 2)
+    printf ",\n"
+    series("stream_fprint_bare_ns_quantum", sbare["BenchmarkMissionStepStreamPaired"])
+    printf ",\n"
+    series("stream_fprint_instr_ns_quantum", sinstr["BenchmarkMissionStepStreamPaired"])
+    printf ",\n"
+    series("stream_fprint_overhead_us_quantum", sdiff["BenchmarkMissionStepStreamPaired"])
     printf ",\n  \"prev_pr\": %s,\n  \"vs_prev\": {\n", prevpr
     # ns/op deltas against the previous PR snapshot, for benchmarks present
     # in both (negative = faster now); informational, see the header.

@@ -169,7 +169,9 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # synchronization quantum — render, bridge exchange, inference, physics,
 # always-on fingerprint fold — must not allocate with observability
 # disabled, in every harness: the TCP-remote env exchange, the TCP-remote
-# RTL quantum, and the fully assembled steady-state mission quantum. The
+# RTL quantum (quiet, and with a packet to drain), the fully assembled
+# steady-state mission quantum, and Figure 15's fine-granularity quantum
+# (10k cycles, nearly every quantum due no frame) at -cpu 1. The
 # TCP env exchange must not allocate with request accounting on at both
 # ends either (the packet serve loop's observed path); nor may the
 # int8 forward pass, which allocates nothing at any GOMAXPROCS, nor the
@@ -213,6 +215,7 @@ alloc_gate . 'BenchmarkQuantumTCP$' 200x
 alloc_gate . 'BenchmarkQuantumTCPObserved$' 200x
 alloc_gate . 'BenchmarkQuantumRemoteRTL$' 200x
 alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
+alloc_gate ./internal/experiments/ 'BenchmarkQuantumFine$' 20000x -cpu 1
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/fp32$' 20x -cpu 1
 alloc_gate ./internal/soc/ 'BenchmarkEngineStep$' 20000x -cpu 1,2
