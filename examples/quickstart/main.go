@@ -45,7 +45,7 @@ func main() {
 	}
 	ctrl := app.DefaultControlParams(3) // 3 m/s mission velocity
 	flight := &app.Log{}
-	machine := soc.NewMachine(config.A.SoCConfig(), app.StaticController(sess, ctrl, flight))
+	machine := soc.NewStateMachine(config.A.SoCConfig(), app.NewStaticLoop(sess, ctrl, flight))
 	defer machine.Close()
 
 	// 4. Lockstep co-simulation (Algorithm 1): one 60 Hz frame per

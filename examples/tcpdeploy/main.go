@@ -88,8 +88,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine := soc.NewMachine(config.A.SoCConfig(),
-		app.StaticController(sess, app.DefaultControlParams(3), nil))
+	machine := soc.NewStateMachine(config.A.SoCConfig(),
+		app.NewStaticLoop(sess, app.DefaultControlParams(3), nil))
 	defer machine.Close()
 	rtlSrv, err := soc.NewServer(machine, "127.0.0.1:0")
 	if err != nil {

@@ -1,6 +1,8 @@
 // Package app contains the companion-computer applications deployed on the
-// simulated SoC: the static DNN trail-navigation controller (§4.2.2) and
-// the dynamic runtime that switches networks by deadline (§5.3).
+// simulated SoC: the DNN trail-navigation control loop (ControlLoop), static
+// (§4.2.2) or with a fallback network chosen by deadline (the dynamic
+// runtime, §5.3); the scripted patrol controller of scenario missions
+// (ScriptedLoop); and the classical RV64IM kernel flow (§3.3).
 //
 // Programs see only the soc.Runtime surface — bridge I/O and compute — and
 // communicate exclusively through RoSÉ data packets, exactly like the C++
@@ -15,7 +17,6 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/obs"
-	"repro/internal/ort"
 	"repro/internal/packet"
 	"repro/internal/soc"
 	"repro/internal/tensor"
@@ -126,7 +127,7 @@ type InferenceRecord struct {
 	LatencySec   float64
 	Output       dnn.Output
 	Cmd          packet.Cmd
-	DepthMeters  float64 // last depth reading (dynamic runtime)
+	DepthMeters  float64 // last depth reading (0 from a controller that reads none)
 	UsedFallback bool    // dynamic runtime chose the small network
 }
 
@@ -235,20 +236,11 @@ func decodeFrameInto(p packet.Packet, scratch *tensor.Tensor, net *dnn.Net) (*te
 	return t, nil
 }
 
-// StaticController returns the standard control-loop program: request an
-// image, run the DNN, send velocity targets, repeat. If log is non-nil,
-// each iteration is recorded. The program is the StaticLoop state machine,
-// so every mission — snapshotted or not — executes the identical resumable
-// request sequence.
-func StaticController(sess *ort.Session, ctrl ControlParams, log *Log) soc.Program {
-	return NewStaticLoop(sess, ctrl, log).Run
-}
-
 // DynamicParams configures the deadline-aware runtime of §5.3.
 type DynamicParams struct {
 	// DeadlineSec: when the estimated time-to-collision (depth / forward
 	// velocity, Equation 3) drops below this, the runtime switches to the
-	// low-latency network with the argmax policy.
+	// low-latency network, with the sharpened control of NewDynamicLoop.
 	DeadlineSec float64
 	// SessionOverheadInstrs models the extra bookkeeping of hosting two
 	// ONNX Runtime sessions (the paper observes ~15% fewer inferences).
@@ -258,13 +250,4 @@ type DynamicParams struct {
 // DefaultDynamicParams returns the evaluation configuration.
 func DefaultDynamicParams() DynamicParams {
 	return DynamicParams{DeadlineSec: 0.55, SessionOverheadInstrs: 3_000_000}
-}
-
-// DynamicController returns the dynamic-runtime program: it polls the
-// forward depth sensor, derives the collision deadline, and selects the
-// high-accuracy network when the deadline allows or the low-latency network
-// (with argmax control, §5.3) when a collision is imminent. The program is
-// the DynamicLoop state machine; see StaticController.
-func DynamicController(big, small *ort.Session, ctrl ControlParams, dyn DynamicParams, log *Log) soc.Program {
-	return NewDynamicLoop(big, small, ctrl, dyn, log).Run
 }

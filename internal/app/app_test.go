@@ -120,13 +120,15 @@ func TestLogRecords(t *testing.T) {
 }
 
 // hostHarness drives a machine as the synchronizer would, answering camera
-// and depth requests with canned data.
-func hostHarness(t testing.TB, m *soc.Machine, quanta int, depth float64) {
+// and depth requests with canned data. It returns the type of every packet
+// it pulled, in order.
+func hostHarness(t testing.TB, m *soc.Machine, quanta int, depth float64) []packet.Type {
 	t.Helper()
 	pix := make([]byte, 64*48)
 	for i := range pix {
 		pix[i] = byte(i % 251)
 	}
+	var pulled []packet.Type
 	for i := 0; i < quanta; i++ {
 		out, err := m.Pull()
 		if err != nil {
@@ -134,6 +136,7 @@ func hostHarness(t testing.TB, m *soc.Machine, quanta int, depth float64) {
 		}
 		var in []packet.Packet
 		for _, p := range out {
+			pulled = append(pulled, p.Type)
 			switch p.Type {
 			case packet.CamReq:
 				frame, _ := packet.CamFrame{W: 64, H: 48, Pix: pix}.Marshal()
@@ -154,6 +157,7 @@ func hostHarness(t testing.TB, m *soc.Machine, quanta int, depth float64) {
 			t.Fatalf("program exited: %v", m.Err())
 		}
 	}
+	return pulled
 }
 
 func untrainedSession(t testing.TB, name string) *ort.Session {
@@ -170,7 +174,7 @@ func TestStaticControllerLoop(t *testing.T) {
 	log := &Log{}
 	ctrl := DefaultControlParams(3)
 	ctrl.WarmupSec = 0.01
-	m := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, StaticController(sess, ctrl, log))
+	m := soc.NewStateMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, NewStaticLoop(sess, ctrl, log))
 	defer m.Close()
 	hostHarness(t, m, 240, 30) // 4 simulated seconds
 	recs := log.Records()
@@ -202,8 +206,8 @@ func TestDynamicControllerSwitchesByDeadline(t *testing.T) {
 
 	runWithDepth := func(depth float64) []InferenceRecord {
 		log := &Log{}
-		m := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true},
-			DynamicController(big, small, ctrl, dyn, log))
+		m := soc.NewStateMachine(soc.Config{Core: soc.BOOM, Gemmini: true},
+			NewDynamicLoop(big, small, ctrl, dyn, log))
 		defer m.Close()
 		hostHarness(t, m, 180, depth)
 		return log.Records()
@@ -237,8 +241,8 @@ func TestDynamicFasterLoopOnFallback(t *testing.T) {
 	ctrl.WarmupSec = 0.01
 	run := func(depth float64) float64 {
 		log := &Log{}
-		m := soc.NewMachine(soc.Config{Core: soc.BOOM, Gemmini: true},
-			DynamicController(big, small, ctrl, DefaultDynamicParams(), log))
+		m := soc.NewStateMachine(soc.Config{Core: soc.BOOM, Gemmini: true},
+			NewDynamicLoop(big, small, ctrl, DefaultDynamicParams(), log))
 		defer m.Close()
 		hostHarness(t, m, 120, depth)
 		return log.MeanLatency()
@@ -246,6 +250,39 @@ func TestDynamicFasterLoopOnFallback(t *testing.T) {
 	slow, fast := run(50), run(3)
 	if fast >= slow {
 		t.Errorf("fallback latency %v should be below big-model latency %v", fast, slow)
+	}
+}
+
+// A static loop never reads depth: after the warm-up's zero command, each
+// iteration sends a camera request and a command. The dynamic runtime sends
+// its depth request back to back with the camera request, every iteration.
+func TestControlLoopRequestSequence(t *testing.T) {
+	big := untrainedSession(t, "ResNet14")
+	small := untrainedSession(t, "ResNet6")
+	ctrl := DefaultControlParams(9)
+	ctrl.WarmupSec = 0.01
+	for _, tc := range []struct {
+		name string
+		loop *ControlLoop
+		iter []packet.Type
+	}{
+		{"static", NewStaticLoop(big, ctrl, nil), []packet.Type{packet.CamReq, packet.CmdVel}},
+		{"dynamic", NewDynamicLoop(big, small, ctrl, DefaultDynamicParams(), nil),
+			[]packet.Type{packet.DepthReq, packet.CamReq, packet.CmdVel}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := soc.NewStateMachine(soc.Config{Core: soc.BOOM, Gemmini: true}, tc.loop)
+			defer m.Close()
+			pulled := hostHarness(t, m, 120, 3)
+			if len(pulled) < 1+5*len(tc.iter) || pulled[0] != packet.CmdVel {
+				t.Fatalf("pulled %v", pulled)
+			}
+			for i, typ := range pulled[1:] {
+				if want := tc.iter[i%len(tc.iter)]; typ != want {
+					t.Fatalf("packet %d is %v, want %v", i+1, typ, want)
+				}
+			}
+		})
 	}
 }
 

@@ -6,26 +6,27 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ort"
 	"repro/internal/packet"
 	"repro/internal/soc"
 )
 
 var restoreCfg = soc.Config{Core: soc.BOOM, Gemmini: true}
 
+// restoreCtrl flies at 9 m/s, so hostHarness's 3 m depth puts the dynamic
+// runtime inside its deadline and its fallback network engages.
 func restoreCtrl() ControlParams {
-	ctrl := DefaultControlParams(3)
+	ctrl := DefaultControlParams(9)
 	ctrl.WarmupSec = 0.01
 	return ctrl
 }
 
-// captureStatic flies a StaticLoop machine for the given quanta of the host
-// harness and captures it.
-func captureStatic(t testing.TB, sess *ort.Session, quanta int) *soc.SnapState {
+// capture flies a resumable controller's machine for the given quanta of the
+// host harness at 3 m depth and captures it.
+func capture(t testing.TB, sp soc.StateProgram, quanta int) *soc.SnapState {
 	t.Helper()
-	m := soc.NewStateMachine(restoreCfg, NewStaticLoop(sess, restoreCtrl(), &Log{}))
+	m := soc.NewStateMachine(restoreCfg, sp)
 	defer m.Close()
-	hostHarness(t, m, quanta, 30)
+	hostHarness(t, m, quanta, 3)
 	st, err := m.SnapState()
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +48,8 @@ func gobBytes(t testing.TB, v any) []byte {
 // killed the process.
 func TestRestoreRejectsNegativeChargeIndex(t *testing.T) {
 	sess := untrainedSession(t, "ResNet6")
-	st := captureStatic(t, sess, 20)
-	st.App = gobBytes(t, staticBlob{PC: pcCharge, ChargeIdx: -1})
+	st := capture(t, NewStaticLoop(sess, restoreCtrl(), &Log{}), 20)
+	st.App = gobBytes(t, loopBlob{PC: pcCharge, ChargeIdx: -1})
 	m, err := soc.RestoreMachine(restoreCfg, NewStaticLoop(sess, restoreCtrl(), &Log{}), st)
 	if err == nil {
 		m.Close()
@@ -59,58 +60,116 @@ func TestRestoreRejectsNegativeChargeIndex(t *testing.T) {
 	}
 
 	dl := NewDynamicLoop(sess, sess, restoreCtrl(), DefaultDynamicParams(), nil)
-	if err := dl.RestoreState(gobBytes(t, dynBlob{PC: pcCharge, ChargeIdx: -1})); err == nil {
+	if err := dl.RestoreState(gobBytes(t, loopBlob{PC: pcCharge, ChargeIdx: -1})); err == nil {
 		t.Error("dynamic loop accepted charge index -1")
 	}
 }
 
+// A static loop has no fallback network: a blob that selects one, or that
+// parks in a depth state, fails closed in RestoreState. Accepted, the
+// fallback selection made Run resume with a nil session and panic on the
+// goroutine that stepped the restored machine.
+func TestStaticLoopRejectsFallbackBlob(t *testing.T) {
+	sess := untrainedSession(t, "ResNet6")
+	st := capture(t, NewStaticLoop(sess, restoreCtrl(), &Log{}), 20)
+	st.App = gobBytes(t, loopBlob{PC: pcCharge, UseSmall: true})
+	m, err := soc.RestoreMachine(restoreCfg, NewStaticLoop(sess, restoreCtrl(), &Log{}), st)
+	if err == nil {
+		m.Close()
+		t.Fatal("restored a static loop with the fallback network selected")
+	}
+	if !strings.Contains(err.Error(), "fallback") {
+		t.Errorf("error %q does not name the fallback network", err)
+	}
+
+	for _, b := range []loopBlob{{PC: pcCharge, UseSmall: true}, {PC: pcSendDepthReq}, {PC: pcRecvDepth}, {PC: pcOverhead}} {
+		if err := NewStaticLoop(sess, restoreCtrl(), nil).RestoreState(gobBytes(t, b)); err == nil {
+			t.Errorf("static loop accepted %+v", b)
+		}
+		dl := NewDynamicLoop(sess, sess, restoreCtrl(), DefaultDynamicParams(), nil)
+		if err := dl.RestoreState(gobBytes(t, b)); err != nil {
+			t.Errorf("dynamic loop rejected %+v: %v", b, err)
+		}
+	}
+}
+
 // A camera frame smaller than the network's input ends the program with an
-// error instead of panicking in the backbone's pooling.
+// error instead of panicking in the backbone's pooling. With its fallback
+// engaged, the dynamic loop checks the frame against the small network.
 func TestStaticLoopRejectsSmallFrame(t *testing.T) {
 	ctrl := restoreCtrl()
 	ctrl.WarmupSec = 0
-	m := soc.NewMachine(restoreCfg, StaticController(untrainedSession(t, "ResNet6"), ctrl, nil))
-	defer m.Close()
+	big, small := untrainedSession(t, "ResNet14"), untrainedSession(t, "ResNet6")
 	frame, err := packet.CamFrame{W: 2, H: 2, Pix: make([]byte, 4)}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Push([]packet.Packet{frame}); err != nil {
-		t.Fatal(err)
-	}
-	m.Step(16_666_667)
-	if !m.Done() || m.Err() == nil || !strings.Contains(m.Err().Error(), "smaller than ResNet6's 64x48 input") {
-		t.Fatalf("done=%v err=%v, want the frame rejected", m.Done(), m.Err())
+	for _, tc := range []struct {
+		name string
+		loop *ControlLoop
+		in   []packet.Packet
+	}{
+		{"static", NewStaticLoop(small, ctrl, nil), []packet.Packet{frame}},
+		{"dynamic", NewDynamicLoop(big, small, ctrl, DefaultDynamicParams(), nil),
+			[]packet.Packet{packet.Depth{Meters: 3}.Marshal(), frame}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := soc.NewStateMachine(restoreCfg, tc.loop)
+			defer m.Close()
+			if err := m.Push(tc.in); err != nil {
+				t.Fatal(err)
+			}
+			m.Step(16_666_667)
+			if !m.Done() || m.Err() == nil || !strings.Contains(m.Err().Error(), "smaller than ResNet6's 64x48 input") {
+				t.Fatalf("done=%v err=%v, want the frame rejected", m.Done(), m.Err())
+			}
+		})
 	}
 }
 
 // FuzzRestoreMachine drives arbitrary bytes down the path a remote RTL
-// server's RTLRestore request takes: gob-decode a soc.SnapState, restore a
-// StaticLoop machine from it, then step it as RTLStep requests would. Every
-// input must end in an error or in a machine that steps; none may panic.
+// server's RTLRestore request takes: gob-decode a soc.SnapState, restore
+// every resumable controller's machine from it — the static and dynamic
+// ControlLoop and the ScriptedLoop — then step each as RTLStep requests
+// would. Every input must end in an error or in a machine that steps; none
+// may panic.
 func FuzzRestoreMachine(f *testing.F) {
-	sess := untrainedSession(f, "ResNet6")
-	// Real captures: parked mid-bill, in a receive, and between requests.
-	for _, quanta := range []int{3, 20, 41} {
-		f.Add(gobBytes(f, captureStatic(f, sess, quanta)))
+	big, small := untrainedSession(f, "ResNet14"), untrainedSession(f, "ResNet6")
+	script := DefaultScriptParams()
+	script.WarmupSec = 0.01
+	loops := []func() soc.StateProgram{
+		func() soc.StateProgram { return NewStaticLoop(small, restoreCtrl(), &Log{}) },
+		func() soc.StateProgram {
+			return NewDynamicLoop(big, small, restoreCtrl(), DefaultDynamicParams(), &Log{})
+		},
+		func() soc.StateProgram { return NewScriptedLoop(patrol(), script, &Log{}) },
+	}
+	// Real captures of each: parked mid-bill, in a receive, and between
+	// requests. At 3 m depth the dynamic loop runs its fallback network.
+	for _, newLoop := range loops {
+		for _, quanta := range []int{3, 20, 41} {
+			f.Add(gobBytes(f, capture(f, newLoop(), quanta)))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st soc.SnapState
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 			return
 		}
-		m, err := soc.RestoreMachine(restoreCfg, NewStaticLoop(sess, restoreCtrl(), &Log{}), &st)
-		if err != nil {
-			return
-		}
-		defer m.Close()
-		for i := 0; i < 3; i++ {
-			if _, err := m.Step(16_666_667); err != nil {
-				t.Fatalf("quantum %d: %v", i, err)
+		for _, newLoop := range loops {
+			m, err := soc.RestoreMachine(restoreCfg, newLoop(), &st)
+			if err != nil {
+				continue
 			}
-			if _, err := m.Pull(); err != nil {
-				t.Fatalf("quantum %d: %v", i, err)
+			for i := 0; i < 3; i++ {
+				if _, err := m.Step(16_666_667); err != nil {
+					t.Fatalf("quantum %d: %v", i, err)
+				}
+				if _, err := m.Pull(); err != nil {
+					t.Fatalf("quantum %d: %v", i, err)
+				}
 			}
+			m.Close()
 		}
 	})
 }

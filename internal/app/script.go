@@ -56,11 +56,6 @@ func NewScriptedLoop(script []scenario.ScriptLeg, p ScriptParams, log *Log) *Scr
 	return sl
 }
 
-// ScriptedController wraps a ScriptedLoop as a plain soc.Program.
-func ScriptedController(script []scenario.ScriptLeg, p ScriptParams, log *Log) soc.Program {
-	return NewScriptedLoop(script, p, log).Run
-}
-
 // Run implements soc.StateProgram (and doubles as a soc.Program).
 func (sl *ScriptedLoop) Run(rt *soc.Runtime) error {
 	clock := rt.Params().ClockHz

@@ -19,7 +19,7 @@ func TestScriptedLoopFliesScript(t *testing.T) {
 	log := &Log{}
 	p := DefaultScriptParams()
 	p.WarmupSec = 0.01
-	m := soc.NewMachine(soc.Config{Core: soc.Rocket}, ScriptedController(patrol(), p, log))
+	m := soc.NewStateMachine(soc.Config{Core: soc.Rocket}, NewScriptedLoop(patrol(), p, log))
 	defer m.Close()
 	hostHarness(t, m, 240, 30)
 	recs := log.Records()
@@ -53,7 +53,7 @@ func TestScriptedLoopDepthHoldReflex(t *testing.T) {
 	log := &Log{}
 	p := DefaultScriptParams()
 	p.WarmupSec = 0.01
-	m := soc.NewMachine(soc.Config{Core: soc.Rocket}, ScriptedController(patrol(), p, log))
+	m := soc.NewStateMachine(soc.Config{Core: soc.Rocket}, NewScriptedLoop(patrol(), p, log))
 	defer m.Close()
 	hostHarness(t, m, 120, 1.0) // obstacle inside the hold distance
 	for _, r := range log.Records() {

@@ -83,9 +83,6 @@ type Config struct {
 	// StopOnMissionComplete ends the run once the environment reports the
 	// mission goal reached.
 	StopOnMissionComplete bool
-	// MaxCollisions aborts the run after this many collision episodes
-	// (0 = unlimited).
-	MaxCollisions int
 	// RecordTrajectory stores per-quantum telemetry samples in the result.
 	RecordTrajectory bool
 	// ExchangeEveryN relaxes lockstep data exchange: packets cross the
@@ -298,9 +295,9 @@ type envQuantum struct {
 	telErr  error
 }
 
-// Run executes Algorithm 1 until the mission completes, the time budget
-// expires, or the collision limit is hit. It is the one-shot composition of
-// the stepwise API: Start, StepQuanta to completion, Finish.
+// Run executes Algorithm 1 until the mission completes or the time budget
+// expires. It is the one-shot composition of the stepwise API: Start,
+// StepQuanta to completion, Finish.
 func (s *Synchronizer) Run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
@@ -395,10 +392,10 @@ func (s *Synchronizer) teardown() {
 
 // StepQuanta advances the mission by up to maxQuanta synchronization quanta
 // (<= 0 means run until a terminal condition). done reports that the loop
-// hit a terminal condition — time budget, mission completion with
-// StopOnMissionComplete, or the collision limit — and further calls will not
-// advance. The quantum boundary between calls is a legal snapshot point: the
-// RTL budget is drained and no data is in flight outside the bridge queues.
+// hit a terminal condition — time budget, or mission completion with
+// StopOnMissionComplete — and further calls will not advance. The quantum
+// boundary between calls is a legal snapshot point: the RTL budget is
+// drained and no data is in flight outside the bridge queues.
 func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 	if !s.started {
 		return false, fmt.Errorf("core: StepQuanta before Start")
@@ -574,11 +571,6 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 				s.st.stopped = true
 				return true, nil
 			}
-		}
-		if cfg.MaxCollisions > 0 && tm.CollisionCount >= cfg.MaxCollisions {
-			s.o.Fault("collision limit reached")
-			s.st.stopped = true
-			return true, nil
 		}
 	}
 	return s.st.stopped || s.st.simT >= s.cfg.MaxSimSeconds, nil

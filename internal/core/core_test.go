@@ -148,33 +148,6 @@ func TestStopsOnMissionComplete(t *testing.T) {
 	}
 }
 
-func TestMaxCollisionsAborts(t *testing.T) {
-	sim := newEnv(t)
-	// Fly into the wall and stay there.
-	prog := func(rt *soc.Runtime) error {
-		rt.Send(packet.Cmd{VForward: 1, VLateral: 3}.Marshal())
-		for {
-			rt.Compute(1 << 30)
-		}
-	}
-	m := soc.NewMachine(soc.Config{Core: soc.BOOM}, prog)
-	defer m.Close()
-	cfg := DefaultConfig()
-	cfg.MaxSimSeconds = 60
-	cfg.MaxCollisions = 3
-	sy, _ := New(sim, m, cfg)
-	res, err := sy.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Collisions < 3 {
-		t.Errorf("collisions = %d", res.Collisions)
-	}
-	if res.SimSeconds >= 59 {
-		t.Error("did not abort on collision limit")
-	}
-}
-
 func TestProgramExitIsAnError(t *testing.T) {
 	sim := newEnv(t)
 	m := soc.NewMachine(soc.Config{Core: soc.BOOM}, func(rt *soc.Runtime) error {

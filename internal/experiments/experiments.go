@@ -358,9 +358,8 @@ func (ms *Mission) start() error {
 
 // Step starts the mission on its first call and advances it by up to n
 // synchronization quanta; n <= 0 steps nothing. done reports that the loop
-// hit a terminal condition (time budget, completion, collision limit) and
-// will not advance further. The boundary after Step is a legal snapshot
-// point.
+// hit a terminal condition (time budget, completion) and will not advance
+// further. The boundary after Step is a legal snapshot point.
 func (ms *Mission) Step(n int) (done bool, err error) {
 	if err := ms.start(); err != nil {
 		return false, err

@@ -22,7 +22,7 @@ import (
 //     peer — the heartbeat the synchronizer writes at each quantum start
 //     stops advancing)
 //   - fault: divergence detected by the synchronizer (non-finite state,
-//     collision limit, a dead peer surfacing as a step error)
+//     a dead peer surfacing as a step error)
 //   - manual: the /blackbox.json introspection endpoint
 //
 // Recording is mutex-guarded but touches only preallocated ring storage;

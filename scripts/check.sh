@@ -39,6 +39,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== benchmark module (perfbench) =="
+# perfbench/ is a module of its own (replace repro => ../), so the root
+# go build, vet and test ./... skip it: an exported-API change in a package
+# the benchmark imports (app, soc, core, env, experiments) would otherwise
+# show only as a failed benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
+
 echo "== go test -race (shuffled) =="
 # The race run covers the parallel GEMM, the row-band renderer, concurrent
 # mission sweeps, and the per-goroutine workspace discipline. -shuffle=on
@@ -134,7 +142,8 @@ echo "== fuzz smoke (70s) =="
 # (buffer and stream decoders, including the resilience extension + CRC),
 # the telemetry codec, the remote-RTL reply payloads (status codec and
 # packet batch), the remote-RTL restore path (a gob SnapState restored into
-# a StaticLoop machine and stepped), rose-snap/1 snapshot images, and
+# the machine of every resumable controller — static and dynamic
+# ControlLoop, ScriptedLoop — and stepped), rose-snap/1 snapshot images, and
 # fingerprint logs. Each -fuzz pattern must match exactly one target: go
 # test rejects more than one, require_tests rejects none. Every burst caps
 # minimizing a new input at 100 executions, not at a time: the default 60s
