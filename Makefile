@@ -31,16 +31,17 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultnet/
 
 # parity re-runs the GEMM and convolution numerics contract (float32
-# bit-identical, int8 exactly equal, GEMM and conv epilogues against their
+# bit-identical, int8 exactly equal, GEMM and conv tails against their
 # direct references, the whole fp32 forward on a reused workspace against a
-# fresh one) with each microkernel forced via ROSE_GEMM_KERNEL. Kernels the
+# fresh one, the forward's feature hashes) with each microkernel forced via
+# ROSE_GEMM_KERNEL. Kernels the
 # host lacks skip gracefully, so this is safe on any machine; make check
 # runs the same loop.
 parity:
 	for k in noasm sse avx2; do \
 		echo "-- ROSE_GEMM_KERNEL=$$k"; \
 		ROSE_GEMM_KERNEL=$$k $(GO) test -race -count=1 \
-			-run 'TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestForwardWS|TestQuant|TestIm2ColI8' \
+			-run 'TestKernel|TestMatMul|TestConv|TestTail|TestBlockFused|TestInt8|TestForwardWS|TestForwardGolden|TestQuant|TestIm2ColI8' \
 			./internal/tensor/ ./internal/dnn/ || exit 1; \
 	done
 

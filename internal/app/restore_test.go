@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dnn"
+	"repro/internal/gemmini"
+	"repro/internal/ort"
 	"repro/internal/packet"
 	"repro/internal/soc"
 )
@@ -122,6 +125,39 @@ func TestStaticLoopRejectsSmallFrame(t *testing.T) {
 			m.Step(16_666_667)
 			if !m.Done() || m.Err() == nil || !strings.Contains(m.Err().Error(), "smaller than ResNet6's 64x48 input") {
 				t.Fatalf("done=%v err=%v, want the frame rejected", m.Done(), m.Err())
+			}
+		})
+	}
+}
+
+// A camera frame larger than the network's input is flown as it is: the
+// backbone is fully convolutional and pools to a fixed grid, so a 128×96
+// frame (rose-env-server -cam-w 128 -cam-h 96) runs an inference on either
+// datapath.
+func TestStaticLoopFliesLargerFrame(t *testing.T) {
+	ctrl := restoreCtrl()
+	ctrl.WarmupSec = 0
+	frame, err := packet.CamFrame{W: 128, H: 96, Pix: bytes.Repeat([]byte{7, 200, 90}, 128*96/3)}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []dnn.Precision{dnn.PrecisionFP32, dnn.PrecisionInt8} {
+		t.Run(prec.String(), func(t *testing.T) {
+			sess, err := ort.NewSessionP(dnn.MustBuild("ResNet6", 3), gemmini.Default(), prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &Log{}
+			m := soc.NewStateMachine(restoreCfg, NewStaticLoop(sess, ctrl, log))
+			defer m.Close()
+			if err := m.Push([]packet.Packet{frame}); err != nil {
+				t.Fatal(err)
+			}
+			for q := 0; q < 60 && m.Err() == nil && len(log.Records()) == 0; q++ {
+				m.Step(16_666_667)
+			}
+			if m.Err() != nil || len(log.Records()) != 1 {
+				t.Fatalf("err=%v after %d inferences, want one inference of the 128x96 frame", m.Err(), len(log.Records()))
 			}
 		})
 	}

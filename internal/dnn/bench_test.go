@@ -17,7 +17,8 @@ var benchOut Output
 // tunnel frames and infer those frames, so activation signs and ReLU
 // sparsity (which the portable int8 kernel's zero skip sees; the AVX2 tile
 // computes densely) are as in flight. The int8 rows report a_zero_pct, the
-// share of zero bytes in all int8 GEMM A operands over every frame, and
+// share of zero bytes among those every int8 GEMM reads of its in-place A
+// (padding and the stem's zero pad channel included) over every frame, and
 // 0 allocs/op at any GOMAXPROCS (the int8 GEMM runs on the calling
 // goroutine); the fp32 rows report 0 allocs/op at -cpu 1 only, since above
 // it the per-call parallel GEMM starts its band goroutines.
@@ -54,12 +55,15 @@ func BenchmarkForward(b *testing.B) {
 // BenchmarkMatMulInt8 times the int8 GEMM, tensor.MatMulI8Into, under each
 // forced kernel on the operands a ResNet14 int8 forward of a rendered
 // tunnel frame hands it, with the conv's packed weights: the stem
-// (768×25×16, odd K; its A is the quantized camera frame plus padding,
-// almost dense) and the first conv of each of the three dominant shapes
-// (768×144×16, 192×288×32, 48×576×64; their A lowers ReLU output, about
-// half zero, in runs along the row and from row to row). sse and noasm
-// both run the portable kernel, whose zero skip sees the real placement of
-// the zeros. Each row reports macs/ns and its A's a_zero_pct.
+// (768×50×16; the quantized camera frame plus padding and its zero pad
+// channel, so every K pair is a pixel and a zero) and the first conv of
+// each of the three dominant shapes (768×144×16, 192×288×32, 48×576×64;
+// ReLU output, about half zero, in runs along the row and from row to
+// row). Each A is the conv's in-place operand copied out row by row, the
+// bytes and order the kernel reads (int8GEMMOperands); MatMulI8Into reads
+// it through a pair table it allocates per call. sse and noasm both run
+// the portable kernel, whose zero skip sees the real placement of the
+// zeros. Each row reports macs/ns and its A's a_zero_pct.
 func BenchmarkMatMulInt8(b *testing.B) {
 	frames := GenerateClean(world.Tunnel(), Lateral, 4, 5, 64, 48).Images
 	n := MustBuild("ResNet14", 1)
@@ -71,9 +75,9 @@ func BenchmarkMatMulInt8(b *testing.B) {
 		w *tensor.PackedI8
 	}
 	var ops []operand
-	want := map[[3]int]bool{{768, 25, 16}: true, {768, 144, 16}: true, {192, 288, 32}: true, {48, 576, 64}: true}
+	want := map[[3]int]bool{{768, 50, 16}: true, {768, 144, 16}: true, {192, 288, 32}: true, {48, 576, 64}: true}
 	int8GEMMOperands(n, frames[0], func(l *Conv, a *tensor.I8) {
-		w, _ := l.quantWeightT()
+		w, _ := l.quantWeights()
 		if shape := [3]int{a.Shape[0], w.K, w.N}; want[shape] {
 			want[shape] = false
 			ops = append(ops, operand{a, w})
@@ -103,27 +107,47 @@ func BenchmarkMatMulInt8(b *testing.B) {
 }
 
 // int8GEMMOperands runs n's backbone on the int8 datapath for img and calls
-// visit, in forward order, with every conv and its int8 GEMM's A operand:
-// the quantized input lowered by im2col, as Conv.forward builds it.
+// visit, in forward order, with every conv and its int8 GEMM's A operand as
+// the kernel reads it in place, copied out: one row per output pixel, K in
+// (kernel row, kernel column, channel) order over the input's channels
+// rounded up to even, each byte the quantized channel-last input, or zero
+// for padding and the pad channel.
 func int8GEMMOperands(n *Net, img *tensor.Tensor, visit func(l *Conv, a *tensor.I8)) {
 	ws := tensor.NewWorkspace()
 	lower := func(l *Conv, x *tensor.Tensor) {
-		inC, kh, kw := l.W.Shape[1], l.W.Shape[2], l.W.Shape[3]
-		qx := tensor.NewI8(x.Shape...)
-		tensor.QuantizeInto(qx, x, tensor.ChooseQuantParams(x.Data))
-		outH, outW := l.outDims(x.Shape[1], x.Shape[2])
-		a := tensor.NewI8(outH*outW, inC*kh*kw)
-		tensor.Im2ColI8Into(ws, a, qx, kh, kw, l.Stride, l.Pad)
+		h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
+		kh, kw, cp := l.W.Shape[2], l.W.Shape[3], c+c%2
+		q := tensor.NewI8(x.Shape...)
+		tensor.QuantizeInto(q, x, tensor.ChooseQuantParams(x.Data))
+		outH, outW := l.outDims(h, w)
+		a := tensor.NewI8(outH*outW, kh*kw*cp)
+		i := 0
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						iy, ix := oy*l.Stride+ky-l.Pad, ox*l.Stride+kx-l.Pad
+						for ch := 0; ch < cp; ch++ {
+							if iy >= 0 && iy < h && ix >= 0 && ix < w && ch < c {
+								a.Data[i] = q.Data[(iy*w+ix)*c+ch]
+							}
+							i++
+						}
+					}
+				}
+			}
+		}
 		visit(l, a)
 	}
-	x := img
+	x := tensor.New(n.InH, n.InW, n.InC)
+	tensor.HWCInto(x, img)
 	for _, l := range n.Backbone {
 		switch ll := l.(type) {
 		case *Conv:
 			lower(ll, x)
 		case *Block:
 			lower(ll.Conv1, x)
-			lower(ll.Conv2, ll.Conv1.forward(x, ws, PrecisionInt8, ll.BN1, true))
+			lower(ll.Conv2, ll.Conv1.forward(x, ws, PrecisionInt8, ll.BN1, nil, true))
 			if ll.Down != nil {
 				lower(ll.Down, x)
 			}

@@ -230,13 +230,17 @@ func classRange(rng *rand.Rand, class int, lo, hi, mid float64) float64 {
 }
 
 // CalibrateBN sets every batch-normalization layer's running statistics from
-// the given inputs, layer by layer (the stand-in for statistics learned
+// the given images, layer by layer (the stand-in for statistics learned
 // during the paper's PyTorch training). It mutates the network.
 func CalibrateBN(n *Net, inputs []*tensor.Tensor) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("dnn: CalibrateBN needs at least one input")
 	}
-	xs := inputs
+	xs := make([]*tensor.Tensor, len(inputs))
+	for i, img := range inputs {
+		xs[i] = tensor.New(img.Shape[1], img.Shape[2], img.Shape[0])
+		tensor.HWCInto(xs[i], img)
+	}
 	for _, l := range n.Backbone {
 		xs = calibrateLayer(l, xs)
 	}
@@ -263,23 +267,22 @@ func forwardAll(l Layer, xs []*tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// fit sets per-channel mean/variance from a batch of CHW activations.
+// fit sets per-channel mean/variance from a batch of HWC activations,
+// summing each channel's pixels in order, image by image.
 func (l *BatchNorm) fit(xs []*tensor.Tensor) {
 	c := len(l.Gamma)
 	sum := make([]float64, c)
 	sumSq := make([]float64, c)
 	var count float64
 	for _, x := range xs {
-		h, w := x.Shape[1], x.Shape[2]
-		for ch := 0; ch < c; ch++ {
-			base := ch * h * w
-			for i := 0; i < h*w; i++ {
-				v := float64(x.Data[base+i])
+		for p := 0; p < len(x.Data); p += c {
+			for ch, v32 := range x.Data[p : p+c] {
+				v := float64(v32)
 				sum[ch] += v
 				sumSq[ch] += v * v
 			}
 		}
-		count += float64(h * w)
+		count += float64(len(x.Data) / c)
 	}
 	for ch := 0; ch < c; ch++ {
 		mean := sum[ch] / count

@@ -63,20 +63,40 @@ func directConv(l *Conv, x *tensor.Tensor, prec Precision) *tensor.Tensor {
 	return out
 }
 
-// unfusedBlock is the block's reference dataflow: direct convolutions and
-// the separate BatchNormInto, ReLUInto and AddInto passes.
+// toHWC returns the CHW tensor x channel-last.
+func toHWC(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Shape[1], x.Shape[2], x.Shape[0])
+	tensor.HWCInto(out, x)
+	return out
+}
+
+// toCHW returns the HWC tensor x channel-first.
+func toCHW(x *tensor.Tensor) *tensor.Tensor {
+	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
+	out := tensor.New(c, h, w)
+	for i := 0; i < h*w; i++ {
+		for ch := 0; ch < c; ch++ {
+			out.Data[ch*h*w+i] = x.Data[i*c+ch]
+		}
+	}
+	return out
+}
+
+// unfusedBlock is the block's reference dataflow: direct convolutions of
+// the CHW input x and the separate BatchNormInto, ReLUInto and AddInto
+// passes, run channel-last; it returns the block's HWC output.
 func unfusedBlock(b *Block, x *tensor.Tensor, prec Precision) *tensor.Tensor {
 	bn := func(t *tensor.Tensor, l *BatchNorm) {
 		tensor.BatchNormInto(t, t, l.Gamma, l.Beta, l.Mean, l.Var, 1e-5)
 	}
-	y := directConv(b.Conv1, x, prec)
+	y := toHWC(directConv(b.Conv1, x, prec))
 	bn(y, b.BN1)
 	tensor.ReLUInto(y, y)
-	z := directConv(b.Conv2, y, prec)
+	z := toHWC(directConv(b.Conv2, toCHW(y), prec))
 	bn(z, b.BN2)
-	short := x
+	short := toHWC(x)
 	if b.Down != nil {
-		short = directConv(b.Down, x, prec)
+		short = toHWC(directConv(b.Down, x, prec))
 		bn(short, b.DownBN)
 	}
 	tensor.AddInto(z, z, short)
@@ -139,7 +159,8 @@ func assertBits(t *testing.T, label string, got, want *tensor.Tensor) {
 // bit for bit, on both datapaths: float32 sums on fp32, exact int32 sums
 // then dequantize on int8. It covers both shortcut kinds, every ResNet conv
 // shape, and a 1-pixel input, plus the stem's plain conv, each run twice on
-// one poisoned workspace.
+// one poisoned workspace. The layers run on the input channel-last and
+// their outputs are compared channel-last.
 func TestBlockFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randInput := func(c, h, w int) *tensor.Tensor {
@@ -156,7 +177,7 @@ func TestBlockFusedMatchesUnfused(t *testing.T) {
 			ref := want(prec)
 			ws := poisonedWorkspace()
 			for run := 0; run < 2; run++ {
-				got := forwardLayer(l, x, ws, prec)
+				got := forwardLayer(l, toHWC(x), ws, prec)
 				assertBits(t, fmt.Sprintf("%s %v run %d", label, prec, run), got, ref)
 				ws.Put(got)
 			}
@@ -185,5 +206,47 @@ func TestBlockFusedMatchesUnfused(t *testing.T) {
 	stem := NewConv(rng, 16, 1, 5, 2, 2)
 	randomizeConv(rng, stem)
 	x := randInput(1, 48, 64)
-	check("stem conv", stem, x, func(p Precision) *tensor.Tensor { return directConv(stem, x, p) })
+	check("stem conv", stem, x, func(p Precision) *tensor.Tensor { return toHWC(directConv(stem, x, p)) })
+}
+
+// TestInt8ConvOddChannels checks int8 convolutions over 1, 3 and 5 input
+// channels, whose quantized input carries a zero pad channel and whose
+// packed weights carry zero rows for it, and over 2 and 4 without,
+// against directConv's exact int32 sums, under every forceable kernel and
+// twice on one poisoned workspace. The output channel counts leave every
+// kind of column remainder to the tail: a whole 16-wide panel, 8, and
+// scalar columns.
+func TestInt8ConvOddChannels(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	prev := tensor.ActiveKernel()
+	defer tensor.ForceKernel(prev)
+	for _, tc := range []struct{ inC, outC, k, stride, pad, h, w int }{
+		{1, 16, 5, 2, 2, 48, 64}, // the stem
+		{3, 27, 3, 1, 1, 9, 11},
+		{5, 8, 3, 2, 1, 7, 10},
+		{5, 13, 1, 2, 0, 6, 5},
+		{2, 16, 3, 1, 1, 5, 6},
+		{4, 3, 3, 1, 0, 4, 4},
+	} {
+		l := NewConv(rng, tc.outC, tc.inC, tc.k, tc.stride, tc.pad)
+		randomizeConv(rng, l)
+		x := tensor.New(tc.inC, tc.h, tc.w)
+		for i := range x.Data {
+			if rng.Intn(3) != 0 {
+				x.Data[i] = rng.Float32()*2 - 1
+			}
+		}
+		want := toHWC(directConv(l, x, PrecisionInt8))
+		for _, k := range supportedKernels() {
+			if err := tensor.ForceKernel(k); err != nil {
+				t.Fatal(err)
+			}
+			ws := poisonedWorkspace()
+			for run := 0; run < 2; run++ {
+				got := forwardLayer(l, toHWC(x), ws, PrecisionInt8)
+				assertBits(t, fmt.Sprintf("int8 conv %+v under %v run %d", tc, k, run), got, want)
+				ws.Put(got)
+			}
+		}
+	}
 }

@@ -49,8 +49,9 @@ func (o OpDesc) MACs() uint64 {
 // Layer is one backbone stage: a functional forward pass plus a timing
 // description under shape propagation.
 //
-// Forward draws scratch and output buffers from ws; a nil ws allocates
-// fresh tensors (the original behavior). The returned tensor is ws-owned —
+// Forward takes and returns channel-last activations, shaped [H, W, C].
+// It draws scratch and output buffers from ws; a nil ws allocates fresh
+// tensors (the original behavior). The returned tensor is ws-owned —
 // callers release it with ws.Put once consumed. Inputs are never written.
 type Layer interface {
 	Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
@@ -75,10 +76,9 @@ type Conv struct {
 	wt     *tensor.Tensor
 	wtOnce sync.Once
 
-	// wq caches the per-tensor symmetric int8 quantization of wt, packed
-	// for the int8 GEMM (tensor.PackI8), for the quantized inference mode
-	// (Gemmini's native low-precision datapath). Weights are quantized and
-	// packed once, at first int8 use, like the transpose cache.
+	// wq caches W quantized per tensor and packed for the int8 GEMM
+	// (tensor.QuantizeConvWeights), Gemmini's native low-precision mode.
+	// Weights are packed once, at first int8 use, like the transpose cache.
 	wq      *tensor.PackedI8
 	wqScale float32
 	wqOnce  sync.Once
@@ -102,67 +102,42 @@ func (l *Conv) weightT() *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *Conv) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return l.forward(x, ws, PrecisionFP32, nil, false)
+	return l.forward(x, ws, PrecisionFP32, nil, nil, false)
 }
 
-// quantWeightT returns the cached packed int8 quantization of weightT and
-// its scale.
-func (l *Conv) quantWeightT() (*tensor.PackedI8, float32) {
+// quantWeights returns the cached packed int8 quantization of W and its
+// scale.
+func (l *Conv) quantWeights() (*tensor.PackedI8, float32) {
 	l.wqOnce.Do(func() {
-		wt := l.weightT()
-		q, qp := tensor.QuantizeTensor(wt)
-		l.wq = tensor.PackI8(q, wt.Shape[0], wt.Shape[1])
+		var qp tensor.QuantParams
+		l.wq, qp = tensor.QuantizeConvWeights(l.W)
 		l.wqScale = qp.Scale
 	})
 	return l.wq, l.wqScale
 }
 
-// ForwardQ is Forward on the int8 datapath: activations are quantized
-// per-image with a per-tensor symmetric scale, the GEMM accumulates in exact
-// int32 against the cached int8 weights, and the accumulator is dequantized
-// back to float32 with the bias folded in. The int32 sums are
-// kernel-invariant, so the whole int8 mode is exactly reproducible
-// everywhere (see tensor/quant.go).
-func (l *Conv) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return l.forward(x, ws, PrecisionInt8, nil, false)
-}
-
-// forward runs the convolution on the prec datapath and finishes it, in the
-// pass that transposes the GEMM result to CHW, with the bias, then bn (when
-// non-nil), then ReLU (when relu is set): bit-identical to the separate
-// BatchNorm and ReLU layers applied to the plain convolution.
-func (l *Conv) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision, bn *BatchNorm, relu bool) *tensor.Tensor {
+// forward runs the convolution of the HWC input x on the prec datapath and
+// finishes it, in the GEMM, with the bias, then bn (when non-nil), then the
+// residual res (when non-nil), then ReLU (when relu is set): bit-identical
+// to the separate BatchNorm, add and ReLU passes applied to the plain
+// convolution. The int8 datapath (tensor.ConvI8WS) is exactly reproducible
+// everywhere: exact int32 sums, then separately rounded float32 steps.
+func (l *Conv) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision, bn *BatchNorm, res *tensor.Tensor, relu bool) *tensor.Tensor {
 	ep := tensor.Epilogue{Bias: l.Bias, ReLU: relu}
 	if bn != nil {
 		ep.Gamma, ep.Beta, ep.Mean, ep.Var, ep.Eps = bn.Gamma, bn.Beta, bn.Mean, bn.Var, bnEps
 	}
+	if res != nil {
+		ep.Res = res.Data
+	}
 	if prec != PrecisionInt8 {
 		return tensor.Conv2DWS(ws, x, l.W, l.weightT(), ep, l.Stride, l.Pad)
 	}
-	wq, sw := l.quantWeightT()
-	outC, inC, kh, kw := l.W.Shape[0], l.W.Shape[1], l.W.Shape[2], l.W.Shape[3]
-	if x.Shape[0] != inC {
-		panic(fmt.Sprintf("dnn: conv input has %d channels, weights expect %d", x.Shape[0], inC))
+	if inC := l.W.Shape[1]; x.Shape[2] != inC {
+		panic(fmt.Sprintf("dnn: conv input has %d channels, weights expect %d", x.Shape[2], inC))
 	}
-	qp := tensor.ChooseQuantParams(x.Data)
-	qx := ws.GetI8(x.Shape...)
-	tensor.QuantizeInto(qx, x, qp)
-
-	outH, outW := l.outDims(x.Shape[1], x.Shape[2])
-	m := outH * outW
-	k := inC * kh * kw
-	qcols := ws.GetI8(m, k)
-	tensor.Im2ColI8Into(ws, qcols, qx, kh, kw, l.Stride, l.Pad)
-	ws.PutI8(qx)
-
-	acc := ws.GetI32(m, outC)
-	tensor.MatMulI8Into(acc, qcols, wq, m)
-	ws.PutI8(qcols)
-
-	out := ws.Get(outC, outH, outW)
-	ep.Dequantize(out, acc.Data, qp.Scale*sw, m, outC)
-	ws.PutI32(acc)
-	return out
+	wq, sw := l.quantWeights()
+	return tensor.ConvI8WS(ws, x, wq, sw, ep, l.W.Shape[2], l.W.Shape[3], l.Stride, l.Pad)
 }
 
 // outDims returns the output extent for an h×w input.
@@ -238,24 +213,6 @@ func (ReLU) Describe(c, h, w int) ([]OpDesc, [3]int) {
 	return []OpDesc{{Kind: OpStream, Bytes: uint64(c*h*w) * 2 * f32}}, [3]int{c, h, w}
 }
 
-// MaxPool is k×k max pooling with stride s.
-type MaxPool struct{ K, S int }
-
-// Forward implements Layer.
-func (l *MaxPool) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := ws.Get(c, (h-l.K)/l.S+1, (w-l.K)/l.S+1)
-	tensor.MaxPool2DInto(out, x, l.K, l.S)
-	return out
-}
-
-// Describe implements Layer.
-func (l *MaxPool) Describe(c, h, w int) ([]OpDesc, [3]int) {
-	outH := (h-l.K)/l.S + 1
-	outW := (w-l.K)/l.S + 1
-	return []OpDesc{{Kind: OpStream, Bytes: uint64(c*h*w) * f32}}, [3]int{c, outH, outW}
-}
-
 // Block is a ResNet basic block: conv-BN-ReLU-conv-BN plus a (possibly
 // projected) shortcut, followed by ReLU.
 type Block struct {
@@ -298,29 +255,23 @@ func (b *Block) Forward(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return b.forward(x, ws, PrecisionFP32)
 }
 
-// ForwardQ is Forward with both branch convolutions (and the projection
-// shortcut, when present) on the int8 datapath. BN, ReLU, and the residual
-// add stay float32 — the interleaved normalization is what keeps per-layer
-// requantization well-conditioned, mirroring how Gemmini offloads the GEMMs
-// while the host handles the glue ops.
-func (b *Block) ForwardQ(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return b.forward(x, ws, PrecisionInt8)
-}
-
-// forward runs the block on the prec datapath. Each conv applies its BN
-// (and, on the first branch conv, the ReLU) in its own output pass, and the
-// residual add and final ReLU are one pass: the same per-element operations
-// in the same order as conv → BN → ReLU → conv → BN, add, ReLU, so the
-// result is bit-identical to the unfused layers.
+// forward runs the block on the prec datapath: on int8, both branch
+// convolutions and the projection shortcut, while BN, ReLU and the
+// residual add stay float32 (the interleaved normalization keeps per-layer
+// requantization well-conditioned, as Gemmini offloads the GEMMs while the
+// host handles the glue). Each conv applies its BN
+// in the GEMM that computes it, the first branch conv its ReLU too, and the
+// second the residual add and the final ReLU after its BN: the same
+// per-element operations in the same order as conv → BN → ReLU → conv →
+// BN, add, ReLU, so the result is bit-identical to the unfused layers.
 func (b *Block) forward(x *tensor.Tensor, ws *tensor.Workspace, prec Precision) *tensor.Tensor {
-	y := b.Conv1.forward(x, ws, prec, b.BN1, true)
-	z := b.Conv2.forward(y, ws, prec, b.BN2, false)
-	ws.Put(y)
+	y := b.Conv1.forward(x, ws, prec, b.BN1, nil, true)
 	short := x
 	if b.Down != nil {
-		short = b.Down.forward(x, ws, prec, b.DownBN, false)
+		short = b.Down.forward(x, ws, prec, b.DownBN, nil, false)
 	}
-	tensor.AddReLUInto(z, z, short)
+	z := b.Conv2.forward(y, ws, prec, b.BN2, short, true)
+	ws.Put(y)
 	if short != x {
 		ws.Put(short)
 	}

@@ -53,44 +53,58 @@ func ParsePrecision(s string) (Precision, error) {
 // forwardLayer runs one backbone layer on the selected datapath. Only conv
 // compute has an int8 form; every other layer is float32 glue either way.
 func forwardLayer(l Layer, x *tensor.Tensor, ws *tensor.Workspace, prec Precision) *tensor.Tensor {
-	if prec == PrecisionInt8 {
-		switch ll := l.(type) {
-		case *Conv:
-			return ll.ForwardQ(x, ws)
-		case *Block:
-			return ll.ForwardQ(x, ws)
-		}
+	switch ll := l.(type) {
+	case *Conv:
+		return ll.forward(x, ws, prec, nil, nil, false)
+	case *Block:
+		return ll.forward(x, ws, prec)
 	}
 	return l.Forward(x, ws)
 }
 
 // FeaturesWSP runs the backbone on the selected precision datapath, pooling
 // each tapped activation into the concatenated hypercolumn feature vector.
-// Every activation and the returned vector are drawn from ws (nil ws
-// allocates); the vector is ws-owned and bit-identical for any ws. ws must
-// not be shared across goroutines — use one workspace per inference
-// goroutine.
+// The image, shaped [InC, H, W] with H, W at least the input's InH, InW
+// (the backbone is fully convolutional and pools to a fixed grid), enters
+// the backbone channel-last, and a Conv → BatchNorm → ReLU run (the stem)
+// is one convolution with a BN+ReLU epilogue. Every activation and the
+// returned vector are drawn from ws (nil ws allocates); the vector is
+// ws-owned and bit-identical for any ws. ws must not be shared across
+// goroutines — use one workspace per inference goroutine.
 func (n *Net) FeaturesWSP(ws *tensor.Workspace, img *tensor.Tensor, prec Precision) *tensor.Tensor {
 	f := ws.Get(n.featureDim())
 	off := 0
-	x := img
-	for i, l := range n.Backbone {
-		y := forwardLayer(l, x, ws, prec)
-		if x != img {
-			ws.Put(x)
+	x := ws.Get(img.Shape[1], img.Shape[2], img.Shape[0])
+	tensor.HWCInto(x, img)
+	for i := 0; i < len(n.Backbone); i++ {
+		var y *tensor.Tensor
+		if conv, bn, ok := n.convBNReLU(i); ok {
+			y = conv.forward(x, ws, prec, bn, nil, true)
+			i += 2
+		} else {
+			y = forwardLayer(n.Backbone[i], x, ws, prec)
 		}
+		ws.Put(x)
 		x = y
 		if n.tapped(i) {
-			pooled := ws.Get(x.Shape[0], n.PoolGY, n.PoolGX)
-			tensor.AvgPoolGridInto(pooled, x, n.PoolGY, n.PoolGX)
-			off += copy(f.Data[off:], pooled.Data)
-			ws.Put(pooled)
+			tensor.AvgPoolGridInto(f.Data[off:], x, n.PoolGY, n.PoolGX)
+			off += x.Shape[2] * n.PoolGY * n.PoolGX
 		}
 	}
-	if x != img {
-		ws.Put(x)
-	}
+	ws.Put(x)
 	return f
+}
+
+// convBNReLU reports whether layers i to i+2 are a Conv, a BatchNorm and a
+// ReLU with no tap between them, which run as one conv with a BN+ReLU tail.
+func (n *Net) convBNReLU(i int) (*Conv, *BatchNorm, bool) {
+	if i+2 >= len(n.Backbone) || n.tapped(i) || n.tapped(i+1) {
+		return nil, nil, false
+	}
+	conv, ok := n.Backbone[i].(*Conv)
+	bn, okBN := n.Backbone[i+1].(*BatchNorm)
+	_, okReLU := n.Backbone[i+2].(ReLU)
+	return conv, bn, ok && okBN && okReLU
 }
 
 // ForwardWSP runs a full inference on the selected precision datapath:

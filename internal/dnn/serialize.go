@@ -15,7 +15,6 @@ func init() {
 	gob.Register(&Conv{})
 	gob.Register(&BatchNorm{})
 	gob.Register(ReLU{})
-	gob.Register(&MaxPool{})
 	gob.Register(&Block{})
 }
 

@@ -35,7 +35,7 @@ func BenchmarkMatMulSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulRows(c.Data, plainA(a.Data, 144), w.Data, 0, 768, 144, 64, ActiveKernel())
+		matMulRows(c.Data, plainA(a.Data, 144), w.Data, 0, 768, 144, 64, ActiveKernel(), tail{})
 	}
 }
 
@@ -49,14 +49,14 @@ func BenchmarkMatMulParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulParallel(c.Data, plainA(a.Data, 144), w.Data, 768, 144, 64, 4, ActiveKernel())
+		matMulParallel(c.Data, plainA(a.Data, 144), w.Data, 768, 144, 64, 4, ActiveKernel(), tail{})
 	}
 }
 
 // BenchmarkConv2D measures a representative mid-network convolution.
 func BenchmarkConv2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	x := randTensor(rng, 32, 12, 16)
+	x := randTensor(rng, 12, 16, 32)
 	w := randTensor(rng, 32, 32, 3, 3)
 	bias := make([]float32, 32)
 	for i := 0; i < b.N; i++ {
@@ -68,7 +68,7 @@ func BenchmarkConv2D(b *testing.B) {
 // scratch, precomputed weight transpose. Allocs/op must stay ≤ 1.
 func BenchmarkConv2DWorkspace(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	x := randTensor(rng, 32, 12, 16)
+	x := randTensor(rng, 12, 16, 32)
 	w := randTensor(rng, 32, 32, 3, 3)
 	wt := ConvWeightT(w)
 	bias := make([]float32, 32)
@@ -81,13 +81,16 @@ func BenchmarkConv2DWorkspace(b *testing.B) {
 	}
 }
 
-// BenchmarkConvKernels times Conv2DWS (bias epilogue, precomputed weight
-// transpose) on a warm workspace under each forced kernel, on ResNet14's
-// conv shapes: the 5×5/s2 stem, the 3×3/s1 block convs at 16, 32 and 64
-// channels, the 3×3/s2 downsampling convs 16→32 and 32→64, and the 1×1/s2
-// projection 16→32. It reports us/op beside ns/op, and 0 allocs/op at
-// -cpu 1 (at GOMAXPROCS > 1 the larger convs start the GEMM's band
-// goroutines). Unsupported kernels skip.
+// BenchmarkConvKernels times Conv2DWS (precomputed weight transpose) on a
+// warm workspace under each forced kernel, on ResNet14's conv shapes: the
+// 5×5/s2 stem, the 3×3/s1 block convs at 16, 32 and 64 channels, the
+// 3×3/s2 downsampling convs 16→32 and 32→64, and the 1×1/s2 projection
+// 16→32, each with the bias epilogue; and the block tails on the 3×3/s1
+// shapes, the first conv's +BN+ReLU (…/bnrelu) and the second's
+// +BN+residual+ReLU (…/bnresrelu), which the GEMM finishes in its row
+// bands. It reports us/op beside ns/op, and 0 allocs/op at -cpu 1 (at
+// GOMAXPROCS > 1 the larger convs start the GEMM's band goroutines).
+// Unsupported kernels skip.
 func BenchmarkConvKernels(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -105,23 +108,39 @@ func BenchmarkConvKernels(b *testing.B) {
 	for _, kern := range kernelMatrix {
 		for _, s := range shapes {
 			x, w, bias := randConv(rng, s.c)
-			b.Run(kern.String()+"/"+s.name, func(b *testing.B) {
-				prev := ActiveKernel()
-				if err := ForceKernel(kern); err != nil {
-					b.Skipf("kernel %v unsupported on this host", kern)
-				}
-				defer ForceKernel(prev)
-				wt := ConvWeightT(w)
-				ep := Epilogue{Bias: bias}
-				ws := NewWorkspace()
-				ws.Put(Conv2DWS(ws, x, w, wt, ep, s.c.stride, s.c.pad))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ws.Put(Conv2DWS(ws, x, w, wt, ep, s.c.stride, s.c.pad))
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/op")
-			})
+			x = toHWC(x)
+			gamma, beta, mean, variance := randBN(rng, s.c.outC)
+			outH, outW := convOutDims(x.Shape, s.c.k, s.c.k, s.c.stride, s.c.pad)
+			res := randTensor(rng, outH, outW, s.c.outC)
+			type tailCase struct {
+				name string
+				ep   Epilogue
+			}
+			tails := []tailCase{{"", Epilogue{Bias: bias}}}
+			if s.c.k == 3 && s.c.stride == 1 {
+				bn := Epilogue{Bias: bias, Gamma: gamma, Beta: beta, Mean: mean, Var: variance, Eps: 1e-5, ReLU: true}
+				withRes := bn
+				withRes.Res = res.Data
+				tails = append(tails, tailCase{"/bnrelu", bn}, tailCase{"/bnresrelu", withRes})
+			}
+			for _, tl := range tails {
+				b.Run(kern.String()+"/"+s.name+tl.name, func(b *testing.B) {
+					prev := ActiveKernel()
+					if err := ForceKernel(kern); err != nil {
+						b.Skipf("kernel %v unsupported on this host", kern)
+					}
+					defer ForceKernel(prev)
+					wt := ConvWeightT(w)
+					ws := NewWorkspace()
+					ws.Put(Conv2DWS(ws, x, w, wt, tl.ep, s.c.stride, s.c.pad))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ws.Put(Conv2DWS(ws, x, w, wt, tl.ep, s.c.stride, s.c.pad))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/op")
+				})
+			}
 		}
 	}
 }
@@ -158,7 +177,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					matMulRows(c.Data, plainA(a.Data, s.k), w.Data, 0, s.m, s.k, s.n, kern)
+					matMulRows(c.Data, plainA(a.Data, s.k), w.Data, 0, s.m, s.k, s.n, kern, tail{})
 				}
 				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "macs/ns")
 			})

@@ -29,14 +29,29 @@ func sgemm4x16(k, n int, a0, a1, a2, a3 *float32, off *int32, b, c0, c1, c2, c3 
 
 // i8gemm4x16 computes one 4-row × 16-column tile of the int8 GEMM exactly:
 //
-//	c_r[0:16] = Σ_kk a[r·k+kk] · B[kk][0:16]   for r in [0, 4)
+//	c_r[0:16] = Σ_p a_r[off[p]]·B[2p][0:16] + a_r[off[p]+1]·B[2p+1][0:16]
 //
-// a points at four consecutive row-major A rows of length k ≥ 1, b at one
-// PackI8 panel, c_r at c + r·ldc. The tile overwrites C (no accumulate
-// mode: int8 products are not K-blocked).
+// for r in [0, 4) and p in [0, pairs): a_r point at the four A rows'
+// origins and off at the pair offset table (i8A), b at one PackI8 panel,
+// c_r at c + r·ldc. pairs must be ≥ 1. The tile overwrites C (no
+// accumulate mode: int8 products are not K-blocked), and does not
+// bounds-check: its Go caller has indexed the largest A address beforehand
+// (matMulI8).
 //
 //go:noescape
-func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int)
+func i8gemm4x16(pairs int, a0, a1, a2, a3 *int8, off *int32, b *int16, c *int32, ldc int)
+
+// tailAVX2 applies a conv tail (tail.mode's steps, in tail.scalar's order)
+// to the first w columns of rows rows of an n-column product, 8 at a time
+// (w a positive multiple of 8): see tail.apply for the operands.
+//
+//go:noescape
+func tailAVX2(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int)
+
+// tailSSE is tailAVX2 4 columns at a time in SSE2.
+//
+//go:noescape
+func tailSSE(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int)
 
 const gemmHasAsm = true
 

@@ -64,3 +64,78 @@ kloop:
 	MOVUPS X2, (R9)
 	MOVUPS X3, 16(R9)
 	RET
+
+// func tailSSE(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int)
+//
+// tailAVX2 in SSE2, 4 columns at a time (w a positive multiple of 4): the
+// same steps in the same order, each a separately rounded MULPS or ADDPS
+// with x as the first operand, and the ReLU the same integer mask
+// (PADDL, PCMPGTL, PANDN). Operands are loaded with MOVUPS first: legacy
+// SSE arithmetic faults on unaligned memory operands.
+TEXT ·tailSSE(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ res+16(FP), R8
+	MOVQ vec+24(FP), R9
+	MOVSS d+32(FP), X15
+	SHUFPS $0x00, X15, X15
+	MOVQ rows+40(FP), CX
+	MOVQ n+48(FP), DX
+	MOVQ w+56(FP), R13
+	MOVQ mode+64(FP), R12
+
+	SHLQ $2, DX             // row stride in bytes
+	SHLQ $2, R13            // vector columns in bytes
+	LEAQ (R9)(DX*1), R10    // scale
+	LEAQ (R10)(DX*1), R11   // shift
+	PCMPEQL X14, X14        // -1 in every lane
+	MOVL $0xff800000, AX
+	MOVQ AX, X13
+	PSHUFD $0x00, X13, X13  // 0xff800000, the bits of -Inf
+
+srow:
+	XORQ BX, BX
+scol:
+	TESTQ $1, R12
+	JZ    sf32
+	MOVUPS   (SI)(BX*1), X0
+	CVTPL2PS X0, X0
+	MULPS    X15, X0
+	JMP      sbias
+sf32:
+	MOVUPS (DI)(BX*1), X0
+sbias:
+	MOVUPS (R9)(BX*1), X1
+	ADDPS  X1, X0
+	TESTQ  $2, R12
+	JZ     sres
+	MOVUPS (R10)(BX*1), X1
+	MULPS  X1, X0
+	MOVUPS (R11)(BX*1), X1
+	ADDPS  X1, X0
+sres:
+	TESTQ  $4, R12
+	JZ     srelu
+	MOVUPS (R8)(BX*1), X1
+	ADDPS  X1, X0
+srelu:
+	TESTQ   $8, R12
+	JZ      sstore
+	MOVAPS  X0, X1
+	PADDL   X14, X1         // u - 1
+	MOVAPS  X13, X2
+	PCMPGTL X1, X2          // 0xff800000 > u - 1: negative, not NaN
+	PANDN   X0, X2
+	MOVAPS  X2, X0
+sstore:
+	MOVUPS X0, (DI)(BX*1)
+	ADDQ   $16, BX
+	CMPQ   BX, R13
+	JB     scol
+
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R8
+	DECQ CX
+	JNZ  srow
+	RET

@@ -109,31 +109,31 @@ kloop:
 	VPMADDWD Y9, Y10, Y11 \
 	VPADDD   Y11, hi, hi
 
-// func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int)
+// func i8gemm4x16(pairs int, a0, a1, a2, a3 *int8, off *int32, b *int16, c *int32, ldc int)
 //
-// AVX2 int8 microkernel: C[0:4][0:16] = A[0:4][0:k] · B[0:k][0:16] with
-// exact int32 sums. A is four consecutive row-major int8 rows of length k;
-// b points at one PackI8 panel (⌈k/2⌉ pair rows of 32 int16, columns
-// interleaved); c at C's first tile row, ldc elements apart. Per k pair,
-// VPBROADCASTW reads the row's two A bytes and VPMOVSXBW sign-extends them
-// to eight (a[2p], a[2p+1]) int16 pairs, and VPMADDWD forms
-// a[2p]·b[2p][j] + a[2p+1]·b[2p+1][j] in each int32 lane: |sum| ≤ 2·127²,
-// so no lane saturates (VPMADDUBSW would). An odd k's last byte is loaded
-// alone with VPBROADCASTB, which puts it in both halves of every pair; the
-// second half meets the panel's zero pad row. The kernel never reads past
-// an A row or the panel, and overwrites C.
-TEXT ·i8gemm4x16(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ c+24(FP), R8
-	MOVQ ldc+32(FP), R9
+// AVX2 int8 microkernel: C[0:4][0:16] = A[0:4] · B[0:2·pairs][0:16] with
+// exact int32 sums. Row r's K pair p is the two bytes at a_r + off[p] (two
+// channels of one input pixel); b points at one PackI8 panel (pair rows of
+// 32 int16, columns interleaved); c at C's first tile row, ldc elements
+// apart. Per pair, VPBROADCASTW reads a row's two bytes and VPMOVSXBW
+// sign-extends them to eight (a[2p], a[2p+1]) int16 pairs, and VPMADDWD
+// forms a[2p]·b[2p][j] + a[2p+1]·b[2p+1][j] in each int32 lane:
+// |sum| ≤ 2·127², so no lane saturates (VPMADDUBSW would). K is always
+// even: a convolution's odd channel count carries a zero channel, and
+// MatMulI8Into widens an odd-K A with a zero column. The kernel reads only
+// the pairs the table names and the panel, and overwrites C.
+TEXT ·i8gemm4x16(SB), NOSPLIT, $0-72
+	MOVQ pairs+0(FP), CX
+	MOVQ a0+8(FP), SI
+	MOVQ a1+16(FP), DI
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ off+40(FP), R12
+	MOVQ b+48(FP), BX
+	MOVQ c+56(FP), R8
+	MOVQ ldc+64(FP), R9
 
 	SHLQ $2, R9             // C row stride in bytes
-	LEAQ (SI)(CX*1), DI     // a1
-	LEAQ (DI)(CX*1), R10    // a2
-	LEAQ (R10)(CX*1), R11   // a3
-	MOVQ CX, AX             // k, for the odd tail
 
 	VPXOR Y0, Y0, Y0        // c0[0:8]
 	VPXOR Y1, Y1, Y1        // c0[8:16]
@@ -144,54 +144,29 @@ TEXT ·i8gemm4x16(SB), NOSPLIT, $0-40
 	VPXOR Y6, Y6, Y6        // c3[0:8]
 	VPXOR Y7, Y7, Y7        // c3[8:16]
 
-	SHRQ $1, CX             // k pairs
-	JZ   tail
-
 pairloop:
+	MOVLQSX (R12), AX       // off[p]
 	VMOVDQU (BX), Y8        // pair p, columns 0-7
 	VMOVDQU 32(BX), Y9      // pair p, columns 8-15
 
-	VPBROADCASTW (SI), X10  // a0[2p], a0[2p+1]
+	VPBROADCASTW (SI)(AX*1), X10  // a0[off[p]], a0[off[p]+1]
 	VPMOVSXBW X10, Y10
 	I8ROW(Y0, Y1)
-	VPBROADCASTW (DI), X10  // a1
+	VPBROADCASTW (DI)(AX*1), X10  // a1
 	VPMOVSXBW X10, Y10
 	I8ROW(Y2, Y3)
-	VPBROADCASTW (R10), X10 // a2
+	VPBROADCASTW (R10)(AX*1), X10 // a2
 	VPMOVSXBW X10, Y10
 	I8ROW(Y4, Y5)
-	VPBROADCASTW (R11), X10 // a3
+	VPBROADCASTW (R11)(AX*1), X10 // a3
 	VPMOVSXBW X10, Y10
 	I8ROW(Y6, Y7)
 
-	ADDQ $2, SI
-	ADDQ $2, DI
-	ADDQ $2, R10
-	ADDQ $2, R11
+	ADDQ $4, R12
 	ADDQ $64, BX
 	DECQ CX
 	JNZ  pairloop
 
-tail:
-	TESTQ $1, AX
-	JZ    store
-	VMOVDQU (BX), Y8        // last row, zero pad row interleaved
-	VMOVDQU 32(BX), Y9
-
-	VPBROADCASTB (SI), X10  // a0[k-1] alone
-	VPMOVSXBW X10, Y10
-	I8ROW(Y0, Y1)
-	VPBROADCASTB (DI), X10
-	VPMOVSXBW X10, Y10
-	I8ROW(Y2, Y3)
-	VPBROADCASTB (R10), X10
-	VPMOVSXBW X10, Y10
-	I8ROW(Y4, Y5)
-	VPBROADCASTB (R11), X10
-	VPMOVSXBW X10, Y10
-	I8ROW(Y6, Y7)
-
-store:
 	VMOVDQU Y0, (R8)
 	VMOVDQU Y1, 32(R8)
 	ADDQ    R9, R8
@@ -203,5 +178,77 @@ store:
 	ADDQ    R9, R8
 	VMOVDQU Y6, (R8)
 	VMOVDQU Y7, 32(R8)
+	VZEROUPPER
+	RET
+
+// func tailAVX2(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int)
+//
+// The conv tail over rows × w columns of an n-column product, 8 at a time
+// (w a positive multiple of 8). Per 8 values x of a row: x = c[j:j+8], or
+// float32(acc[j:j+8])·d (mode&1); x += bias[j:j+8]; with mode&2,
+// x = x·scale[j:j+8] + shift[j:j+8]; with mode&4, x += res[j:j+8]; with
+// mode&8 the ReLU: with u the bits of x, u &^= ((u−1) <signed 0xff800000),
+// reluPass's mask, which zeroes exactly the negative non-NaN values (a
+// VMAXPS against zero would flush -0 and NaN); then c[j:j+8] = x. Each
+// step is one separately rounded VMULPS or VADDPS with x as the first
+// operand, as the portable tail computes it. bias, scale and shift are
+// vec, vec+n and vec+2n.
+TEXT ·tailAVX2(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ res+16(FP), R8
+	MOVQ vec+24(FP), R9
+	VBROADCASTSS d+32(FP), Y15
+	MOVQ rows+40(FP), CX
+	MOVQ n+48(FP), DX
+	MOVQ w+56(FP), R13
+	MOVQ mode+64(FP), R12
+
+	SHLQ $2, DX             // row stride in bytes
+	SHLQ $2, R13            // vector columns in bytes
+	LEAQ (R9)(DX*1), R10    // scale
+	LEAQ (R10)(DX*1), R11   // shift
+	VPCMPEQD Y14, Y14, Y14  // -1 in every lane
+	MOVL $0xff800000, AX
+	MOVQ AX, X13
+	VPBROADCASTD X13, Y13   // 0xff800000, the bits of -Inf
+
+trow:
+	XORQ BX, BX
+tcol:
+	TESTQ $1, R12
+	JZ    tf32
+	VCVTDQ2PS (SI)(BX*1), Y0
+	VMULPS    Y15, Y0, Y0
+	JMP       tbias
+tf32:
+	VMOVUPS (DI)(BX*1), Y0
+tbias:
+	VADDPS (R9)(BX*1), Y0, Y0
+	TESTQ  $2, R12
+	JZ     tres
+	VMULPS (R10)(BX*1), Y0, Y0
+	VADDPS (R11)(BX*1), Y0, Y0
+tres:
+	TESTQ  $4, R12
+	JZ     trelu
+	VADDPS (R8)(BX*1), Y0, Y0
+trelu:
+	TESTQ    $8, R12
+	JZ       tstore
+	VPADDD   Y14, Y0, Y1    // u - 1
+	VPCMPGTD Y1, Y13, Y1    // 0xff800000 > u - 1: negative, not NaN
+	VPANDN   Y0, Y1, Y0
+tstore:
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R13
+	JB      tcol
+
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R8
+	DECQ CX
+	JNZ  trow
 	VZEROUPPER
 	RET

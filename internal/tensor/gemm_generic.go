@@ -10,46 +10,39 @@ import "unsafe"
 // identical bits. Like them it reads A row r's element kk at
 // a_r[off[kk]] without a bounds check: gemm has indexed the largest A
 // address before any kernel runs.
+//
+// The tile runs as four 1×4 passes (a row and a 4-column half each), so a
+// pass's k loop keeps every value in registers: the compiler schedules a
+// loop's adds after all its multiplies, and amd64 gives Go 15 float
+// registers. One 2×8 pass moved 60 values to or from the stack. Every
+// product is rounded before its add (float32(...)), so no target fuses
+// them into one multiply-add.
 func sgemm2x8generic(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, acc bool) {
-	offs := unsafe.Slice(off, k)
-	r0, r1 := unsafe.Pointer(a0), unsafe.Pointer(a1)
-	bs := unsafe.Slice(b, (k-1)*n+8)
-	cs0 := unsafe.Slice(c0, 8)
-	cs1 := unsafe.Slice(c1, 8)
+	b4 := (*float32)(unsafe.Add(unsafe.Pointer(b), 16))
+	sgemm1x4generic(k, n, a0, off, b, c0, acc)
+	sgemm1x4generic(k, n, a0, off, b4, (*float32)(unsafe.Add(unsafe.Pointer(c0), 16)), acc)
+	sgemm1x4generic(k, n, a1, off, b, c1, acc)
+	sgemm1x4generic(k, n, a1, off, b4, (*float32)(unsafe.Add(unsafe.Pointer(c1), 16)), acc)
+}
 
-	var s00, s01, s02, s03, s04, s05, s06, s07 float32
-	var s10, s11, s12, s13, s14, s15, s16, s17 float32
+// sgemm1x4generic is one row and four columns of a 2×8 tile.
+func sgemm1x4generic(k, n int, a *float32, off *int32, b, c *float32, acc bool) {
+	r := unsafe.Pointer(a)
+	bs := unsafe.Slice(b, (k-1)*n+4)
+	cs := unsafe.Slice(c, 4)
+	var s0, s1, s2, s3 float32
 	if acc {
-		s00, s01, s02, s03 = cs0[0], cs0[1], cs0[2], cs0[3]
-		s04, s05, s06, s07 = cs0[4], cs0[5], cs0[6], cs0[7]
-		s10, s11, s12, s13 = cs1[0], cs1[1], cs1[2], cs1[3]
-		s14, s15, s16, s17 = cs1[4], cs1[5], cs1[6], cs1[7]
+		s0, s1, s2, s3 = cs[0], cs[1], cs[2], cs[3]
 	}
 	p := 0
-	for _, o := range offs {
-		bq := bs[p : p+8 : p+8]
+	for _, o := range unsafe.Slice(off, k) {
+		bq := bs[p : p+4 : p+4]
 		p += n
-		av := *(*float32)(unsafe.Add(r0, uintptr(o)*4))
-		s00 += av * bq[0]
-		s01 += av * bq[1]
-		s02 += av * bq[2]
-		s03 += av * bq[3]
-		s04 += av * bq[4]
-		s05 += av * bq[5]
-		s06 += av * bq[6]
-		s07 += av * bq[7]
-		av = *(*float32)(unsafe.Add(r1, uintptr(o)*4))
-		s10 += av * bq[0]
-		s11 += av * bq[1]
-		s12 += av * bq[2]
-		s13 += av * bq[3]
-		s14 += av * bq[4]
-		s15 += av * bq[5]
-		s16 += av * bq[6]
-		s17 += av * bq[7]
+		av := *(*float32)(unsafe.Add(r, uintptr(o)*4))
+		s0 += float32(av * bq[0])
+		s1 += float32(av * bq[1])
+		s2 += float32(av * bq[2])
+		s3 += float32(av * bq[3])
 	}
-	cs0[0], cs0[1], cs0[2], cs0[3] = s00, s01, s02, s03
-	cs0[4], cs0[5], cs0[6], cs0[7] = s04, s05, s06, s07
-	cs1[0], cs1[1], cs1[2], cs1[3] = s10, s11, s12, s13
-	cs1[4], cs1[5], cs1[6], cs1[7] = s14, s15, s16, s17
+	cs[0], cs[1], cs[2], cs[3] = s0, s1, s2, s3
 }

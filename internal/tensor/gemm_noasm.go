@@ -15,8 +15,17 @@ func sgemm4x16(k, n int, a0, a1, a2, a3 *float32, off *int32, b, c0, c1, c2, c3 
 }
 
 // i8gemm4x16 is unreachable without assembly, for the same reason.
-func i8gemm4x16(k int, a *int8, b *int16, c *int32, ldc int) {
+func i8gemm4x16(pairs int, a0, a1, a2, a3 *int8, off *int32, b *int16, c *int32, ldc int) {
 	panic("tensor: AVX2 int8 kernel dispatched without assembly support")
+}
+
+// tailAVX2 and tailSSE are unreachable without assembly, for the same
+// reason.
+func tailAVX2(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int) {
+	panic("tensor: AVX2 conv tail dispatched without assembly support")
+}
+func tailSSE(c *float32, acc *int32, res, vec *float32, d float32, rows, n, w, mode int) {
+	panic("tensor: SSE conv tail dispatched without assembly support")
 }
 
 const gemmHasAsm = false

@@ -6,38 +6,48 @@ import (
 	"testing"
 )
 
-// Im2Col lowers a CHW input for a KH×KW convolution with the given stride
-// and padding into a matrix of shape [outH*outW, C*KH*KW]: the float32
-// instantiation of the lowering Im2ColI8Into runs, which the tests pin to
-// the naive loop and to the int8 lowering. No product code lowers float32:
-// Conv2DWS reads its patches in place.
+// Im2Col lowers an HWC input for a KH×KW convolution with the given stride
+// and padding into a matrix of shape [outH*outW, C*KH*KW], K in (channel,
+// kernel row, kernel column) order, by reading the in-place operand the
+// fp32 conv GEMM reads (padInto, convA) row by row. No product code builds
+// this matrix; the tests pin the operand to the naive lowering through it.
 func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int) {
 	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
-	cols := New(outH*outW, x.Shape[0]*kh*kw)
+	cols := New(outH*outW, x.Shape[2]*kh*kw)
 	Im2ColInto(nil, cols, x, kh, kw, stride, pad)
 	return cols, outH, outW
 }
 
-// Im2ColInto is Im2Col into cols, drawing a padded lowering's
-// zero-bordered copy of x from ws (nil allocates), as Im2ColI8Into does.
+// Im2ColInto is Im2Col into cols, drawing a padded operand's zero-bordered
+// copy of x and the offset table from ws (nil allocates), as Conv2DWS does.
 func Im2ColInto(ws *Workspace, cols, x *Tensor, kh, kw, stride, pad int) (outH, outW int) {
 	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	checkCols(len(cols.Data), c, kh, kw, outH, outW)
+	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
+	k := c * kh * kw
+	src := x.Data
 	var padded *Tensor
-	var scratch []float32
 	if pad > 0 {
-		padded = ws.Get(c, h+2*pad, w+2*pad)
-		scratch = padded.Data
+		padded = ws.Get(h+2*pad, w+2*pad, c)
+		padInto(padded.Data, x.Data, h, w, c, pad)
+		src = padded.Data
 	}
-	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
+	off := ws.GetI32(k)
+	a := convA(src, off.Data, c, h+2*pad, w+2*pad, kh, kw, stride, outW)
+	rows := a.rows(0, 0)
+	for i := 0; i < outH*outW; i++ {
+		o := rows.next()
+		for kk, d := range a.off {
+			cols.Data[i*k+kk] = a.data[o+int(d)]
+		}
+	}
+	ws.PutI32(off)
 	ws.Put(padded)
 	return outH, outW
 }
 
-// im2colNaive is the reference lowering the optimized paths must match
-// element-for-element: the original per-element triple loop with bounds
-// checks in the innermost position.
+// im2colNaive is the reference lowering of a CHW input the in-place
+// operands must match element for element: the original per-element
+// triple loop with bounds checks in the innermost position.
 func im2colNaive(cd []float32, xd []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	kcols := c * kh * kw
 	for oy := 0; oy < outH; oy++ {
@@ -62,30 +72,38 @@ func im2colNaive(cd []float32, xd []float32, c, h, w, kh, kw, stride, pad, outH,
 	}
 }
 
-// TestIm2ColMatchesNaive sweeps kernel/stride/pad/shape combinations —
-// including the unrolled 3×3 run, 1-pixel-wide inputs, and kernels larger
-// than the padded input edge — and requires bit-identical output from
-// Im2ColInto, with a nil workspace and twice on one whose pooled buffers
-// start out poisoned (the padded copy must clear its border every time).
+// lowerCase is one lowering's input and kernel geometry.
+type lowerCase struct{ c, h, w, kh, kw, stride, pad int }
+
+// im2colCases sweeps kernel/stride/pad/shape combinations — 1-pixel-wide
+// inputs, kernels larger than the padded input edge, odd and even channel
+// counts.
+var im2colCases = []lowerCase{
+	{1, 48, 64, 3, 3, 1, 1}, // ResNet block conv
+	{16, 24, 32, 3, 3, 1, 1},
+	{3, 5, 5, 3, 3, 1, 1},
+	{2, 2, 3, 3, 3, 1, 1},
+	{1, 48, 64, 5, 5, 2, 2}, // ResNet stem
+	{4, 9, 7, 1, 1, 1, 0},   // 1×1 projection
+	{4, 9, 7, 1, 1, 2, 0},
+	{2, 7, 7, 3, 3, 2, 1},
+	{2, 6, 5, 4, 2, 1, 3}, // pad wider than kernel: fully-padded runs
+	{1, 1, 1, 3, 3, 1, 1}, // single pixel, all-border
+	{1, 4, 1, 3, 3, 1, 1}, // 1-wide input
+	{3, 5, 6, 5, 3, 3, 2},
+	{5, 9, 11, 3, 3, 2, 1},
+}
+
+// TestIm2ColMatchesNaive requires the fp32 in-place conv operand, read row
+// by row through its offset table, to equal the naive lowering of the same
+// input in CHW bit for bit, with a nil workspace and twice on one whose
+// pooled buffers start out poisoned (the padded copy must clear its border
+// every time).
 func TestIm2ColMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ws := NewWorkspace()
 	poisonWorkspace(ws)
-	cases := []struct{ c, h, w, kh, kw, stride, pad int }{
-		{1, 48, 64, 3, 3, 1, 1}, // ResNet block conv
-		{16, 24, 32, 3, 3, 1, 1},
-		{3, 5, 5, 3, 3, 1, 1},
-		{2, 2, 3, 3, 3, 1, 1},
-		{1, 48, 64, 5, 5, 2, 2}, // ResNet stem
-		{4, 9, 7, 1, 1, 1, 0},   // 1×1 projection
-		{4, 9, 7, 1, 1, 2, 0},
-		{2, 7, 7, 3, 3, 2, 1},
-		{2, 6, 5, 4, 2, 1, 3}, // pad wider than kernel: fully-padded runs
-		{1, 1, 1, 3, 3, 1, 1}, // single pixel, all-border
-		{1, 4, 1, 3, 3, 1, 1}, // 1-wide input
-		{3, 5, 6, 5, 3, 3, 2},
-	}
-	for _, tc := range cases {
+	for _, tc := range im2colCases {
 		x := New(tc.c, tc.h, tc.w)
 		for i := range x.Data {
 			x.Data[i] = rng.Float32() - 0.5
@@ -98,13 +116,14 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 		kcols := tc.c * tc.kh * tc.kw
 		want := make([]float32, outH*outW*kcols)
 		im2colNaive(want, x.Data, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, outH, outW)
+		xh := toHWC(x)
 		for _, w := range []*Workspace{nil, ws, ws} {
 			got := w.Get(outH*outW, kcols)
 			// Poison the destination so skipped writes are caught.
 			for i := range got.Data {
 				got.Data[i] = 999
 			}
-			gotH, gotW := Im2ColInto(w, got, x, tc.kh, tc.kw, tc.stride, tc.pad)
+			gotH, gotW := Im2ColInto(w, got, xh, tc.kh, tc.kw, tc.stride, tc.pad)
 			if gotH != outH || gotW != outW {
 				t.Fatalf("case %+v: dims %dx%d, want %dx%d", tc, gotH, gotW, outH, outW)
 			}
@@ -114,38 +133,83 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIm2ColI8MatchesFloatLayout checks the int8 instantiation agrees with
-// the float32 one on layout: quantize input, lower both, compare patterns.
-// The int8 lowering draws its padded copy from a poisoned workspace.
+// checkI8Operand requires the int8 in-place conv operand of the HWC input
+// xh — xh quantized straight into a zero-bordered HWC copy with an even
+// channel count (quantizePadInto), read through the K pair table
+// (convPairs) — to hold, for every row and pair, want's elements (a
+// lowering in (channel, kernel row, kernel column) K order) in (kernel
+// row, kernel column, channel) order, and a zero for the pad channel of an
+// odd channel count. The copy comes from ws, twice.
+func checkI8Operand(t *testing.T, ws *Workspace, tc lowerCase, xh *Tensor, qp QuantParams, want *I8) {
+	t.Helper()
+	outH := (tc.h+2*tc.pad-tc.kh)/tc.stride + 1
+	outW := (tc.w+2*tc.pad-tc.kw)/tc.stride + 1
+	kcols := tc.c * tc.kh * tc.kw
+	cp := tc.c + tc.c%2
+	hp, wp := tc.h+2*tc.pad, tc.w+2*tc.pad
+	for run := 0; run < 2; run++ {
+		qx := ws.GetI8(hp, wp, cp)
+		quantizePadInto(qx.Data, xh.Data, tc.h, tc.w, tc.c, cp, tc.pad, 1/qp.Scale)
+		off := ws.GetI32(tc.kh * tc.kw * cp / 2)
+		a := convPairs(qx.Data, off.Data, cp, hp, wp, tc.kh, tc.kw, tc.stride, outW)
+		rows := a.rows(0, 0)
+		for i := 0; i < outH*outW; i++ {
+			o := rows.next()
+			for p, d := range a.off {
+				ky, kx, ch := p/(tc.kw*cp/2), p/(cp/2)%tc.kw, 2*(p%(cp/2))
+				for b := 0; b < 2; b++ {
+					var w int8
+					if ch+b < tc.c {
+						w = want.Data[i*kcols+((ch+b)*tc.kh+ky)*tc.kw+kx]
+					}
+					if got := a.data[o+int(d)+b]; got != w {
+						t.Fatalf("case %+v run %d: row %d pair %d byte %d = %d, want %d", tc, run, i, p, b, got, w)
+					}
+				}
+			}
+		}
+		ws.PutI32(off)
+		ws.PutI8(qx)
+	}
+}
+
+// TestIm2ColI8MatchesFloatLayout checks the int8 in-place conv operand
+// agrees with the fp32 one on layout: each int8 element must be the
+// quantization of the fp32 operand's (Im2Col) element at the same row and
+// (channel, kernel row, kernel column) position. The int8 operand draws
+// its padded copy from a poisoned workspace.
 func TestIm2ColI8MatchesFloatLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace()
 	poisonWorkspace(ws)
-	for _, tc := range []struct{ c, h, w, kh, kw, stride, pad int }{
-		{3, 10, 12, 3, 3, 1, 1},
-		{2, 9, 7, 5, 5, 2, 2},
-	} {
-		x := New(tc.c, tc.h, tc.w)
-		for i := range x.Data {
-			x.Data[i] = rng.Float32() - 0.5
-		}
-		qx := NewI8(tc.c, tc.h, tc.w)
+	for _, tc := range im2colCases {
+		xh := toHWC(randTensor(rng, tc.c, tc.h, tc.w))
+		qp := ChooseQuantParams(xh.Data)
+		fcols, _, _ := Im2Col(xh, tc.kh, tc.kw, tc.stride, tc.pad)
+		qref := NewI8(fcols.Shape...)
+		QuantizeInto(qref, fcols, qp)
+		checkI8Operand(t, ws, tc, xh, qp, qref)
+	}
+}
+
+// TestIm2ColI8MatchesQuantizedFloat checks quantize-then-lower equals
+// lower-then-quantize (zero-point 0 makes padding commute): the int8
+// in-place operand, quantized straight into its padded copy, against the
+// naive lowering of the CHW input, quantized afterwards.
+func TestIm2ColI8MatchesQuantizedFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ws := NewWorkspace()
+	poisonWorkspace(ws)
+	for _, tc := range im2colCases {
+		x := randTensor(rng, tc.c, tc.h, tc.w)
 		qp := ChooseQuantParams(x.Data)
-		QuantizeInto(qx, x, qp)
 		outH := (tc.h+2*tc.pad-tc.kh)/tc.stride + 1
 		outW := (tc.w+2*tc.pad-tc.kw)/tc.stride + 1
 		kcols := tc.c * tc.kh * tc.kw
-		fcols := New(outH*outW, kcols)
-		qcols := NewI8(outH*outW, kcols)
-		Im2ColInto(nil, fcols, x, tc.kh, tc.kw, tc.stride, tc.pad)
-		Im2ColI8Into(ws, qcols, qx, tc.kh, tc.kw, tc.stride, tc.pad)
-		// Each int8 patch element must be the quantization of the float one.
-		qref := NewI8(outH*outW, kcols)
-		QuantizeInto(qref, fcols, qp)
-		for i := range qref.Data {
-			if qcols.Data[i] != qref.Data[i] {
-				t.Fatalf("case %+v: int8 element %d = %d, want %d", tc, i, qcols.Data[i], qref.Data[i])
-			}
-		}
+		lowered := New(outH*outW, kcols)
+		im2colNaive(lowered.Data, x.Data, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, outH, outW)
+		qAfter := NewI8(outH*outW, kcols)
+		QuantizeInto(qAfter, lowered, qp)
+		checkI8Operand(t, ws, tc, toHWC(x), qp, qAfter)
 	}
 }

@@ -89,7 +89,7 @@ func TestKernelParityMatrix(t *testing.T) {
 			}
 			for _, c := range qcases {
 				got := NewI32(c.m, c.n)
-				MatMulI8Into(got, c.a, c.b, c.m)
+				mulI8(got, c.a, c.b, c.m)
 				for i := range got.Data {
 					if got.Data[i] != c.want.Data[i] {
 						t.Fatalf("%v int8 %s: element %d = %d, want %d",
@@ -130,14 +130,35 @@ func naiveMatMulI8(a, b *I8, m, k, n int) *I32 {
 	return c
 }
 
+// mulI8 runs the int8 GEMM on the row-major m×K A: through MatMulI8Into
+// when K is even, else through matMulI8 on a copy of A widened by a zero
+// column, whose last pair meets PackI8's zero pad row.
+func mulI8(dst *I32, a *I8, b *PackedI8, m int) {
+	k := b.K
+	if k%2 == 0 {
+		MatMulI8Into(dst, a, b, m)
+		return
+	}
+	wide := make([]int8, m*(k+1))
+	for i := 0; i < m; i++ {
+		copy(wide[i*(k+1):], a.Data[i*k:(i+1)*k])
+	}
+	off := make([]int32, (k+1)/2)
+	for p := range off {
+		off[p] = int32(2 * p)
+	}
+	matMulI8(dst.Data, i8A{data: wide, off: off, rowGeom: rowGeom{cols: 1, rowStride: k + 1}}, b, m, ActiveKernel())
+}
+
 // TestMatMulI8ExactEdges pins the int8 GEMM to naiveMatMulI8 under every
 // forced kernel, on the operands and shapes that tell a correct kernel from
 // a plausible wrong one: all-±127 operands (from K = 3 on, an int16
-// accumulator or a saturating multiply-add overflows), odd K (the stem's
-// 25, K = 1) next to K = 2, about half of A zero with every third row all
-// zero (ReLU output), N below, at and straddling 16, and M remainders of
-// the 4-row tile. dst starts poisoned and is longer than M·N: every element
-// of the product must be written, none past it.
+// accumulator or a saturating multiply-add overflows), odd K (PackI8's zero
+// pad row; K = 1) next to K = 2, about half of A zero with every third row
+// all zero (ReLU output), N below, at and straddling 16, and M remainders
+// of the 4-row tile. dst starts poisoned and is longer than M·N: every
+// element of the product must be written, none past it. MatMulI8Into
+// takes even K only and must refuse an odd one.
 func TestMatMulI8ExactEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	random := func(r, c int) int8 { return int8(rng.Intn(255) - 127) }
@@ -182,10 +203,14 @@ func TestMatMulI8ExactEdges(t *testing.T) {
 		withKernel(t, kern, func() {
 			for _, c := range cases {
 				got := poisonedI32(len(c.want.Data) + 17)
-				MatMulI8Into(got, c.a, c.b, c.m)
+				mulI8(got, c.a, c.b, c.m)
 				assertI32Prefix(t, kern.String()+" "+c.label, got.Data, c.want.Data)
 			}
 		})
+	}
+	odd := cases[len(operands)*2] // {7, 3, 17}
+	if panicOf(func() { MatMulI8Into(NewI32(7, 17), odd.a, odd.b, 7) }) == nil {
+		t.Error("MatMulI8Into accepted an odd K")
 	}
 }
 
@@ -206,7 +231,7 @@ func TestMatMulI8PackedReuse(t *testing.T) {
 				want := naiveMatMulI8(a, b, m, k, n)
 				for round := 0; round < 2; round++ {
 					got := poisonedI32(m*n + 3)
-					MatMulI8Into(got, a, packed, m)
+					mulI8(got, a, packed, m)
 					assertI32Prefix(t, kern.String()+" reuse "+formatShape(m, k, n), got.Data, want.Data)
 				}
 			}
@@ -267,7 +292,7 @@ func TestKernelParallelParityMatrix(t *testing.T) {
 		withKernel(t, kern, func() {
 			for _, workers := range []int{2, 5, m + 1} {
 				got := make([]float32, m*n)
-				matMulParallel(got, plainA(a.Data, k), b.Data, m, k, n, workers, kern)
+				matMulParallel(got, plainA(a.Data, k), b.Data, m, k, n, workers, kern, tail{})
 				assertSameBits(t, kern.String()+" parallel workers="+itoa(workers), got, want.Data)
 			}
 		})

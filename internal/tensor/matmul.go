@@ -31,22 +31,21 @@ const (
 // row-major matrix:
 //
 //	A[i][kk] = data[origin(i) + off[kk]]
-//	origin(i) = (i/cols)·rowStride + (i%cols)·colStride
 //
 // A convolution's A is its patch matrix read straight from the (padded)
-// input: row i is output pixel (i/outW, i%outW), origin(i) its window
-// corner, and off the K (channel, kernel row, kernel column) offsets
-// (convA). A plain row-major m×k matrix is cols = 1, rowStride = k and a
-// nil off, which stands for the identity: each K panel advances the row
-// origins to the panel and reads through the fixed gemmIdent table. Every
-// kernel reads A through row pointers plus a panel of the table, so one
-// microkernel per family serves both. origin and off are both
-// non-decreasing, so the largest address any tile reads is
-// origin(m−1) + off[k−1] (last).
+// HWC input: row i is output pixel (i/outW, i%outW), origin(i) its window
+// corner, and off the offsets of the K (channel, kernel row, kernel column)
+// elements past it (convA). A plain row-major m×k matrix is cols = 1,
+// rowStride = k and a nil off, which stands for the identity: each K panel
+// advances the row origins to the panel and reads through the fixed
+// gemmIdent table. Every kernel reads A through row pointers plus a panel
+// of the table, so one microkernel per family serves both. origin is
+// non-decreasing and the table's last entry its largest, so the largest
+// address any tile reads is origin(m−1) + off[k−1] (last).
 type gemmA struct {
-	data                       []float32
-	off                        []int32
-	cols, rowStride, colStride int
+	data []float32
+	off  []int32
+	rowGeom
 }
 
 // gemmIdent is the offset table of a plain row-major A: a panel's row
@@ -60,12 +59,12 @@ var gemmIdent = func() (t [gemmKC]int32) {
 
 // plainA is the row-major matrix with k columns in data.
 func plainA(data []float32, k int) gemmA {
-	return gemmA{data: data, cols: 1, rowStride: k}
+	return gemmA{data: data, rowGeom: rowGeom{cols: 1, rowStride: k}}
 }
 
 // origin returns the address of row i's first element.
-func (a *gemmA) origin(i int) int {
-	return i/a.cols*a.rowStride + i%a.cols*a.colStride
+func (g *rowGeom) origin(i int) int {
+	return i/g.cols*g.rowStride + i%g.cols*g.colStride
 }
 
 // last returns the largest address an m×k product reads.
@@ -93,9 +92,9 @@ type rowCursor struct {
 }
 
 // rows returns a cursor at row i whose origins are shifted by shift.
-func (a *gemmA) rows(i, shift int) rowCursor {
-	return rowCursor{o: a.origin(i) + shift, x: i % a.cols, cols: a.cols,
-		colStride: a.colStride, wrap: a.rowStride - a.cols*a.colStride}
+func (g *rowGeom) rows(i, shift int) rowCursor {
+	return rowCursor{o: g.origin(i) + shift, x: i % g.cols, cols: g.cols,
+		colStride: g.colStride, wrap: g.rowStride - g.cols*g.colStride}
 }
 
 // next returns the current row's origin and advances to the next row.
@@ -134,16 +133,17 @@ func MatMulInto(dst, a, b *Tensor, m, k, n int) {
 		clear(dst.Data[:m*n])
 		return
 	}
-	gemm(dst.Data, plainA(a.Data, k), b.Data, m, k, n)
+	gemm(dst.Data, plainA(a.Data, k), b.Data, m, k, n, tail{})
 }
 
-// gemm computes C[m×n] = A·B into cd for m, k, n ≥ 1. Large products are
-// computed in parallel across row panels (each goroutine owns disjoint rows
-// of C, so per-element summation order — and therefore the bit pattern of
-// the result — is identical to the serial kernel). The microkernel is resolved once per
-// call from the runtime-dispatched selection (kernel.go); in-flight calls
-// are unaffected by concurrent ForceKernel.
-func gemm(cd []float32, a gemmA, bd []float32, m, k, n int) {
+// gemm computes C[m×n] = A·B into cd for m, k, n ≥ 1 and finishes it with
+// t (a zero tail leaves the product as it is). Large products are computed
+// in parallel across row bands (each goroutine owns disjoint rows of C, so
+// per-element summation order — and therefore the bit pattern of the
+// result — is identical to the serial kernel). The microkernel is resolved
+// once per call from the runtime-dispatched selection (kernel.go);
+// in-flight calls are unaffected by concurrent ForceKernel.
+func gemm(cd []float32, a gemmA, bd []float32, m, k, n int, t tail) {
 	// The asm kernels do not bounds-check. Index the largest address any
 	// tile reads, so an operand shorter than its geometry panics here.
 	_ = a.data[a.last(m, k)]
@@ -151,16 +151,16 @@ func gemm(cd []float32, a gemmA, bd []float32, m, k, n int) {
 	kern := ActiveKernel()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 && m*k*n >= gemmParallelMACs && m >= 2*gemmMR {
-		matMulParallel(cd, a, bd, m, k, n, workers, kern)
+		matMulParallel(cd, a, bd, m, k, n, workers, kern, t)
 		return
 	}
-	matMulRows(cd, a, bd, 0, m, k, n, kern)
+	matMulRows(cd, a, bd, 0, m, k, n, kern, t)
 }
 
 // matMulParallel splits the row range into one contiguous band per worker.
 // Bands are disjoint, so no synchronization beyond the final join is needed
 // and the output is bit-identical to the serial kernel.
-func matMulParallel(cd []float32, a gemmA, bd []float32, m, k, n, workers int, kern Kernel) {
+func matMulParallel(cd []float32, a gemmA, bd []float32, m, k, n, workers int, kern Kernel, t tail) {
 	if workers > m {
 		workers = m
 	}
@@ -176,7 +176,7 @@ func matMulParallel(cd []float32, a gemmA, bd []float32, m, k, n, workers int, k
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			matMulRows(cd, a, bd, lo, hi, k, n, kern)
+			matMulRows(cd, a, bd, lo, hi, k, n, kern, t)
 		}(i0, i1)
 		i0 = i1
 	}
@@ -189,10 +189,12 @@ type tile2x8 = func(k, n int, a0, a1 *float32, off *int32, b, c0, c1 *float32, a
 
 // matMulRows computes rows [i0, i1) of C, one gemmKC panel of K at a time:
 // the first panel overwrites C (so callers never pre-zero), later ones
-// accumulate into it. Each panel runs on the selected microkernel family,
-// whose every fragment keeps the same k-ascending per-element order, so
-// the result is bit-identical across families.
-func matMulRows(cd []float32, a gemmA, bd []float32, i0, i1, k, n int, kern Kernel) {
+// accumulate into it, and once the last panel has summed every row of the
+// band, t finishes them in one pass on the same kernel family. Each panel
+// runs on the selected microkernel family, whose every fragment keeps the
+// same k-ascending per-element order, so the result is bit-identical
+// across families.
+func matMulRows(cd []float32, a gemmA, bd []float32, i0, i1, k, n int, kern Kernel, t tail) {
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		tab, shift := a.panel(k0, min(k0+gemmKC, k))
 		rows := a.rows(i0, shift)
@@ -206,6 +208,7 @@ func matMulRows(cd []float32, a gemmA, bd []float32, i0, i1, k, n int, kern Kern
 			panel2x8(cd, a.data, &rows, tab, bp, i0, i1, n, acc, sgemm2x8)
 		}
 	}
+	t.apply(cd, nil, 0, i0, i1, n, kern)
 }
 
 // panel4x16 computes rows [i, i1) of C for one K panel with the 4x16 AVX2
@@ -269,8 +272,8 @@ func tail2(c, r0, r1 []float32, tab []int32, bp []float32, j, n int, acc bool) {
 		for _, o := range tab {
 			bv := bp[p]
 			p += n
-			s0 += r0[o] * bv
-			s1 += r1[o] * bv
+			s0 += float32(r0[o] * bv)
+			s1 += float32(r1[o] * bv)
 		}
 		c0[j], c1[j] = s0, s1
 	}
@@ -291,10 +294,10 @@ func tile1(crow, r []float32, tab []int32, bp []float32, n int, acc bool) {
 			bq := bp[p : p+4 : p+4]
 			p += n
 			av := r[o]
-			s0 += av * bq[0]
-			s1 += av * bq[1]
-			s2 += av * bq[2]
-			s3 += av * bq[3]
+			s0 += float32(av * bq[0])
+			s1 += float32(av * bq[1])
+			s2 += float32(av * bq[2])
+			s3 += float32(av * bq[3])
 		}
 		crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
 	}
@@ -305,7 +308,7 @@ func tile1(crow, r []float32, tab []int32, bp []float32, n int, acc bool) {
 		}
 		p := j
 		for _, o := range tab {
-			s += r[o] * bp[p]
+			s += float32(r[o] * bp[p])
 			p += n
 		}
 		crow[j] = s

@@ -91,10 +91,10 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
 		want := make([]float32, m*n)
-		matMulRows(want, plainA(a.Data, k), b.Data, 0, m, k, n, ActiveKernel())
+		matMulRows(want, plainA(a.Data, k), b.Data, 0, m, k, n, ActiveKernel(), tail{})
 		for _, workers := range []int{2, 3, 4, 7, m + 5} {
 			got := make([]float32, m*n)
-			matMulParallel(got, plainA(a.Data, k), b.Data, m, k, n, workers, ActiveKernel())
+			matMulParallel(got, plainA(a.Data, k), b.Data, m, k, n, workers, ActiveKernel(), tail{})
 			assertSameBits(t, formatShape(m, k, n)+" workers="+itoa(workers), got, want)
 		}
 	}
@@ -126,7 +126,7 @@ func TestConv2DWSBitIdenticalAndReused(t *testing.T) {
 	}
 	for iter := 0; iter < 3; iter++ { // reuse the same workspace across shapes and iterations
 		for _, c := range cases {
-			x := randTensor(rng, c.inC, c.h, c.w)
+			x := randTensor(rng, c.h, c.w, c.inC)
 			w := randTensor(rng, c.outC, c.inC, c.k, c.k)
 			bias := make([]float32, c.outC)
 			for i := range bias {

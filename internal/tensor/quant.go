@@ -5,10 +5,11 @@ import "fmt"
 // Int8 quantization substrate for Gemmini's native low-precision mode.
 //
 // The scheme is per-tensor symmetric: q = clamp(round(x / scale), -127, 127)
-// with zero-point 0, so padding zeros in im2col quantize to 0 and the int8
-// GEMM needs no zero-point correction terms. Accumulation is exact int32
-// (worst case |q| ≤ 127 so K up to ~2^17 cannot overflow 127·127·K), which
-// makes the quantized path kernel-invariant by construction: integer sums
+// with zero-point 0, so a convolution's padding and its zero pad channel
+// quantize to 0 and the int8 GEMM needs no zero-point correction terms.
+// Accumulation is exact int32 (worst case |q| ≤ 127 so K up to ~2^17
+// cannot overflow 127·127·K), which makes the quantized path
+// kernel-invariant by construction: integer sums
 // have one representable answer, so the AVX2 kernel (VPMADDWD on
 // sign-extended int16 pairs, never the saturating VPMADDUBSW) and the
 // portable kernel that the noasm and SSE selections run produce exactly
@@ -17,7 +18,10 @@ import "fmt"
 // tolerance.
 //
 // The GEMM's B operand (the conv weights) is packed once by PackI8 into the
-// layout both kernels read; A (the im2col columns) stays row-major int8.
+// layout both kernels read. A is read in place, one K pair (two contiguous
+// bytes) at a time through a pair offset table: a convolution's quantized,
+// zero-bordered HWC input (convPairs, in im2col.go), or a plain row-major
+// matrix of even K (MatMulI8Into).
 
 // I8 is a dense int8 tensor (row-major), the quantized twin of Tensor.
 type I8 struct {
@@ -102,7 +106,7 @@ func QuantizeInto(dst *I8, src *Tensor, qp QuantParams) {
 	}
 	inv := 1 / qp.Scale
 	for i, v := range src.Data {
-		dst.Data[i] = quantOne(v * inv)
+		dst.Data[i] = quantOne(float32(v * inv))
 	}
 }
 
@@ -127,13 +131,38 @@ func quantOne(s float32) int8 {
 }
 
 // QuantizeTensor quantizes src into a fresh I8 with the derived per-tensor
-// parameters. Conv uses it to quantize its weights once, at first int8 use,
-// before packing them.
+// parameters.
 func QuantizeTensor(src *Tensor) (*I8, QuantParams) {
 	qp := ChooseQuantParams(src.Data)
 	q := &I8{Shape: cloneShape(src.Shape), Data: make([]int8, len(src.Data))}
 	QuantizeInto(q, src, qp)
 	return q, qp
+}
+
+// QuantizeConvWeights quantizes OIHW convolution weights per tensor and
+// packs them as the B operand of ConvI8WS: K in (kernel row, kernel
+// column, channel) order over the input's channels rounded up to even,
+// with zero rows for the pad channel. The scale is that of the whole
+// tensor, as QuantizeTensor(ConvWeightT(w)) derives it. Conv quantizes its
+// weights once, at first int8 use.
+func QuantizeConvWeights(w *Tensor) (*PackedI8, QuantParams) {
+	if len(w.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: conv weights must be OIHW, got %v", w.Shape))
+	}
+	outC, inC, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
+	cp := inC + inC%2
+	q, qp := QuantizeTensor(w)
+	b := NewI8(kh*kw*cp, outC)
+	for o := 0; o < outC; o++ {
+		for c := 0; c < inC; c++ {
+			for ky := 0; ky < kh; ky++ {
+				for kx := 0; kx < kw; kx++ {
+					b.Data[((ky*kw+kx)*cp+c)*outC+o] = q.Data[((o*inC+c)*kh+ky)*kw+kx]
+				}
+			}
+		}
+	}
+	return PackI8(b, kh*kw*cp, outC), qp
 }
 
 // PackedI8 is the B operand of the int8 GEMM in the layout its kernels
@@ -154,7 +183,7 @@ type PackedI8 struct {
 // i8PairLen is the int16 length of one packed row pair of a panel.
 const i8PairLen = 2 * gemmNR16
 
-// PackI8 packs the row-major K×N int8 matrix b for MatMulI8Into.
+// PackI8 packs the row-major K×N int8 matrix b for the int8 GEMM.
 func PackI8(b *I8, k, n int) *PackedI8 {
 	if k <= 0 || n <= 0 || len(b.Data) != k*n {
 		panic(fmt.Sprintf("tensor: pack %dx%d int8 matrix with %d elements", k, n, len(b.Data)))
@@ -175,78 +204,108 @@ func (p *PackedI8) panel(jp int) []int16 {
 	return p.Data[jp*size : (jp+1)*size : (jp+1)*size]
 }
 
+// i8A is the int8 GEMM's A operand, read in place like gemmA: row i's K
+// pair p is the two bytes at data[origin(i) + off[p]], and off holds one
+// entry per pair, in increasing order.
+type i8A struct {
+	data []int8
+	off  []int32
+	rowGeom
+}
+
+// last returns the largest address an m-row product reads.
+func (a *i8A) last(m int) int {
+	return a.origin(m-1) + int(a.off[len(a.off)-1]) + 1
+}
+
 // MatMulI8Into computes C[M×N] = A[M×K] · B[K×N] with exact int32
-// accumulation, where B was packed by PackI8 (K and N are b's). Every
-// element of dst[:m·N] is overwritten. Integer addition is associative, so
-// unlike the float32 kernels no summation-order contract is needed: any
-// host or kernel setting produces the same bits. The kernel is resolved
-// once per call from the runtime-dispatched selection (kernel.go): avx2
-// runs the 4×16 assembly tile, sse and noasm the portable kernel. The
-// product runs on the calling goroutine.
+// accumulation for a row-major A, where B was packed by PackI8 (K and N are
+// b's) and K is even, so that every K pair is two bytes of one row. Every
+// element of dst[:m·N] is overwritten. It reads A through a pair table it
+// allocates; convolutions read their A in place instead (ConvI8WS).
 func MatMulI8Into(dst *I32, a *I8, b *PackedI8, m int) {
 	k, n := b.K, b.N
-	if len(a.Data) != m*k {
-		panic(fmt.Sprintf("tensor: int8 matmul %dx%d · %dx%d with %d A elements", m, k, k, n, len(a.Data)))
+	if k%2 != 0 || len(a.Data) != m*k {
+		panic(fmt.Sprintf("tensor: int8 matmul %dx%d · %dx%d with %d A elements (K must be even)", m, k, k, n, len(a.Data)))
 	}
 	if len(dst.Data) < m*n {
 		panic(fmt.Sprintf("tensor: int8 matmul dst holds %d elements, need %d", len(dst.Data), m*n))
 	}
-	if ActiveKernel() == KernelAVX2 {
-		matMulI8AVX2(dst.Data, a.Data, b, m)
+	off := make([]int32, k/2)
+	for p := range off {
+		off[p] = int32(2 * p)
+	}
+	matMulI8(dst.Data, i8A{data: a.Data, off: off, rowGeom: rowGeom{cols: 1, rowStride: k}}, b, m, ActiveKernel())
+}
+
+// matMulI8 computes the m×N int32 product of a and b into cd. Integer
+// addition is associative, so unlike the float32 kernels no summation-order
+// contract is needed: any host or kernel setting produces the same bits.
+// avx2 runs the 4×16 assembly tile, sse and noasm the portable kernel. The
+// product runs on the calling goroutine.
+func matMulI8(cd []int32, a i8A, b *PackedI8, m int, kern Kernel) {
+	if len(a.off) != (b.K+1)/2 {
+		panic(fmt.Sprintf("tensor: int8 A has %d K pairs, B %d", len(a.off), (b.K+1)/2))
+	}
+	// The asm kernel does not bounds-check. Index the largest address any
+	// tile reads, so an operand shorter than its geometry panics here.
+	_ = a.data[a.last(m)]
+	if kern == KernelAVX2 {
+		matMulI8AVX2(cd, a, b, m)
 		return
 	}
-	matMulI8Rows(dst.Data, a.Data, b, 0, m)
+	matMulI8Rows(cd, a, b, 0, m)
 }
 
 // matMulI8AVX2 runs the 4×16 assembly tile over every panel and every
 // 4-row stripe. A panel past N's last multiple of 16 is computed into a
 // stack tile and its valid columns copied out; the last m%4 rows run on the
 // portable kernel.
-func matMulI8AVX2(cd []int32, ad []int8, b *PackedI8, m int) {
-	k, n := b.K, b.N
+func matMulI8AVX2(cd []int32, a i8A, b *PackedI8, m int) {
+	n := b.N
 	m4 := m - m%gemmMR4
 	var tile [gemmMR4 * gemmNR16]int32
 	for jp, j := 0, 0; j < n; jp, j = jp+1, j+gemmNR16 {
 		panel := b.panel(jp)
+		rows := a.rows(0, 0)
 		for i := 0; i < m4; i += gemmMR4 {
+			r0, r1 := &a.data[rows.next()], &a.data[rows.next()]
+			r2, r3 := &a.data[rows.next()], &a.data[rows.next()]
 			if j+gemmNR16 <= n {
-				i8gemm4x16(k, &ad[i*k], &panel[0], &cd[i*n+j], n)
+				i8gemm4x16(len(a.off), r0, r1, r2, r3, &a.off[0], &panel[0], &cd[i*n+j], n)
 				continue
 			}
-			i8gemm4x16(k, &ad[i*k], &panel[0], &tile[0], gemmNR16)
+			i8gemm4x16(len(a.off), r0, r1, r2, r3, &a.off[0], &panel[0], &tile[0], gemmNR16)
 			for r := 0; r < gemmMR4; r++ {
 				copy(cd[(i+r)*n+j:(i+r+1)*n], tile[r*gemmNR16:])
 			}
 		}
 	}
-	matMulI8Rows(cd, ad, b, m4, m)
+	matMulI8Rows(cd, a, b, m4, m)
 }
 
 // matMulI8Rows computes rows [i0, i1) of C on the portable kernel: per row
-// and panel, 16 int32 sums over the packed row pairs, the odd K's last row
-// alone. The pair update is written out because the compiler does not
-// unroll: as a loop over the 16 columns it measured ~1.4× slower.
+// and panel, 16 int32 sums over the packed row pairs. The pair update is
+// written out because the compiler does not unroll: as a loop over the 16
+// columns it measured ~1.4× slower.
 //
-// It skips a pair whose two A elements are both zero. About half of A is
-// zero in flight: ReLU output, in runs the branch predictor follows (the
-// stem's A, the camera frame, is almost dense). On the operands of a
-// ResNet14 int8 forward (dnn's BenchmarkMatMulInt8) the skip makes the
-// post-ReLU GEMMs ~1.3× faster and the stem's no slower; the whole int8
-// forward under the noasm kernel is ~1.25× faster with it.
-func matMulI8Rows(cd []int32, ad []int8, b *PackedI8, i0, i1 int) {
-	k, n := b.K, b.N
+// It skips a pair whose two A bytes are both zero: two channels of one
+// pixel, both zero after a ReLU, or a padding pixel.
+func matMulI8Rows(cd []int32, a i8A, b *PackedI8, i0, i1 int) {
+	n := b.N
+	rows := a.rows(i0, 0)
 	for i := i0; i < i1; i++ {
-		arow := ad[i*k : (i+1)*k : (i+1)*k]
+		arow := a.data[rows.next():]
 		crow := cd[i*n : (i+1)*n : (i+1)*n]
 		for jp, j := 0, 0; j < n; jp, j = jp+1, j+gemmNR16 {
 			panel := b.panel(jp)
 			var acc [gemmNR16]int32
-			for kk := 0; kk+1 < k; kk += 2 {
-				a0, a1 := int32(arow[kk]), int32(arow[kk+1])
+			for p, o := range a.off {
+				a0, a1 := int32(arow[o]), int32(arow[o+1])
 				if a0|a1 == 0 {
 					continue
 				}
-				bq := (*[i8PairLen]int16)(panel[kk/2*i8PairLen:])
+				bq := (*[i8PairLen]int16)(panel[p*i8PairLen:])
 				acc[0] += a0*int32(bq[0]) + a1*int32(bq[1])
 				acc[1] += a0*int32(bq[2]) + a1*int32(bq[3])
 				acc[2] += a0*int32(bq[4]) + a1*int32(bq[5])
@@ -264,37 +323,42 @@ func matMulI8Rows(cd []int32, ad []int8, b *PackedI8, i0, i1 int) {
 				acc[14] += a0*int32(bq[28]) + a1*int32(bq[29])
 				acc[15] += a0*int32(bq[30]) + a1*int32(bq[31])
 			}
-			if k%2 == 1 {
-				o := k / 2 * i8PairLen
-				bq := panel[o : o+i8PairLen : o+i8PairLen]
-				for c := range acc {
-					acc[c] += int32(arow[k-1]) * int32(bq[2*c])
-				}
-			}
 			copy(crow[j:], acc[:])
 		}
 	}
 }
 
-// Im2ColI8Into lowers a quantized CHW input for a KH×KW convolution into
-// int8 columns, which must hold outH*outW × C*KH*KW elements: the patch
-// matrix, pixel-major, in (channel, kernel row, kernel column) order. A
-// padded lowering draws its zero-bordered copy of x from ws (nil
-// allocates). Every element of cols and of that copy is written, so recycled
-// workspace buffers need no prior clearing. With zero-point 0, padding
-// positions are exact zeros in the quantized domain, so quantize-then-im2col
-// equals im2col-then-quantize.
-func Im2ColI8Into(ws *Workspace, cols, x *I8, kh, kw, stride, pad int) (outH, outW int) {
-	outH, outW = convOutDims(x.Shape, kh, kw, stride, pad)
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	checkCols(len(cols.Data), c, kh, kw, outH, outW)
-	var padded *I8
-	var scratch []int8
-	if pad > 0 {
-		padded = ws.GetI8(c, h+2*pad, w+2*pad)
-		scratch = padded.Data
+// ConvI8WS is the int8 twin of Conv2DWS with a kh×kw kernel, on weights
+// QuantizeConvWeights packed into wq with scale sw: x is quantized per
+// tensor into a zero-bordered even-channel copy, the GEMM reads it in place
+// in exact int32, and ep finishes the sums, dequantized as
+// float32(acc)·(scale_x·sw). Every step is exact or elementwise float32,
+// so every kernel gives the same bits. The output is ws-owned.
+func ConvI8WS(ws *Workspace, x *Tensor, wq *PackedI8, sw float32, ep Epilogue, kh, kw, stride, pad int) *Tensor {
+	outH, outW := convOutDims(x.Shape, kh, kw, stride, pad)
+	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
+	cp := c + c%2
+	if wq.K != kh*kw*cp {
+		panic(fmt.Sprintf("tensor: int8 conv of %d channels with %dx%d kernel needs K %d, weights have %d",
+			c, kh, kw, kh*kw*cp, wq.K))
 	}
-	im2col(cols.Data, x.Data, scratch, c, h, w, kh, kw, stride, pad, outH, outW)
-	ws.PutI8(padded)
-	return outH, outW
+	m, n := outH*outW, wq.N
+	hp, wp := h+2*pad, w+2*pad
+	qp := ChooseQuantParams(x.Data)
+	qx := ws.GetI8(hp, wp, cp)
+	quantizePadInto(qx.Data, x.Data, h, w, c, cp, pad, 1/qp.Scale)
+	off := ws.GetI32(wq.K / 2)
+	acc := ws.GetI32(m, n)
+	kern := ActiveKernel()
+	matMulI8(acc.Data, convPairs(qx.Data, off.Data, cp, hp, wp, kh, kw, stride, outW), wq, m, kern)
+	ws.PutI32(off)
+	ws.PutI8(qx)
+
+	vec := ws.Get(3 * n)
+	out := ws.Get(outH, outW, n)
+	t := ep.resolve(vec.Data, m, n)
+	t.apply(out.Data, acc.Data, qp.Scale*sw, 0, m, n, kern)
+	ws.Put(vec)
+	ws.PutI32(acc)
+	return out
 }

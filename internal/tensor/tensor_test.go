@@ -99,6 +99,25 @@ func naiveConv(x, w *Tensor, bias []float32, stride, pad int) *Tensor {
 	return out
 }
 
+// toHWC returns the CHW tensor x channel-last.
+func toHWC(x *Tensor) *Tensor {
+	out := New(x.Shape[1], x.Shape[2], x.Shape[0])
+	HWCInto(out, x)
+	return out
+}
+
+// toCHW returns the HWC tensor x channel-first.
+func toCHW(x *Tensor) *Tensor {
+	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
+	out := New(c, h, w)
+	for i := 0; i < h*w; i++ {
+		for ch := 0; ch < c; ch++ {
+			out.Data[ch*h*w+i] = x.Data[i*c+ch]
+		}
+	}
+	return out
+}
+
 // convCase is one convolution shape of the bit-exact reference tests.
 type convCase struct{ inC, outC, h, w, k, stride, pad int }
 
@@ -190,46 +209,51 @@ func poisonWorkspace(ws *Workspace) {
 	}
 }
 
-// TestConv2DMatchesNaive requires the im2col + GEMM convolution to equal the
-// direct loop bit for bit: naiveConv adds the same products in the same
+// TestConv2DMatchesNaive requires the in-place GEMM convolution to equal
+// the direct loop bit for bit: naiveConv adds the same products in the same
 // (c, ky, kx) order, and the padding products it skips are zeros, which
-// cannot change a sum that starts at +0. Conv2D allocates its scratch;
-// Conv2DWS runs twice on one workspace whose pooled buffers start out
-// poisoned.
+// cannot change a sum that starts at +0. The convolution runs on the
+// input channel-last and its output is compared channel-first. Conv2D
+// allocates its scratch; Conv2DWS runs twice on one workspace whose pooled
+// buffers start out poisoned.
 func TestConv2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ws := NewWorkspace()
 	poisonWorkspace(ws)
 	for _, tc := range convCases {
 		x, w, bias := randConv(rng, tc)
+		xh := toHWC(x)
 		label := fmt.Sprintf("conv %+v", tc)
 		want := naiveConv(x, w, bias, tc.stride, tc.pad)
-		assertSameBits(t, label, Conv2D(x, w, bias, tc.stride, tc.pad).Data, want.Data)
+		assertSameBits(t, label, toCHW(Conv2D(xh, w, bias, tc.stride, tc.pad)).Data, want.Data)
 		for run := 0; run < 2; run++ {
-			got := Conv2DWS(ws, x, w, nil, Epilogue{Bias: bias}, tc.stride, tc.pad)
-			assertSameBits(t, label+" workspace", got.Data, want.Data)
+			got := Conv2DWS(ws, xh, w, nil, Epilogue{Bias: bias}, tc.stride, tc.pad)
+			assertSameBits(t, label+" workspace", toCHW(got).Data, want.Data)
 			ws.Put(got)
 		}
-		assertSameBits(t, label+" nil bias", Conv2D(x, w, nil, tc.stride, tc.pad).Data,
+		assertSameBits(t, label+" nil bias", toCHW(Conv2D(xh, w, nil, tc.stride, tc.pad)).Data,
 			naiveConv(x, w, nil, tc.stride, tc.pad).Data)
 	}
 }
 
 // TestConvEpilogueMatchesUnfused checks the fused conv tail against the
 // separate passes it replaces, bit for bit: conv + BN against naiveConv then
-// BatchNormInto, conv + BN + ReLU against that then ReLUInto, and the
-// residual AddReLUInto against AddInto then ReLUInto. Each case runs twice
-// on one workspace whose pooled buffers start out poisoned, so unwritten
-// scratch (such as a padded border) shows on first use and on reuse.
+// BatchNormInto, conv + BN + ReLU against that then ReLUInto, and conv +
+// BN + residual + ReLU against conv + BN, AddInto, then ReLUInto. The
+// references run channel-last, on naiveConv's output converted. Each case
+// runs twice on one workspace whose pooled buffers start out poisoned, so
+// unwritten scratch (such as a padded border) shows on first use and on
+// reuse.
 func TestConvEpilogueMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ws := NewWorkspace()
 	poisonWorkspace(ws)
 	for _, tc := range convCases {
 		x, w, bias := randConv(rng, tc)
+		xh := toHWC(x)
 		wt := ConvWeightT(w)
 		gamma, beta, mean, variance := randBN(rng, tc.outC)
-		bn := naiveConv(x, w, bias, tc.stride, tc.pad)
+		bn := toHWC(naiveConv(x, w, bias, tc.stride, tc.pad))
 		BatchNormInto(bn, bn, gamma, beta, mean, variance, 1e-5)
 		act := ReLU(bn)
 		short := randTensor(rng, bn.Shape...)
@@ -240,15 +264,18 @@ func TestConvEpilogueMatchesUnfused(t *testing.T) {
 		ep := Epilogue{Bias: bias, Gamma: gamma, Beta: beta, Mean: mean, Var: variance, Eps: 1e-5}
 		for run := 0; run < 2; run++ {
 			ep.ReLU = false
-			got := Conv2DWS(ws, x, w, wt, ep, tc.stride, tc.pad)
+			got := Conv2DWS(ws, xh, w, wt, ep, tc.stride, tc.pad)
 			assertSameBits(t, label+" +bn", got.Data, bn.Data)
 			ep.ReLU = true
-			gotAct := Conv2DWS(ws, x, w, wt, ep, tc.stride, tc.pad)
+			gotAct := Conv2DWS(ws, xh, w, wt, ep, tc.stride, tc.pad)
 			assertSameBits(t, label+" +bn+relu", gotAct.Data, act.Data)
-			AddReLUInto(got, got, short)
-			assertSameBits(t, label+" +bn, add+relu", got.Data, res.Data)
+			ep.Res = short.Data
+			gotRes := Conv2DWS(ws, xh, w, wt, ep, tc.stride, tc.pad)
+			ep.Res = nil
+			assertSameBits(t, label+" +bn, add+relu", gotRes.Data, res.Data)
 			ws.Put(got)
 			ws.Put(gotAct)
+			ws.Put(gotRes)
 		}
 	}
 }
@@ -261,17 +288,17 @@ func TestConvBandsBitIdentical(t *testing.T) {
 	for _, tc := range convCases {
 		x, w, _ := randConv(rng, tc)
 		wt := ConvWeightT(w)
-		outH, outW := convOutDims(x.Shape, tc.k, tc.k, tc.stride, tc.pad)
+		outH, outW := convOutDims([]int{tc.h, tc.w, tc.inC}, tc.k, tc.k, tc.stride, tc.pad)
 		m, k := outH*outW, tc.inC*tc.k*tc.k
 		hp, wp := tc.h+2*tc.pad, tc.w+2*tc.pad
-		src := make([]float32, tc.inC*hp*wp)
-		padInto(src, x.Data, tc.inC, tc.h, tc.w, tc.pad)
+		src := make([]float32, hp*wp*tc.inC)
+		padInto(src, toHWC(x).Data, tc.h, tc.w, tc.inC, tc.pad)
 		a := convA(src, make([]int32, k), tc.inC, hp, wp, tc.k, tc.k, tc.stride, outW)
 		want := make([]float32, m*tc.outC)
-		matMulRows(want, a, wt.Data, 0, m, k, tc.outC, ActiveKernel())
+		matMulRows(want, a, wt.Data, 0, m, k, tc.outC, ActiveKernel(), tail{})
 		for _, workers := range []int{2, 3, 5} {
 			got := make([]float32, m*tc.outC)
-			matMulParallel(got, a, wt.Data, m, k, tc.outC, workers, ActiveKernel())
+			matMulParallel(got, a, wt.Data, m, k, tc.outC, workers, ActiveKernel(), tail{})
 			assertSameBits(t, fmt.Sprintf("conv %+v workers=%d", tc, workers), got, want)
 		}
 	}
@@ -279,12 +306,12 @@ func TestConvBandsBitIdentical(t *testing.T) {
 
 // TestConvShortInputPanics requires a convolution whose input Data is
 // shorter than its Shape to panic in Go rather than be read past: the asm
-// kernels do not bounds-check, so gemm indexes the largest address any tile
-// reads before entering them. At pad 0 that index is the only guard; at
+// kernels do not bounds-check, so gemm indexes the largest address any
+// tile reads before entering them. At pad 0 that index is the only guard; at
 // pad > 0 the padding copy trips first. Both inputs keep one element of
 // spare capacity, where a slice expression could still reach. Each case
 // runs under every kernel, twice on one poisoned workspace, and the int8
-// lowering of the same short input must panic too.
+// convolution of the same short input must panic too.
 func TestConvShortInputPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	ws := NewWorkspace()
@@ -295,14 +322,13 @@ func TestConvShortInputPanics(t *testing.T) {
 		{16, 16, 24, 32, 3, 1, 1}, // 3×3/s1/p1
 	} {
 		x, w, bias := randConv(rng, tc)
+		x = toHWC(x)
 		x.Data = x.Data[:len(x.Data)-1]
-		qx := &I8{Shape: x.Shape, Data: make([]int8, len(x.Data)+1)[:len(x.Data)]}
-		outH, outW := convOutDims(x.Shape, tc.k, tc.k, tc.stride, tc.pad)
-		cols := NewI8(outH*outW, tc.inC*tc.k*tc.k)
-		r := panicOf(func() { Im2ColI8Into(ws, cols, qx, tc.k, tc.k, tc.stride, tc.pad) })
+		wq, wqp := QuantizeConvWeights(w)
+		r := panicOf(func() { ws.Put(ConvI8WS(ws, x, wq, wqp.Scale, Epilogue{Bias: bias}, tc.k, tc.k, tc.stride, tc.pad)) })
 		if _, ok := r.(runtime.Error); !ok {
-			t.Fatalf("int8 lowering %+v on %d of %d elements: recovered %v, want a runtime error",
-				tc, len(qx.Data), len(qx.Data)+1, r)
+			t.Fatalf("int8 conv %+v on %d of %d elements: recovered %v, want a runtime error",
+				tc, len(x.Data), len(x.Data)+1, r)
 		}
 		for _, kern := range kernelMatrix {
 			withKernel(t, kern, func() {
@@ -326,7 +352,7 @@ func panicOf(f func()) (r any) {
 }
 
 func TestIm2ColShape(t *testing.T) {
-	x := New(2, 8, 6)
+	x := New(8, 6, 2)
 	cols, oh, ow := Im2Col(x, 3, 3, 1, 1)
 	if oh != 8 || ow != 6 {
 		t.Errorf("out = %dx%d", oh, ow)
@@ -337,7 +363,7 @@ func TestIm2ColShape(t *testing.T) {
 }
 
 func TestBatchNormKnown(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
+	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2, 1)
 	got := BatchNorm(x, []float32{2}, []float32{1}, []float32{2.5}, []float32{1.25}, 0)
 	// scale = 2/sqrt(1.25), y = (x-2.5)*scale + 1
 	scale := 2 / float32(math.Sqrt(1.25))
@@ -345,6 +371,28 @@ func TestBatchNormKnown(t *testing.T) {
 		want := (xv-2.5)*scale + 1
 		if !approx(got.Data[i], want) {
 			t.Fatalf("bn[%d] = %v, want %v", i, got.Data[i], want)
+		}
+	}
+
+	// Channel-last with 2 and 3 channels: each channel's parameters must
+	// reach every pixel's element of that channel and no other. The
+	// statistics make scale and shift exact (ch0 of the 2-channel case:
+	// y = 2x − 3, ch1: y = 1.5x − 16).
+	for _, c := range []struct {
+		x, want               []float32
+		shape                 []int
+		gamma, beta, mean, vr []float32
+	}{
+		{[]float32{1, 10, 2, 20, 3, 30, 4, 40}, []float32{-1, -1, 1, 14, 3, 29, 5, 44}, []int{2, 2, 2},
+			[]float32{2, 3}, []float32{1, -1}, []float32{2, 10}, []float32{1, 4}},
+		{[]float32{1, 2, 3, 4, 5, 6}, []float32{1, 1, 0.5, 4, 4, 6.5}, []int{1, 2, 3},
+			[]float32{1, 2, 8}, []float32{0, 0, 0.5}, []float32{0, 1, 3}, []float32{1, 4, 16}},
+	} {
+		got := BatchNorm(FromSlice(c.x, c.shape...), c.gamma, c.beta, c.mean, c.vr, 0)
+		for i, w := range c.want {
+			if got.Data[i] != w {
+				t.Fatalf("%d-channel bn = %v, want %v", c.shape[2], got.Data, c.want)
+			}
 		}
 	}
 }
@@ -396,29 +444,13 @@ func TestAdd(t *testing.T) {
 	}
 }
 
-func TestMaxPool(t *testing.T) {
-	x := FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 4, 4)
-	y := MaxPool2D(x, 2, 2)
-	want := []float32{6, 8, 14, 16}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("pool = %v", y.Data)
-		}
-	}
-}
-
 func TestAvgPoolGrid(t *testing.T) {
 	x := FromSlice([]float32{
 		1, 1, 3, 3,
 		1, 1, 3, 3,
 		5, 5, 7, 7,
 		5, 5, 7, 7,
-	}, 1, 4, 4)
+	}, 4, 4, 1)
 	g := AvgPoolGrid(x, 2, 2)
 	want := []float32{1, 3, 5, 7}
 	for i := range want {
@@ -430,6 +462,43 @@ func TestAvgPoolGrid(t *testing.T) {
 	glob := AvgPoolGrid(x, 1, 1)
 	if !approx(glob.Data[0], 4) {
 		t.Errorf("global avg = %v", glob.Data[0])
+	}
+
+	// Channel-last input, [C, gy, gx] output. 2 channels on 4×4: ch0 the
+	// quadrants above, ch1 = 4y + x. 3 channels on 2×3 in a 1×3 grid (one
+	// column per cell): 100·ch + 10y + x averages to 100·ch + 5 + x.
+	hwc := func(h, w, c int, f func(y, x, ch int) float32) *Tensor {
+		t := New(h, w, c)
+		for y := 0; y < h; y++ {
+			for xx := 0; xx < w; xx++ {
+				for ch := 0; ch < c; ch++ {
+					t.Data[(y*w+xx)*c+ch] = f(y, xx, ch)
+				}
+			}
+		}
+		return t
+	}
+	for _, c := range []struct {
+		x      *Tensor
+		gy, gx int
+		want   []float32
+	}{
+		{hwc(4, 4, 2, func(y, xx, ch int) float32 {
+			if ch == 0 {
+				return x.Data[y*4+xx]
+			}
+			return float32(4*y + xx)
+		}), 2, 2, []float32{1, 3, 5, 7, 2.5, 4.5, 10.5, 12.5}},
+		{hwc(4, 4, 2, func(y, xx, ch int) float32 { return float32(4*y + xx + 16*ch) }), 1, 1, []float32{7.5, 23.5}},
+		{hwc(2, 3, 3, func(y, xx, ch int) float32 { return float32(100*ch + 10*y + xx) }), 1, 3,
+			[]float32{5, 6, 7, 105, 106, 107, 205, 206, 207}},
+	} {
+		g := AvgPoolGrid(c.x, c.gy, c.gx)
+		for i, w := range c.want {
+			if g.Data[i] != w {
+				t.Fatalf("%d-channel %dx%d grid = %v, want %v", c.x.Shape[2], c.gy, c.gx, g.Data, c.want)
+			}
+		}
 	}
 }
 

@@ -105,8 +105,8 @@ func (w *Workspace) Put(t *Tensor) {
 	w.free = append(w.free, t)
 }
 
-// GetI8 is Get for int8 scratch tensors (quantized activations and im2col
-// columns). Same pooling, growth, and ownership semantics as Get.
+// GetI8 is Get for int8 scratch tensors (quantized activations). Same
+// pooling, growth, and ownership semantics as Get.
 func (w *Workspace) GetI8(shape ...int) *I8 {
 	n := 1
 	for _, d := range shape {

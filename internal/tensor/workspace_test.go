@@ -180,30 +180,3 @@ func TestQuantOneRounding(t *testing.T) {
 		}
 	}
 }
-
-// TestIm2ColI8MatchesQuantizedFloat checks quantize-then-im2col equals
-// im2col-then-quantize (zero-point 0 makes padding commute).
-func TestIm2ColI8MatchesQuantizedFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	x := randTensor(rng, 3, 9, 11)
-	qp := ChooseQuantParams(x.Data)
-
-	// Path 1: im2col in float, then quantize.
-	cols, outH, outW := Im2Col(x, 3, 3, 2, 1)
-	qAfter := NewI8(outH*outW, 3*3*3)
-	QuantizeInto(qAfter, cols, qp)
-
-	// Path 2: quantize CHW, then im2col in int8.
-	qx := &I8{Shape: []int{3, 9, 11}, Data: make([]int8, x.Len())}
-	QuantizeInto(qx, x, qp)
-	qBefore := NewI8(outH*outW, 3*3*3)
-	oh, ow := Im2ColI8Into(nil, qBefore, qx, 3, 3, 2, 1)
-	if oh != outH || ow != outW {
-		t.Fatalf("int8 im2col dims %dx%d, want %dx%d", oh, ow, outH, outW)
-	}
-	for i := range qBefore.Data {
-		if qBefore.Data[i] != qAfter.Data[i] {
-			t.Fatalf("element %d: quantize-first %d vs im2col-first %d", i, qBefore.Data[i], qAfter.Data[i])
-		}
-	}
-}

@@ -50,7 +50,8 @@
 #   - conv_kernels: us/op and allocs/op of Conv2DWS per dispatchable
 #     microkernel on ResNet14's conv shapes (BenchmarkConvKernels at -cpu 1,
 #     a warm workspace; the fp32 GEMM reads its patches in place), keyed
-#     kernel/shape;
+#     kernel/shape, and of the 3x3/s1 convs with the block tails the GEMM
+#     applies (+BN+ReLU, +BN+residual+ReLU), keyed kernel/shape/tail;
 #   - gemm_kernels: ns/op and macs/ns per dispatchable GEMM microkernel on
 #     the ResNet14 GEMM shapes, fp32 (kernel/shape, random dense operands)
 #     and int8 (int8/kernel/shape, the operands of a ResNet14 int8 forward,
@@ -273,13 +274,15 @@ END {
     }
     printf "  },\n  \"conv_kernels\": {\n"
     # us/op and allocs/op of one convolution per kernel per shape, keyed
-    # kernel/shape.
+    # kernel/shape, or kernel/shape/tail for the block tails.
     c = 0
-    for (i = 0; i < n; i++)
-        if (split(order[i], part, "/") == 3 && part[1] == "BenchmarkConvKernels") cname[c++] = order[i]
+    for (i = 0; i < n; i++) {
+        parts = split(order[i], part, "/")
+        if ((parts == 3 || parts == 4) && part[1] == "BenchmarkConvKernels") cname[c++] = order[i]
+    }
     for (i = 0; i < c; i++) {
-        split(cname[i], part, "/")
-        printf "    \"%s/%s\": {\"us_op\": %s, \"allocs_op\": %s}%s\n", part[2], part[3], \
+        key = substr(cname[i], length("BenchmarkConvKernels/") + 1)
+        printf "    \"%s\": {\"us_op\": %s, \"allocs_op\": %s}%s\n", key, \
             us[cname[i]], allocs[cname[i]], (i < c-1 ? "," : "")
     }
     printf "  },\n"

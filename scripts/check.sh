@@ -67,12 +67,14 @@ echo "== GEMM kernel parity matrix (forced kernels) =="
 # The numerics contract under every dispatchable microkernel: float32
 # bit-identical and int8 exactly equal across noasm/sse/avx2, raced fresh —
 # the GEMM against its naive reference, every convolution (plain, and with
-# its fused BN/ReLU epilogue, fp32 and int8) against a direct loop, and the
-# whole fp32 forward on a reused workspace against a fresh one. Forcing a
+# its fused BN/residual/ReLU tail, fp32 and int8, odd channel counts) against
+# a direct loop, the tail on the rectifier's edge bits and across K panels
+# and row bands, the whole fp32 forward on a reused workspace against a
+# fresh one, and the ResNet6/ResNet14 feature hashes. Forcing a
 # kernel the host lacks is graceful — init records the error,
 # auto-detection stays in effect, and the forced-kernel tests skip that
 # kernel — so the loop is safe on any machine.
-parity_run='TestKernel|TestMatMul|TestConv|TestBlockFused|TestInt8|TestForwardWS|TestQuant|TestIm2ColI8'
+parity_run='TestKernel|TestMatMul|TestConv|TestTail|TestBlockFused|TestInt8|TestForwardWS|TestForwardGolden|TestQuant|TestIm2ColI8'
 require_tests "$parity_run" ./internal/tensor/ ./internal/dnn/
 for k in noasm sse avx2; do
     echo "-- ROSE_GEMM_KERNEL=$k"
@@ -83,9 +85,20 @@ done
 echo "== portable build (noasm, arm64) =="
 # What a host without the assembly kernels builds: the same parity set under
 # -tags noasm (the portable kernels and the assembly stubs; the sse and
-# avx2 rows skip), and a cross-compile of everything for arm64.
+# avx2 rows skip), and a cross-compile of everything for arm64. On arm64 Go
+# fuses x*y + z into one rounding (FMADDS) unless the product is converted
+# explicitly, which would make the portable kernels' results differ from
+# amd64's: internal/tensor's arm64 build must contain no fused
+# multiply-add.
 go test -count=1 -tags noasm -run "$parity_run" ./internal/tensor/ ./internal/dnn/
 GOARCH=arm64 go build ./...
+listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1)
+fused=$(echo "$listing" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' || true)
+if ! echo "$listing" | grep -q STEXT || [ -n "$fused" ]; then
+    echo "$fused" >&2
+    echo "portable build: internal/tensor's arm64 listing is missing or has fused multiply-adds" >&2
+    exit 1
+fi
 
 echo "== fingerprint parity matrix =="
 # Determinism fingerprints: the rolling per-quantum FNV-1a chain must be
@@ -186,7 +199,8 @@ echo "== allocation gate (0 allocs/op hot paths) =="
 # int8 forward pass, which allocates nothing at any GOMAXPROCS, nor the
 # fp32 forward at -cpu 1, whose convolutions read their patches in place
 # through an offset table drawn from the workspace (above GOMAXPROCS=1
-# the parallel GEMM starts its band goroutines), nor the SoC engine's
+# the parallel GEMM starts its band goroutines), nor a single convolution
+# with any of its tails under any kernel at -cpu 1, nor the SoC engine's
 # quantum (resuming the program coroutine), which starts no goroutine and
 # is gated at both -cpu 1 and 2. Any benchmark line the pattern selects
 # with an alloc/op above 0, or without an allocs/op figure, fails its gate,
@@ -227,6 +241,7 @@ alloc_gate ./internal/experiments/ 'BenchmarkMissionQuantum$' 500x
 alloc_gate ./internal/experiments/ 'BenchmarkQuantumFine$' 20000x -cpu 1
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/int8$' 20x
 alloc_gate ./internal/dnn/ 'BenchmarkForward$/ResNet(6|14)/fp32$' 20x -cpu 1
+alloc_gate ./internal/tensor/ 'BenchmarkConvKernels$' 20x -cpu 1
 alloc_gate ./internal/soc/ 'BenchmarkEngineStep$' 20000x -cpu 1,2
 if [ -n "$alloc_failed" ]; then
     echo "alloc gate: failed:$alloc_failed" >&2
