@@ -66,9 +66,11 @@ energyparity:
 # per-quantum FNV-1a chain is identical for a local machine and a TCP-remote
 # RTL server running the same mission, the fingerprint log round-trips, and
 # the live-divergence bisector localizes an injected wire-level bit flip to
-# the quantum where it happened; make check runs the same matrix.
+# the quantum where it happened, and frame-less quanta granted in runs fly
+# the mission that single steps fly; make check runs the same matrix.
 fingerparity:
 	$(GO) test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestFingerprintLogRoundTrip|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestRunMatchesSingleSteps|TestRunStopsAtMissionComplete|TestRunProgramExit' ./internal/core/
 
 # scenariofuzz is the property-based mission sweep at full budget: 16 seeds
 # per scenario family (wind, degraded, squall, storm, swarm = 80 scenarios)
@@ -81,7 +83,7 @@ scenariofuzz:
 	ROSE_SCENARIOFUZZ_SEEDS=16 $(GO) test -race -count=1 -v \
 		-run 'TestScenarioFuzz|TestInjectedFault' ./internal/experiments/fuzz/
 
-# fuzz gives each framing/codec/log/restore fuzz target a short
+# fuzz gives each framing/codec/log/restore/handler fuzz target a short
 # native-fuzzing burst (minimization capped at 100 executions, as in
 # scripts/check.sh).
 fuzz:
@@ -89,6 +91,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReaderNext$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzDecodeTelemetry$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/env/
 	$(GO) test -run xxx -fuzz FuzzRTLReply$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzRTLSnapReply$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/soc/
+	$(GO) test -run xxx -fuzz FuzzServerHandlers$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/soc/
 	$(GO) test -run xxx -fuzz FuzzRestoreMachine$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/app/
 	$(GO) test -run xxx -fuzz FuzzImageDecode$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzParseFingerprintLog$$ -fuzztime 10s -fuzzminimizetime 100x ./internal/experiments/

@@ -372,26 +372,31 @@ func BenchmarkQuantumTCPResilient(b *testing.B) {
 // leaves the TX queue empty; the drain is answered locally and the empty
 // push sends nothing, and only the step reaches the wire. "one-packet":
 // the program sends one packet per quantum, so each drain is a wire Pull
-// too. 0 allocs/op across both endpoints is part of the perf contract
-// (DESIGN.md §4.7).
+// too. "quiet-run": the quiet program granted runs of 16 quanta, one
+// RTLStepRun round trip each (core.RunRTL), as the synchronizer grants a
+// run of quanta due no frame. One op is one quantum. 0 allocs/op across
+// both endpoints is part of the perf contract (DESIGN.md §4.7).
 func BenchmarkQuantumRemoteRTL(b *testing.B) {
 	const quantum = 1_000_000
+	quiet := func(rt *soc.Runtime) error {
+		for {
+			rt.Compute(quantum)
+		}
+	}
 	progs := []struct {
 		name string
 		prog soc.Program
+		run  int // quanta per StepRun; 0 steps each quantum alone
 	}{
-		{"quiet", func(rt *soc.Runtime) error {
-			for {
-				rt.Compute(quantum)
-			}
-		}},
+		{"quiet", quiet, 0},
 		{"one-packet", func(rt *soc.Runtime) error {
 			// Send at the start of every quantum, then compute to its end.
 			for next := uint64(quantum); ; next += quantum {
 				rt.Send(packet.Packet{Type: packet.DepthReq})
 				rt.Compute(next - rt.Now())
 			}
-		}},
+		}, 0},
+		{"quiet-run", quiet, 16},
 	}
 	for _, p := range progs {
 		b.Run(p.name, func(b *testing.B) {
@@ -410,7 +415,9 @@ func BenchmarkQuantumRemoteRTL(b *testing.B) {
 			defer r.Close()
 
 			var pulled int
-			step := func() {
+			var marks [16]soc.QuantumMark
+			// step flies up to max quanta and returns how many it flew.
+			step := func(max int) int {
 				pkts, err := r.Pull()
 				if err != nil {
 					b.Fatal(err)
@@ -419,20 +426,28 @@ func BenchmarkQuantumRemoteRTL(b *testing.B) {
 				if err := r.Push(nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := r.Step(quantum); err != nil {
+				if p.run == 0 {
+					if _, err := r.Step(quantum); err != nil {
+						b.Fatal(err)
+					}
+					return 1
+				}
+				n, err := r.StepRun(quantum, marks[:min(p.run, max)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				return n
 			}
 			// Warm the client arena, the server's per-connection scratch
 			// and the socket buffers before measuring the steady state.
 			for i := 0; i < 16; i++ {
-				step()
+				step(p.run)
 			}
 			pulled = 0
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
+			for i := 0; i < b.N; {
+				i += step(b.N - i)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(pulled)/float64(b.N), "pkts/quantum")

@@ -46,6 +46,18 @@ type RTL interface {
 	Done() bool
 }
 
+// RunRTL is the optional batched view of an RTL, implemented by
+// soc.Machine and the remote TCP client: StepRun grants up to len(marks)
+// quanta of cycles each in one call and stops after the first quantum that
+// leaves the bridge's TX queue non-empty or the program done, filling one
+// mark per quantum stepped and returning their count. The synchronizer
+// type-asserts for it to fly a run of quanta that are due no frame with one
+// call — one round trip on a remote RTL; an RTL without it steps every
+// quantum alone.
+type RunRTL interface {
+	StepRun(cycles uint64, marks []soc.QuantumMark) (int, error)
+}
+
 // EnergyRTL is the optional energy-accounting view of an RTL, implemented
 // by soc.Machine and the remote TCP client. The synchronizer type-asserts
 // for it to sample per-quantum power and to fill Result.Energy — an RTL
@@ -202,18 +214,25 @@ type Synchronizer struct {
 	er        EnergyRTL
 	prevPJ    uint64
 	prevCycle uint64
+	// runner is the RTL's optional batched view; marks receives a run's
+	// per-quantum marks.
+	runner RunRTL
+	marks  [soc.MaxRunQuanta]soc.QuantumMark
 
 	// --- stepwise-run state (Start/StepQuanta/Finish) ---
-	started        bool
-	finished       bool
-	startWall      time.Time
-	framesPerCycle float64
-	quantumSec     float64
-	exchangeEvery  int
-	stepCh         chan int
-	quantumCh      chan envQuantum
-	st             runState
-	res            *Result
+	started   bool
+	finished  bool
+	startWall time.Time
+	// framesPerQuantum is Equation 1's frames per quantum, a rounded
+	// product, so the frame-debt update and the run lookahead that replays
+	// it add the same value on every architecture.
+	framesPerQuantum float64
+	quantumSec       float64
+	exchangeEvery    int
+	stepCh           chan int
+	quantumCh        chan envQuantum
+	st               runState
+	res              *Result
 }
 
 // runState is the synchronizer's progress through a mission — everything the
@@ -276,6 +295,7 @@ func New(e env.Env, rtl RTL, cfg Config) (*Synchronizer, error) {
 	s.batcher, _ = e.(env.SensorBatcher)
 	s.fb, _ = e.(frameByter)
 	s.er, _ = rtl.(EnergyRTL)
+	s.runner, _ = rtl.(RunRTL)
 	return s, nil
 }
 
@@ -330,7 +350,7 @@ func (s *Synchronizer) Start() error {
 		return fmt.Errorf("core: configuring bridge: %w", err)
 	}
 
-	s.framesPerCycle = s.env.FrameRate() / cfg.SoCClockHz
+	s.framesPerQuantum = float64(float64(cfg.SyncCycles) * (s.env.FrameRate() / cfg.SoCClockHz))
 	s.quantumSec = float64(cfg.SyncCycles) / cfg.SoCClockHz
 	if s.er != nil {
 		// Anchor the per-quantum power delta at the RTL's current state so a
@@ -403,10 +423,8 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 	if s.finished {
 		return true, fmt.Errorf("core: StepQuanta after Finish")
 	}
-	cfg := s.cfg
-	res := s.res
-	for n := 0; maxQuanta <= 0 || n < maxQuanta; n++ {
-		if s.st.stopped || s.st.simT >= cfg.MaxSimSeconds {
+	for n := 0; maxQuanta <= 0 || n < maxQuanta; {
+		if s.st.stopped || s.st.simT >= s.cfg.MaxSimSeconds {
 			s.st.stopped = true
 			return true, nil
 		}
@@ -428,152 +446,243 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 		}
 
 		// --- Allocate tokens: advance both simulators one quantum
-		// (Equation 1 ratio, with fractional frames accumulated). ---
-		s.st.frameDebt += float64(cfg.SyncCycles) * s.framesPerCycle
-		frames := int(s.st.frameDebt)
-		s.st.frameDebt -= float64(frames)
-		var tm env.Telemetry
-		if cfg.Overlap == OverlapOn && frames > 0 {
-			s.stepCh <- frames
-			t0 := s.o.Start()
-			_, rtlErr := s.rtl.Step(cfg.SyncCycles)
-			s.o.ObserveRTL(t0)
-			t1 := s.o.Start()
-			q := <-s.quantumCh
-			s.o.ObserveStall(t1)
-			// Surface errors in serial-report order: environment first.
-			if q.stepErr != nil {
-				s.o.Fault("env step failed")
-				return false, fmt.Errorf("core: stepping environment: %w", q.stepErr)
-			}
-			if rtlErr != nil {
-				s.o.Fault("rtl step failed")
-				return false, fmt.Errorf("core: stepping RTL: %w", rtlErr)
-			}
-			if q.telErr != nil {
-				s.o.Fault("telemetry failed")
-				return false, fmt.Errorf("core: telemetry: %w", q.telErr)
-			}
-			tm = q.tm
+		// (Equation 1 ratio, with fractional frames accumulated), or a run
+		// of quanta due no frame in one RTL call. ---
+		var stop bool
+		if run := s.quietRun(maxQuanta - n); run > 1 {
+			var k int
+			k, stop, err = s.stepRun(q0, run)
+			n += k
 		} else {
-			// Serial mode, and any quantum due no frame: with nothing to
-			// step, the env half is the telemetry sample alone, so there is
-			// nothing to overlap and StepFrames(0), a no-op, is not issued.
-			if frames > 0 {
-				t0 := s.o.Start()
-				if err := s.env.StepFrames(frames); err != nil {
-					s.o.Fault("env step failed")
-					return false, fmt.Errorf("core: stepping environment: %w", err)
-				}
-				s.o.ObserveEnv(t0)
-			}
-			t0 := s.o.Start()
-			if _, err := s.rtl.Step(cfg.SyncCycles); err != nil {
-				s.o.Fault("rtl step failed")
-				return false, fmt.Errorf("core: stepping RTL: %w", err)
-			}
-			s.o.ObserveRTL(t0)
-			var err error
-			if tm, err = s.env.Telemetry(); err != nil {
-				s.o.Fault("telemetry failed")
-				return false, fmt.Errorf("core: telemetry: %w", err)
-			}
+			stop, err = s.stepOne(q0)
+			n++
 		}
-		// Sample the quantum's simulated power for the trace's power rail
-		// and the black box. Observation only: skipped entirely when
-		// observability is off, and never feeds back into the run.
-		if s.er != nil && s.o != nil {
-			b := s.er.EnergyBreakdown()
-			totPJ := b.TotalPJ()
-			cyc := s.rtl.Cycle()
-			if dc := cyc - s.prevCycle; dc > 0 && totPJ >= s.prevPJ {
-				mw := float64(totPJ-s.prevPJ) * 1e-12 * cfg.SoCClockHz / float64(dc) * 1e3
-				s.o.ObservePower(totPJ, int64(mw))
-			}
-			s.prevPJ, s.prevCycle = totPJ, cyc
-		}
-		// Divergence detection runs unconditionally — observability must
-		// never change run behaviour, and a NaN/Inf that escapes into the
-		// controller poisons every later quantum silently.
-		if !telemetryFinite(tm) {
-			s.o.Fault("non-finite telemetry state")
-			return false, fmt.Errorf("core: divergence: non-finite telemetry at t=%.3fs (pos %v vel %v yaw %v)",
-				s.st.simT, tm.Pos, tm.Vel, tm.Yaw)
-		}
-		// Fold the quantum's authoritative end state into the rolling
-		// determinism fingerprint. Always-on and unconditional: the chain is
-		// the live analogue of the offline trajectory byte-compare, so it
-		// must not depend on observability wiring. Every input is identical
-		// local vs remote — telemetry is env-side, and the engine counters /
-		// cycle / energy ride every RTLStepped reply for a remote RTL.
-		fp := s.st.fprint
-		if fp == 0 {
-			fp = fprint.Init
-		}
-		fp = fprint.Fold(fp, s.st.quantum)
-		fp = fprint.FoldF64(fp, tm.TimeSec)
-		fp = fprint.Fold(fp, uint64(tm.Frame))
-		fp = fprint.FoldF64(fp, tm.Pos.X)
-		fp = fprint.FoldF64(fp, tm.Pos.Y)
-		fp = fprint.FoldF64(fp, tm.Pos.Z)
-		fp = fprint.FoldF64(fp, tm.Vel.X)
-		fp = fprint.FoldF64(fp, tm.Vel.Y)
-		fp = fprint.FoldF64(fp, tm.Vel.Z)
-		fp = fprint.FoldF64(fp, tm.Yaw)
-		fp = fprint.Fold(fp, uint64(tm.CollisionCount))
-		fp = fprint.FoldBool(fp, tm.Collided)
-		fp = fprint.FoldBool(fp, tm.MissionComplete)
-		fp = fprint.FoldF64(fp, s.st.lastCmd[0])
-		fp = fprint.FoldF64(fp, s.st.lastCmd[1])
-		fp = fprint.FoldF64(fp, s.st.lastCmd[2])
-		fp = fprint.Fold(fp, s.rtl.Cycle())
-		fp = fprint.Fold(fp, s.rtl.Stats().Fingerprint)
-		if s.er != nil {
-			fp = fprint.Fold(fp, s.er.EnergyBreakdown().TotalPJ())
-		}
-		s.st.fprint = fp
-		if cfg.RecordFingerprints {
-			res.Fingerprints = append(res.Fingerprints, fp)
-		}
-		s.o.ObserveFingerprint(fp)
-		s.st.simT += s.quantumSec
-		s.st.quantum++
-		res.Syncs++
-		if s.o != nil {
-			s.o.EndQuantum(q0, obs.TelemetrySample{
-				TimeSec:         tm.TimeSec,
-				Frame:           tm.Frame,
-				PosX:            tm.Pos.X,
-				PosY:            tm.Pos.Y,
-				PosZ:            tm.Pos.Z,
-				Yaw:             tm.Yaw,
-				CollisionCount:  tm.CollisionCount,
-				Collided:        tm.Collided,
-				MissionComplete: tm.MissionComplete,
-			})
-		}
-
-		// --- Bookkeeping. ---
-		if cfg.RecordTrajectory {
-			res.Trajectory = append(res.Trajectory, tm)
-		}
-		s.st.speedSum += tm.Vel.Norm()
-		s.st.speedN++
-		res.Collisions = tm.CollisionCount
-
-		if s.rtl.Done() {
-			s.o.Fault("target program exited")
-			return false, fmt.Errorf("core: target program exited unexpectedly")
-		}
-		if tm.MissionComplete {
-			res.Completed = true
-			if cfg.StopOnMissionComplete {
-				s.st.stopped = true
-				return true, nil
-			}
+		if err != nil || stop {
+			return stop, err
 		}
 	}
 	return s.st.stopped || s.st.simT >= s.cfg.MaxSimSeconds, nil
+}
+
+// stepOne advances both simulators one quantum and ends it.
+func (s *Synchronizer) stepOne(q0 time.Time) (stop bool, err error) {
+	cfg := s.cfg
+	s.st.frameDebt += s.framesPerQuantum
+	frames := int(s.st.frameDebt)
+	s.st.frameDebt -= float64(frames)
+	var tm env.Telemetry
+	if cfg.Overlap == OverlapOn && frames > 0 {
+		s.stepCh <- frames
+		t0 := s.o.Start()
+		_, rtlErr := s.rtl.Step(cfg.SyncCycles)
+		s.o.ObserveRTL(t0)
+		t1 := s.o.Start()
+		q := <-s.quantumCh
+		s.o.ObserveStall(t1)
+		// Surface errors in serial-report order: environment first.
+		if q.stepErr != nil {
+			s.o.Fault("env step failed")
+			return false, fmt.Errorf("core: stepping environment: %w", q.stepErr)
+		}
+		if rtlErr != nil {
+			s.o.Fault("rtl step failed")
+			return false, fmt.Errorf("core: stepping RTL: %w", rtlErr)
+		}
+		if q.telErr != nil {
+			s.o.Fault("telemetry failed")
+			return false, fmt.Errorf("core: telemetry: %w", q.telErr)
+		}
+		tm = q.tm
+	} else {
+		// Serial mode, and any quantum due no frame: with nothing to
+		// step, the env half is the telemetry sample alone, so there is
+		// nothing to overlap and StepFrames(0), a no-op, is not issued.
+		if frames > 0 {
+			t0 := s.o.Start()
+			if err := s.env.StepFrames(frames); err != nil {
+				s.o.Fault("env step failed")
+				return false, fmt.Errorf("core: stepping environment: %w", err)
+			}
+			s.o.ObserveEnv(t0)
+		}
+		t0 := s.o.Start()
+		if _, err := s.rtl.Step(cfg.SyncCycles); err != nil {
+			s.o.Fault("rtl step failed")
+			return false, fmt.Errorf("core: stepping RTL: %w", err)
+		}
+		s.o.ObserveRTL(t0)
+		var err error
+		if tm, err = s.env.Telemetry(); err != nil {
+			s.o.Fault("telemetry failed")
+			return false, fmt.Errorf("core: telemetry: %w", err)
+		}
+	}
+	mk := soc.QuantumMark{Cycle: s.rtl.Cycle(), Fingerprint: s.rtl.Stats().Fingerprint}
+	if s.er != nil {
+		mk.EnergyPJ = s.er.EnergyBreakdown().TotalPJ()
+	}
+	return s.endQuantum(q0, tm, mk, s.rtl.Done())
+}
+
+// quietRun counts the quanta from the current one that are due no frame,
+// replaying stepOne's frame-debt arithmetic and the loop's time budget,
+// up to limit (<= 0: no limit) and soc.MaxRunQuanta. It is 0 for an RTL
+// without StepRun.
+func (s *Synchronizer) quietRun(limit int) int {
+	if s.runner == nil {
+		return 0
+	}
+	if limit <= 0 || limit > soc.MaxRunQuanta {
+		limit = soc.MaxRunQuanta
+	}
+	debt, t := s.st.frameDebt, s.st.simT
+	n := 0
+	for ; n < limit && t < s.cfg.MaxSimSeconds; n++ {
+		if debt += s.framesPerQuantum; int(debt) > 0 {
+			break
+		}
+		t += s.quantumSec
+	}
+	return n
+}
+
+// stepRun flies the next run quanta, all due no frame, with one StepRun
+// call, and ends each with its mark. Inside the run nothing can change the
+// environment: no frame is due, and no data crosses the bridge, since the
+// RTL stops the run after the first quantum that leaves SoC output. So one
+// telemetry sample, taken first, is every quantum's; a sample that would
+// end the mission at its first quantum shortens the run to that quantum.
+// The RTL call's host time is the first quantum's, which also stamps its
+// trace sequence on the request; the later quanta begin (sequence and
+// watchdog beat) as their marks are ended.
+func (s *Synchronizer) stepRun(q0 time.Time, run int) (n int, stop bool, err error) {
+	tm, err := s.env.Telemetry()
+	if err != nil {
+		s.o.Fault("telemetry failed")
+		return 0, false, fmt.Errorf("core: telemetry: %w", err)
+	}
+	if !telemetryFinite(tm) || tm.MissionComplete && s.cfg.StopOnMissionComplete {
+		run = 1
+	}
+	t0 := s.o.Start()
+	k, err := s.runner.StepRun(s.cfg.SyncCycles, s.marks[:run])
+	s.o.ObserveRTL(t0)
+	if err != nil {
+		s.o.Fault("rtl step failed")
+		return 0, false, fmt.Errorf("core: stepping RTL: %w", err)
+	}
+	for i, mk := range s.marks[:k] {
+		if i > 0 {
+			q0 = s.o.BeginQuantum()
+		}
+		s.st.frameDebt += s.framesPerQuantum
+		if stop, err := s.endQuantum(q0, tm, mk, i == k-1 && s.rtl.Done()); err != nil || stop {
+			return i + 1, stop, err
+		}
+	}
+	return k, false, nil
+}
+
+// endQuantum ends one quantum from its boundary telemetry and the RTL's
+// mark after it (rtlDone: the program exited in it): the power sample, the
+// divergence check, the fingerprint fold, the observability record, the
+// trajectory and the stop checks. stop reports mission completion with
+// StopOnMissionComplete.
+func (s *Synchronizer) endQuantum(q0 time.Time, tm env.Telemetry, mk soc.QuantumMark, rtlDone bool) (stop bool, err error) {
+	cfg := s.cfg
+	res := s.res
+	// Sample the quantum's simulated power for the trace's power rail
+	// and the black box. Observation only: skipped entirely when
+	// observability is off, and never feeds back into the run.
+	if s.er != nil && s.o != nil {
+		if dc := mk.Cycle - s.prevCycle; dc > 0 && mk.EnergyPJ >= s.prevPJ {
+			mw := float64(mk.EnergyPJ-s.prevPJ) * 1e-12 * cfg.SoCClockHz / float64(dc) * 1e3
+			s.o.ObservePower(mk.EnergyPJ, int64(mw))
+		}
+		s.prevPJ, s.prevCycle = mk.EnergyPJ, mk.Cycle
+	}
+	// Divergence detection runs unconditionally — observability must
+	// never change run behaviour, and a NaN/Inf that escapes into the
+	// controller poisons every later quantum silently.
+	if !telemetryFinite(tm) {
+		s.o.Fault("non-finite telemetry state")
+		return false, fmt.Errorf("core: divergence: non-finite telemetry at t=%.3fs (pos %v vel %v yaw %v)",
+			s.st.simT, tm.Pos, tm.Vel, tm.Yaw)
+	}
+	// Fold the quantum's authoritative end state into the rolling
+	// determinism fingerprint. Always-on and unconditional: the chain is
+	// the live analogue of the offline trajectory byte-compare, so it
+	// must not depend on observability wiring. Every input is identical
+	// local vs remote — telemetry is env-side, and the cycle, engine
+	// fingerprint and energy ride every RTLStepped and RTLRunMarks reply
+	// for a remote RTL.
+	fp := s.st.fprint
+	if fp == 0 {
+		fp = fprint.Init
+	}
+	fp = fprint.Fold(fp, s.st.quantum)
+	fp = fprint.FoldF64(fp, tm.TimeSec)
+	fp = fprint.Fold(fp, uint64(tm.Frame))
+	fp = fprint.FoldF64(fp, tm.Pos.X)
+	fp = fprint.FoldF64(fp, tm.Pos.Y)
+	fp = fprint.FoldF64(fp, tm.Pos.Z)
+	fp = fprint.FoldF64(fp, tm.Vel.X)
+	fp = fprint.FoldF64(fp, tm.Vel.Y)
+	fp = fprint.FoldF64(fp, tm.Vel.Z)
+	fp = fprint.FoldF64(fp, tm.Yaw)
+	fp = fprint.Fold(fp, uint64(tm.CollisionCount))
+	fp = fprint.FoldBool(fp, tm.Collided)
+	fp = fprint.FoldBool(fp, tm.MissionComplete)
+	fp = fprint.FoldF64(fp, s.st.lastCmd[0])
+	fp = fprint.FoldF64(fp, s.st.lastCmd[1])
+	fp = fprint.FoldF64(fp, s.st.lastCmd[2])
+	fp = fprint.Fold(fp, mk.Cycle)
+	fp = fprint.Fold(fp, mk.Fingerprint)
+	if s.er != nil {
+		fp = fprint.Fold(fp, mk.EnergyPJ)
+	}
+	s.st.fprint = fp
+	if cfg.RecordFingerprints {
+		res.Fingerprints = append(res.Fingerprints, fp)
+	}
+	s.o.ObserveFingerprint(fp)
+	s.st.simT += s.quantumSec
+	s.st.quantum++
+	res.Syncs++
+	if s.o != nil {
+		s.o.EndQuantum(q0, mk.Cycle, obs.TelemetrySample{
+			TimeSec:         tm.TimeSec,
+			Frame:           tm.Frame,
+			PosX:            tm.Pos.X,
+			PosY:            tm.Pos.Y,
+			PosZ:            tm.Pos.Z,
+			Yaw:             tm.Yaw,
+			CollisionCount:  tm.CollisionCount,
+			Collided:        tm.Collided,
+			MissionComplete: tm.MissionComplete,
+		})
+	}
+
+	// --- Bookkeeping. ---
+	if cfg.RecordTrajectory {
+		res.Trajectory = append(res.Trajectory, tm)
+	}
+	s.st.speedSum += tm.Vel.Norm()
+	s.st.speedN++
+	res.Collisions = tm.CollisionCount
+
+	if rtlDone {
+		s.o.Fault("target program exited")
+		return false, fmt.Errorf("core: target program exited unexpectedly")
+	}
+	if tm.MissionComplete {
+		res.Completed = true
+		if cfg.StopOnMissionComplete {
+			s.st.stopped = true
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // Finish stops the overlap worker and finalizes the Result. The synchronizer

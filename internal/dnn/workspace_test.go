@@ -3,9 +3,11 @@ package dnn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/world"
 )
 
 func randImage(seed int64, c, h, w int) *tensor.Tensor {
@@ -99,6 +101,41 @@ func TestExtractFeaturesMatchesSerial(t *testing.T) {
 			if math.Float32bits(got[i].Data[j]) != math.Float32bits(want.Data[j]) {
 				t.Fatalf("image %d feature %d = %v, want %v", i, j, got[i].Data[j], want.Data[j])
 			}
+		}
+	}
+}
+
+// TestForwardWarmupAllocs pins what a fresh workspace costs: the heap
+// allocations of four ResNet14 forwards on a new workspace, on a net whose
+// weight caches are already filled, at GOMAXPROCS=1 (above it the fp32
+// GEMM starts band goroutines). All of them are the first forward growing
+// the pools; the next three allocate nothing. A conv's per-call scratch
+// drawn from the activation pool again (the tail vector, the offset table)
+// raises the counts above the limits.
+func TestForwardWarmupAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	frames := GenerateClean(world.Tunnel(), Lateral, 4, 5, 64, 48).Images
+	n := MustBuild("ResNet14", 1)
+	if err := CalibrateBN(n, frames); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prec  Precision
+		limit uint64
+	}{{PrecisionFP32, 34}, {PrecisionInt8, 36}} {
+		n.ForwardWSP(tensor.NewWorkspace(), frames[0], c.prec) // fill the weight caches
+		ws := tensor.NewWorkspace()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 4; i++ {
+			n.ForwardWSP(ws, frames[i%len(frames)], c.prec)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got > c.limit {
+			t.Errorf("ResNet14/%v: four forwards on a fresh workspace made %d allocations, want at most %d",
+				c.prec, got, c.limit)
+		} else {
+			t.Logf("ResNet14/%v: %d allocations", c.prec, got)
 		}
 	}
 }

@@ -77,6 +77,10 @@ func (s *Server) SetObs(o *obs.EnvServerObs) { s.srv.SetObs(o) }
 // Safe to call while serving; a nil argument silences the server.
 func (s *Server) SetLog(l *obs.Logger) { s.srv.SetLog(l) }
 
+// Handler opens the handler a new connection is served with
+// (packet.Server.Handler).
+func (s *Server) Handler() packet.Handler { return s.srv.Handler() }
+
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.srv.Addr() }
 

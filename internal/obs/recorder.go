@@ -101,8 +101,9 @@ type QuantumRecord struct {
 	ExchangeNs int64 `json:"exchange_ns"`
 	StallNs    int64 `json:"stall_ns"`
 
-	// Engine cycles, cumulative simulated energy, and this quantum's
-	// simulated power (HasPower: the ledger produced a sample).
+	// The RTL's cycle after the quantum, cumulative simulated energy, and
+	// this quantum's simulated power (HasPower: the ledger produced a
+	// sample).
 	Cycles   uint64 `json:"cycles"`
 	EnergyPJ uint64 `json:"energy_pj,omitempty"`
 	PowerMW  int64  `json:"power_mw,omitempty"`

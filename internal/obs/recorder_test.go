@@ -48,7 +48,7 @@ func TestRecorderWatchdogFakeClock(t *testing.T) {
 	// Healthy quanta: heartbeats inside the deadline never fire.
 	for seq := uint64(1); seq <= 5; seq++ {
 		s.Recorder.Heartbeat(seq)
-		s.Core.EndQuantum(clk.now(), TelemetrySample{TimeSec: float64(seq), PosX: float64(seq)})
+		s.Core.EndQuantum(clk.now(), 0, TelemetrySample{TimeSec: float64(seq), PosX: float64(seq)})
 		clk.advance(100 * time.Millisecond)
 		if s.Recorder.CheckStall(time.Second) {
 			t.Fatalf("false stall at seq %d", seq)
@@ -107,7 +107,7 @@ func TestRecorderDumpOnPanic(t *testing.T) {
 	s := New(16)
 	path := filepath.Join(t.TempDir(), "bb.json")
 	s.Recorder.SetPath(path)
-	s.Core.EndQuantum(time.Now(), TelemetrySample{})
+	s.Core.EndQuantum(time.Now(), 0, TelemetrySample{})
 
 	func() {
 		defer func() {
@@ -260,7 +260,7 @@ func TestSweepBlackboxNamesMissions(t *testing.T) {
 		mo.Bridge.RxBytesHWM.SetMax(rx)
 		occupancy[mo.ID] = rx
 		start := mo.Core.BeginQuantum()
-		mo.Core.EndQuantum(start, TelemetrySample{Frame: int64(i)})
+		mo.Core.EndQuantum(start, 0, TelemetrySample{Frame: int64(i)})
 	}
 	var buf bytes.Buffer
 	if err := s.Recorder.DumpTo(&buf, "manual"); err != nil {

@@ -39,7 +39,7 @@ func TestEndQuantumPublishAllocs(t *testing.T) {
 	start := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Core.BeginQuantum()
-		s.Core.EndQuantum(start, TelemetrySample{PosX: 1})
+		s.Core.EndQuantum(start, 0, TelemetrySample{PosX: 1})
 	})
 	if allocs != 0 {
 		t.Errorf("EndQuantum with a subscriber: %v allocs/op, want 0", allocs)

@@ -78,7 +78,7 @@ func New(traceEvents int) *Suite {
 		App:       newAppObs(reg),
 		start:     time.Now(),
 	}
-	s.Core.bindMission("", bus, s.SoC, s.Bridge, s.App)
+	s.Core.bindMission("", bus, s.Bridge, s.App)
 	return s
 }
 
@@ -132,7 +132,7 @@ func (s *Suite) Mission(id string, labels ...[2]string) *MissionObs {
 		SoC:    newSoCObs(sc),
 		App:    newAppObs(sc),
 	}
-	m.Core.bindMission(id, s.Bus, m.SoC, m.Bridge, m.App)
+	m.Core.bindMission(id, s.Bus, m.Bridge, m.App)
 	return m
 }
 
@@ -291,7 +291,6 @@ type CoreObs struct {
 	// record.
 	mission string
 	bus     *StreamBus
-	soc     *SoCObs
 	brg     *BridgeObs
 	app     *AppObs
 
@@ -329,10 +328,10 @@ func newCoreObs(ins Instruments, tr *Tracer, run *TraceContext, rec *Recorder, l
 
 // bindMission wires the core bundle to its mission: the ID its records
 // carry, the suite bus they are published on, and the mission's own
-// engine, bridge and app bundles, which supply the records' cycle, queue
-// and inference fields.
-func (o *CoreObs) bindMission(mission string, bus *StreamBus, soc *SoCObs, brg *BridgeObs, app *AppObs) {
-	o.mission, o.bus, o.soc, o.brg, o.app = mission, bus, soc, brg, app
+// bridge and app bundles, which supply the records' queue and inference
+// fields.
+func (o *CoreObs) bindMission(mission string, bus *StreamBus, brg *BridgeObs, app *AppObs) {
+	o.mission, o.bus, o.brg, o.app = mission, bus, brg, app
 }
 
 // Start returns the current time when observing, the zero time when o is
@@ -452,11 +451,13 @@ func (o *CoreObs) ObservePower(totalPJ uint64, powerMW int64) {
 }
 
 // EndQuantum closes a quantum: it counts and times the whole iteration,
-// then builds the quantum's record once — phase breakdown, engine cycles,
-// energy and power, fingerprint, this mission's bridge queues and
-// inference progress, and the boundary telemetry sample — and hands that
-// one value to the flight recorder and the stream bus. Neither allocates.
-func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample) {
+// then builds the quantum's record once — phase breakdown, the RTL's
+// cycle after the quantum (as the synchronizer read it, so a remote RTL's
+// and each quantum of a run's are its own), energy and power, fingerprint,
+// this mission's bridge queues and inference progress, and the boundary
+// telemetry sample — and hands that one value to the flight recorder and
+// the stream bus. Neither allocates.
+func (o *CoreObs) EndQuantum(start time.Time, cycle uint64, sample TelemetrySample) {
 	if o == nil {
 		return
 	}
@@ -472,7 +473,7 @@ func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample) {
 		EnvNs:         o.curEnv.Load(),
 		ExchangeNs:    o.curExchange.Load(),
 		StallNs:       o.curStall.Load(),
-		Cycles:        o.soc.Cycles.Value(),
+		Cycles:        cycle,
 		EnergyPJ:      o.curEnergy.Load(),
 		PowerMW:       o.curPowerMW.Load(),
 		HasPower:      o.hasPower.Load(),

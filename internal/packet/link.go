@@ -169,9 +169,23 @@ func DialLink(addr string, o LinkOptions) (*Link, error) {
 // Resilient reports whether the link reconnects and replays on failure.
 func (l *Link) Resilient() bool { return l.win != nil }
 
-// Close terminates the connection and disables reconnection.
+// linkCloseTimeout bounds the write of a resilient link's LinkClose frame.
+const linkCloseTimeout = 100 * time.Millisecond
+
+// Close terminates the connection and disables reconnection. A resilient
+// link first sends LinkClose, so the server can drop the link's session
+// instead of keeping its replay cache for the server's lifetime. The frame
+// is best effort: written straight to the connection under a short
+// deadline, so a dead or stalled peer cannot hold Close up, and a Close
+// that interrupts a call on another goroutine may garble it, leaving the
+// session in place.
 func (l *Link) Close() error {
-	l.closed.Store(true)
+	if !l.closed.Swap(true) && l.win != nil {
+		if frame, err := AppendFrame(nil, Packet{Type: LinkClose}, 0, 0, 0, l.win.LinkID(), 0, false); err == nil {
+			l.conn.SetWriteDeadline(l.opts.now().Add(linkCloseTimeout))
+			l.conn.Write(frame)
+		}
+	}
 	return l.conn.Close()
 }
 

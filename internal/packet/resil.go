@@ -190,6 +190,9 @@ type ResilSession struct {
 	cond sync.Cond // lazily bound to mu; broadcast by Store
 	last uint32
 	ring [ResilWindow]cachedResp
+	// widest is the longest response payload stored, the size a slot
+	// grows to.
+	widest int
 }
 
 // Dedup resolves seq against the session before execution. Three outcomes:
@@ -244,6 +247,13 @@ func (s *ResilSession) Store(seq uint32, resp Packet) {
 	e.seq = seq
 	e.done = true
 	e.typ = resp.Type
+	// Responses of every size cycle through the slots (a run reply carries
+	// one mark per quantum), so a slot that must grow grows to the widest
+	// response yet, not just past this one: each then grows about once.
+	s.widest = max(s.widest, len(resp.Payload))
+	if cap(e.payload) < len(resp.Payload) {
+		e.payload = make([]byte, 0, s.widest)
+	}
 	e.payload = append(e.payload[:0], resp.Payload...)
 	if seq > s.last {
 		s.last = seq
@@ -252,9 +262,11 @@ func (s *ResilSession) Store(seq uint32, resp Packet) {
 	s.cond.Broadcast()
 }
 
-// ResilSessions is a server's registry of per-link sessions. Sessions are
-// small (a response ring) and links are few (one per client process), so
-// entries live for the server's lifetime.
+// ResilSessions is a server's registry of per-link sessions. A session
+// lives until its client closes the link (LinkClose): a link that breaks
+// instead may reconnect and replay at any time. A client that re-dials per
+// flight (perfbench's tcp-1ms re-dials the RTL link) would otherwise leave
+// a session, up to 64 cached responses, behind every flight.
 type ResilSessions struct {
 	mu sync.Mutex
 	m  map[uint64]*ResilSession
@@ -277,7 +289,15 @@ func (s *ResilSessions) Get(link uint64) *ResilSession {
 	return sess
 }
 
-// Len returns the number of links seen.
+// Drop forgets link's session: its client closed the link (LinkClose) and
+// will never replay a request.
+func (s *ResilSessions) Drop(link uint64) {
+	s.mu.Lock()
+	delete(s.m, link)
+	s.mu.Unlock()
+}
+
+// Len returns the number of live sessions.
 func (s *ResilSessions) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -438,3 +438,62 @@ func TestLinkDeadAfterRetriesBackoffSchedule(t *testing.T) {
 		t.Fatalf("backoff schedule = %v, want %v", sleeps, want)
 	}
 }
+
+// TestLinkCloseDropsSession: closing a resilient link sends LinkClose, and
+// the server drops the link's session; a plain link's close sends nothing.
+func TestLinkCloseDropsSession(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer("test", ln, func() Handler {
+		return func(req Packet) Packet { return Packet{Type: RPCAck} }
+	})
+	go srv.Serve()
+	defer srv.Close()
+	call := func(l *Link) {
+		t.Helper()
+		if err := l.Send(Packet{Type: RPCTelemetry}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSessions := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.sessions.Len() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("server holds %d sessions, want %d", srv.sessions.Len(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		l, err := DialLink(srv.Addr(), LinkOptions{MaxRetries: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		call(l)
+		waitSessions(1)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitSessions(0)
+	}
+	plain, err := DialLink(srv.Addr(), LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call(plain)
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.sessions.Len(); n != 0 {
+		t.Errorf("a plain link left %d sessions", n)
+	}
+}

@@ -7,10 +7,10 @@ package packet
 //
 // Remote-RTL types (0x03xx) carry the synchronizer↔FireSim TCP protocol
 // (§3.4.1): cycle grants and boundary packet batches. Every RTLStepped,
-// RTLBatch and RTLStatusReply payload carries the machine status — cycle,
-// done flag, engine stats and energy breakdown — in soc's fixed-width
-// little-endian status codec (DESIGN.md §4.7), so a quantum needs no
-// separate status round trip.
+// RTLBatch, RTLRunMarks and RTLStatusReply payload carries the machine
+// status — cycle, done flag, engine stats and energy breakdown — in soc's
+// fixed-width little-endian status codec (DESIGN.md §4.7), so a quantum
+// needs no separate status round trip.
 const (
 	// RPCStepFrames requests n environment frames (uint64 payload).
 	RPCStepFrames Type = 0x0201
@@ -27,6 +27,11 @@ const (
 	RPCAck Type = 0x0205
 	// RPCError carries an error string.
 	RPCError Type = 0x0206
+	// LinkClose is a resilient link's last frame, sent by Link.Close: the
+	// link will never replay a request, so the server drops its session
+	// (the replay cache) and the connection. It has no payload and gets no
+	// reply.
+	LinkClose Type = 0x0207
 
 	// RTLStep grants a cycle quantum to a remote RTL simulation (uint64);
 	// the response is an RTLStepped.
@@ -58,6 +63,16 @@ const (
 	// rebuilds its machine from it via the installed restorer; the response
 	// is an RPCAck.
 	RTLRestore Type = 0x030A
+	// RTLStepRun grants a run of quanta in one request: the cycles per
+	// quantum (uint64), then the most quanta to step (uint64, 1 to
+	// soc.MaxRunQuanta). The server steps them one by one and stops after
+	// the first that leaves the TX queue non-empty or the program done; the
+	// response is an RTLRunMarks.
+	RTLStepRun Type = 0x030B
+	// RTLRunMarks answers RTLStepRun: the quanta stepped (uint64), one mark
+	// per quantum (cycle, engine fingerprint and total energy in pJ, each
+	// uint64), then the machine status after the last.
+	RTLRunMarks Type = 0x030C
 )
 
 // AppendBatch appends the concatenated wire encoding of pkts — the

@@ -52,6 +52,11 @@ func (s *Server) SetLog(l *obs.Logger) { s.log.Store(l) }
 // disables it.
 func (s *Server) SetObs(o *obs.EnvServerObs) { s.obs.Store(o) }
 
+// Handler opens a Handler as a new connection is served with: the
+// server's request path without the network, for in-process drivers such
+// as the handler fuzz target.
+func (s *Server) Handler() Handler { return s.open() }
+
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
@@ -123,6 +128,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		var sess *ResilSession
 		var seq uint32
 		if link, rseq, ok := r.Resil(); ok {
+			if req.Type == LinkClose {
+				s.sessions.Drop(link)
+				return
+			}
 			sess, seq = s.sessions.Get(link), rseq
 			w.SetResil(link, r.ResilCRCPayload())
 			w.SetResilSeq(rseq)

@@ -343,6 +343,42 @@ func (m *Machine) Step(cycles uint64) (uint64, error) {
 	return cycles, nil
 }
 
+// MaxRunQuanta caps the quanta one StepRun grants, and the count a server
+// accepts in an RTLStepRun request.
+const MaxRunQuanta = 64
+
+// QuantumMark is what the synchronizer folds into its fingerprint from the
+// RTL side after a quantum: the cycle, the engine fingerprint
+// (Stats().Fingerprint) and the total energy (EnergyBreakdown().TotalPJ()).
+type QuantumMark struct {
+	Cycle, Fingerprint, EnergyPJ uint64
+}
+
+// mark returns the machine's QuantumMark.
+func (m *Machine) mark() QuantumMark {
+	return QuantumMark{Cycle: m.cycle, Fingerprint: m.stats.Fingerprint, EnergyPJ: m.EnergyBreakdown().TotalPJ()}
+}
+
+// StepRun grants up to len(marks) quanta of cycles each, one Step at a
+// time, and stops after the first quantum that leaves a packet in the
+// bridge's TX queue or the program exited: the synchronizer must see
+// either before it grants more. marks[i] receives quantum i's mark, and n
+// counts the quanta stepped. No packet reaches the SoC inside a run, so
+// each quantum steps exactly as a lone Step would.
+func (m *Machine) StepRun(cycles uint64, marks []QuantumMark) (n int, err error) {
+	for n < len(marks) {
+		if _, err := m.Step(cycles); err != nil {
+			return n, err
+		}
+		marks[n] = m.mark()
+		n++
+		if m.done || m.br.PeekTxLen() > 0 {
+			break
+		}
+	}
+	return n, nil
+}
+
 // beginRequest prices a request and either stalls (I/O not ready) or starts
 // charging cycles for it.
 func (m *Machine) beginRequest(r request) {

@@ -18,13 +18,15 @@ import (
 // surface against it, enabling the distributed deployments of Table 4.
 //
 // The wire follows the env link's discipline (DESIGN.md §4.7). Every
-// RTLStepped and RTLBatch reply carries the machine status the client
-// caches, in one fixed-width codec, and Push defers its ack. The status
-// counts the packets left in the bridge's TX queue, so Pull answers an
-// empty batch locally when the last step left none, and an empty Push
-// sends nothing: a quantum whose previous step left TX empty costs one
-// round trip (the Step), and one with SoC output two (Pull, then Push and
-// Step in one flush). The steady state allocates nothing at either end.
+// RTLStepped, RTLBatch and RTLRunMarks reply carries the machine status
+// the client caches, in one fixed-width codec, and Push defers its ack.
+// The status counts the packets left in the bridge's TX queue, so Pull
+// answers an empty batch locally when the last step left none, and an
+// empty Push sends nothing: a quantum whose previous step left TX empty
+// costs one round trip (the Step), and one with SoC output two (Pull, then
+// Push and Step in one flush). StepRun grants a run of such quiet quanta
+// in one round trip (RTLStepRun), its reply carrying one mark per quantum
+// before the status. The steady state allocates nothing at either end.
 // Gob carries only the snapshot RPCs (RTLSnap, RTLRestore).
 
 // Server serves one Machine over the packet serve loop, to a single
@@ -75,6 +77,10 @@ func NewServerOn(m *Machine, ln net.Listener) *Server {
 	return s
 }
 
+// Handler opens the handler a new connection is served with
+// (packet.Server.Handler).
+func (s *Server) Handler() packet.Handler { return s.srv.Handler() }
+
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.srv.Addr() }
 
@@ -89,7 +95,8 @@ func (s *Server) Serve() error { return s.srv.Serve() }
 // here under the machine lock and copied into the connection's write buffer
 // before the next request is handled, so reuse across requests is safe.
 type connScratch struct {
-	payload []byte // reply payload build buffer
+	payload []byte                    // reply payload build buffer
+	marks   [MaxRunQuanta]QuantumMark // an RTLStepRun's marks
 }
 
 func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
@@ -108,6 +115,17 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		sc.payload = binary.LittleEndian.AppendUint64(sc.payload[:0], used)
 		sc.payload = machineStatus(s.m).appendTo(sc.payload)
 		return packet.Packet{Type: packet.RTLStepped, Payload: sc.payload}
+	case packet.RTLStepRun:
+		cycles, count, err := decodeRunRequest(req.Payload)
+		if err != nil {
+			return packet.ErrorReply(err)
+		}
+		n, err := s.m.StepRun(cycles, sc.marks[:count])
+		if err != nil {
+			return packet.ErrorReply(err)
+		}
+		sc.payload = appendRunMarks(sc.payload[:0], sc.marks[:n], machineStatus(s.m))
+		return packet.Packet{Type: packet.RTLRunMarks, Payload: sc.payload}
 	case packet.RTLPush:
 		pkts, err := packet.DecodeBatch(req.Payload)
 		if err != nil {
@@ -145,15 +163,15 @@ func (s *Server) handle(req packet.Packet, sc *connScratch) packet.Packet {
 		if s.restorer == nil {
 			return packet.ErrorReply(fmt.Errorf("soc: server has no restorer installed (SetRestorer)"))
 		}
-		var st SnapState
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&st); err != nil {
+		st, err := decodeSnap(req.Payload)
+		if err != nil {
 			return packet.ErrorReply(err)
 		}
 		cfg, sp, err := s.restorer()
 		if err != nil {
 			return packet.ErrorReply(err)
 		}
-		m, err := RestoreMachine(cfg, sp, &st)
+		m, err := RestoreMachine(cfg, sp, st)
 		if err != nil {
 			return packet.ErrorReply(err)
 		}
@@ -279,6 +297,96 @@ func decodeBatchReply(dst []packet.Packet, b []byte) ([]packet.Packet, rtlStatus
 	return pkts, st, nil
 }
 
+// runRequestSize is the width of an RTLStepRun payload: the cycles per
+// quantum and the most quanta to step, both u64.
+const runRequestSize = 16
+
+// decodeRunRequest decodes an RTLStepRun payload. The count must be 1 to
+// MaxRunQuanta: the server steps nothing for any other.
+func decodeRunRequest(b []byte) (cycles uint64, count int, err error) {
+	if len(b) != runRequestSize {
+		return 0, 0, fmt.Errorf("soc: RTLStepRun payload is %d bytes, want %d", len(b), runRequestSize)
+	}
+	n := binary.LittleEndian.Uint64(b[8:])
+	if n == 0 || n > MaxRunQuanta {
+		return 0, 0, fmt.Errorf("soc: RTLStepRun asks for %d quanta, want 1 to %d", n, MaxRunQuanta)
+	}
+	return binary.LittleEndian.Uint64(b), int(n), nil
+}
+
+// markSize is the width of one quantum mark in an RTLRunMarks payload: the
+// cycle, the engine fingerprint and the total energy in pJ, all u64.
+const markSize = 3 * 8
+
+// appendRunMarks appends an RTLRunMarks payload to dst: the count of
+// quanta stepped, their marks, then the status after the last.
+func appendRunMarks(dst []byte, marks []QuantumMark, st rtlStatus) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(marks)))
+	for _, mk := range marks {
+		dst = binary.LittleEndian.AppendUint64(dst, mk.Cycle)
+		dst = binary.LittleEndian.AppendUint64(dst, mk.Fingerprint)
+		dst = binary.LittleEndian.AppendUint64(dst, mk.EnergyPJ)
+	}
+	return st.appendTo(dst)
+}
+
+// decodeRunMarks decodes an RTLRunMarks payload answering a request for
+// len(marks) quanta: it fills marks with the quanta stepped and returns
+// their count and the status after the last. The count must be 1 to the
+// number requested and the length must match it, so nothing sized from
+// the wire is allocated or written past marks. The status must describe
+// the machine the last mark does, and a run shorter than requested must
+// have stopped for a reason: packets left in the TX queue, or the program
+// done. marks is written only once every check has passed.
+func decodeRunMarks(marks []QuantumMark, b []byte) (int, rtlStatus, error) {
+	if len(b) < 8 {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks payload is %d bytes, too short for its count", len(b))
+	}
+	n := binary.LittleEndian.Uint64(b)
+	if n == 0 || n > uint64(len(marks)) {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks counts %d quanta, want 1 to the %d requested", n, len(marks))
+	}
+	if want := 8 + int(n)*markSize + statusSize; len(b) != want {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks payload is %d bytes, want %d for %d quanta", len(b), want, n)
+	}
+	st, err := decodeStatus(b[len(b)-statusSize:])
+	if err != nil {
+		return 0, rtlStatus{}, err
+	}
+	last := b[8+(n-1)*markSize:]
+	if c := binary.LittleEndian.Uint64(last); st.cycle != c {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks status is at cycle %d, its last mark at %d", st.cycle, c)
+	}
+	if fp := binary.LittleEndian.Uint64(last[8:]); st.stats.Fingerprint != fp {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks status fingerprint %#x differs from its last mark's %#x", st.stats.Fingerprint, fp)
+	}
+	if pj := binary.LittleEndian.Uint64(last[16:]); st.energy.TotalPJ() != pj {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks status energy %d pJ differs from its last mark's %d", st.energy.TotalPJ(), pj)
+	}
+	if n < uint64(len(marks)) && st.txLen == 0 && !st.done {
+		return 0, rtlStatus{}, fmt.Errorf("soc: RTLRunMarks stopped after %d of %d quanta with the TX queue empty and the program running", n, len(marks))
+	}
+	for i := range marks[:n] {
+		m := b[8+i*markSize:]
+		marks[i] = QuantumMark{
+			Cycle:       binary.LittleEndian.Uint64(m),
+			Fingerprint: binary.LittleEndian.Uint64(m[8:]),
+			EnergyPJ:    binary.LittleEndian.Uint64(m[16:]),
+		}
+	}
+	return int(n), st, nil
+}
+
+// decodeSnap decodes an RTLSnapData or RTLRestore payload: a gob-encoded
+// SnapState.
+func decodeSnap(b []byte) (*SnapState, error) {
+	var st SnapState
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+		return nil, fmt.Errorf("soc: machine image: %w", err)
+	}
+	return &st, nil
+}
+
 // RemoteRTL is a core.RTL implementation backed by a remote Server. Calls
 // that touch the wire are serialized by an internal lock; Cycle, Done,
 // Stats and EnergyBreakdown read the status the last of them received. The
@@ -297,9 +405,10 @@ type RemoteRTL struct {
 	pending  int   // acks owed for deferred pushes
 	deferred error // first failure a deferred push ack reported
 
-	push   []byte          // RTLPush payload scratch
-	arena  []byte          // copy of the last RTLBatch payload
-	pulled []packet.Packet // reused Pull result, aliasing arena
+	push   []byte               // RTLPush payload scratch
+	runReq [runRequestSize]byte // RTLStepRun payload scratch
+	arena  []byte               // copy of the last RTLBatch payload
+	pulled []packet.Packet      // reused Pull result, aliasing arena
 }
 
 // DialOptions configures the RTL client transport; see env.DialOptions.
@@ -431,6 +540,29 @@ func (r *RemoteRTL) Step(cycles uint64) (uint64, error) {
 	return used, nil
 }
 
+// StepRun implements core.RunRTL: one RTLStepRun round trip grants up to
+// len(marks) quanta of cycles each (Machine.StepRun on the server), fills
+// marks with the quanta stepped and returns their count. The reply's
+// status is the machine's after the last quantum, so Cycle, Done, Stats,
+// EnergyBreakdown and the TX count are current without a further round
+// trip. A server that predates the request answers it with an RPCError.
+func (r *RemoteRTL) StepRun(cycles uint64, marks []QuantumMark) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	binary.LittleEndian.PutUint64(r.runReq[:], cycles)
+	binary.LittleEndian.PutUint64(r.runReq[8:], uint64(len(marks)))
+	resp, err := r.call(packet.Packet{Type: packet.RTLStepRun, Payload: r.runReq[:]}, packet.RTLRunMarks)
+	if err != nil {
+		return 0, err
+	}
+	n, st, err := decodeRunMarks(marks, resp.Payload)
+	if err != nil {
+		return 0, err
+	}
+	r.st = st
+	return n, nil
+}
+
 // Push implements core.RTL. The batch is buffered, not flushed, and its ack
 // is deferred: it leaves in one segment with the next request (Step, in
 // the synchronizer's quantum), whose call collects the ack and reports a
@@ -510,11 +642,7 @@ func (r *RemoteRTL) SnapState() (*SnapState, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st SnapState
-	if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return decodeSnap(resp.Payload)
 }
 
 // Restore ships a machine image to the remote server, which rebuilds its

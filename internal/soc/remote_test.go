@@ -3,16 +3,20 @@ package soc
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/env"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/world"
 )
 
 func echoProgram(rt *Runtime) error {
@@ -261,11 +265,29 @@ func TestStatusOldWidthFailsClosed(t *testing.T) {
 	}
 }
 
-// FuzzRTLReply feeds arbitrary bytes to the decoders of the three reply
-// payloads that carry the status (RTLStatusReply, RTLStepped, RTLBatch).
-// Each must fail with an error or decode, never panic. A decoded status
-// must encode back to the same bytes, and a decoded batch must survive a
-// re-encode round trip.
+// runReply steps a fresh echo machine through one run of up to requested
+// quanta of 1000 cycles, after pushing push, and returns the RTLRunMarks
+// payload a server would answer with.
+func runReply(t testing.TB, requested int, push []packet.Packet) []byte {
+	m := NewMachine(Config{Core: BOOM, Gemmini: true}, echoProgram)
+	defer m.Close()
+	if err := m.Push(push); err != nil {
+		t.Fatal(err)
+	}
+	marks := make([]QuantumMark, requested)
+	n, err := m.StepRun(1000, marks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendRunMarks(nil, marks[:n], machineStatus(m))
+}
+
+// FuzzRTLReply feeds arbitrary bytes to the decoders of the four reply
+// payloads that carry the status (RTLStatusReply, RTLStepped, RTLBatch,
+// and RTLRunMarks answering runs of 1, 3 and MaxRunQuanta quanta). Each
+// must fail with an error or decode, never panic. A decoded status must
+// encode back to the same bytes, a decoded batch must survive a re-encode
+// round trip, and a decoded run must re-encode to the same bytes.
 func FuzzRTLReply(f *testing.F) {
 	st := rtlStatus{cycle: 7, done: true, stats: Stats{Cycles: 7, Syncs: 1, Fingerprint: 9}}
 	status := st.appendTo(nil)
@@ -273,6 +295,19 @@ func FuzzRTLReply(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A full run of three quanta, a run cut short by the echo's reply in
+	// the TX queue, and the full run mangled: one byte short, its final
+	// status moved a cycle on, and claiming one quantum more.
+	run := runReply(f, 3, nil)
+	f.Add(run)
+	f.Add(runReply(f, 3, []packet.Packet{{Type: packet.DepthReq}}))
+	f.Add(run[:len(run)-1])
+	moved := append([]byte(nil), run...)
+	binary.LittleEndian.PutUint64(moved[len(moved)-statusSize:], binary.LittleEndian.Uint64(moved[len(moved)-statusSize:])+1)
+	f.Add(moved)
+	more := append([]byte(nil), run...)
+	more[0]++
+	f.Add(more)
 	f.Add(status)
 	f.Add(append(binary.LittleEndian.AppendUint64(nil, 1000), status...))
 	f.Add(batch)
@@ -308,6 +343,339 @@ func FuzzRTLReply(f *testing.F) {
 			for i := range pkts {
 				if again[i].Type != pkts[i].Type || !bytes.Equal(again[i].Payload, pkts[i].Payload) {
 					t.Fatalf("packet %d changed in a re-encode round trip", i)
+				}
+			}
+		}
+		var marks [MaxRunQuanta]QuantumMark
+		for _, requested := range []int{1, 3, MaxRunQuanta} {
+			if n, st, err := decodeRunMarks(marks[:requested], b); err == nil {
+				if re := appendRunMarks(nil, marks[:n], st); !bytes.Equal(re, b) {
+					t.Fatalf("RTLRunMarks %x (run of %d) re-encodes as %x", b, requested, re)
+				}
+			}
+		}
+	})
+}
+
+// TestRunMarksFailClosed: each malformed RTLRunMarks payload fails with an
+// error naming what is wrong, writes no mark, and allocates nothing sized
+// from the wire.
+func TestRunMarksFailClosed(t *testing.T) {
+	full := runReply(t, 3, nil) // three quanta, the TX queue empty after each
+	if n, _, err := decodeRunMarks(make([]QuantumMark, 3), full); err != nil || n != 3 {
+		t.Fatalf("a well-formed run decodes as %d quanta, %v", n, err)
+	}
+	withCount := func(n uint64) []byte {
+		b := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint64(b, n)
+		return b
+	}
+	moved := append([]byte(nil), full...)
+	binary.LittleEndian.PutUint64(moved[len(full)-statusSize:], 1)
+	for _, c := range []struct {
+		name      string
+		b         []byte
+		requested int
+		want      string
+	}{
+		{"count above the request", full, 2, "counts 3 quanta, want 1 to the 2 requested"},
+		{"zero count", withCount(0), 3, "counts 0 quanta"},
+		{"huge count", withCount(1 << 62), 3, "want 1 to the 3 requested"},
+		{"no count", full[:7], 3, "too short for its count"},
+		{"a byte short", full[:len(full)-1], 3, "is 240 bytes, want 241 for 3 quanta"},
+		{"a byte long", append(append([]byte(nil), full...), 0), 3, "is 242 bytes, want 241 for 3 quanta"},
+		{"count below the marks", withCount(2), 3, "is 241 bytes, want 217 for 2 quanta"},
+		{"status cycle off the last mark", moved, 3, "status is at cycle 1, its last mark at 3000"},
+		{"short run without a cause", full, 4, "stopped after 3 of 4 quanta"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			marks := make([]QuantumMark, c.requested)
+			_, _, err := decodeRunMarks(marks, c.b)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v, want one containing %q", err, c.want)
+			}
+			for i, mk := range marks {
+				if mk != (QuantumMark{}) {
+					t.Errorf("mark %d written by a failed decode: %+v", i, mk)
+				}
+			}
+		})
+	}
+	// Allocation: a count of 2^62 fails before any of it is used, and a
+	// good run decodes without allocating.
+	var marks [3]QuantumMark
+	huge := withCount(1 << 62)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		decodeRunMarks(marks[:], huge)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / 100; perCall > 512 {
+		t.Errorf("a failed decode of a 2^62-quantum count allocates %d bytes", perCall)
+	}
+	if a := testing.AllocsPerRun(100, func() { decodeRunMarks(marks[:], full) }); a != 0 {
+		t.Errorf("a good run decodes with %v allocations", a)
+	}
+}
+
+// TestRemoteRTLStepRunMatchesLocal grants the same schedule of runs and
+// pushes to a local machine and a remote one: every run must stop where
+// the local one stops (after the echo's reply lands in the TX queue, or
+// at the requested count), with the same marks, and the remote status
+// after it must be the local machine's. A run is one write.
+func TestRemoteRTLStepRunMatchesLocal(t *testing.T) {
+	m := NewMachine(Config{Core: BOOM, Gemmini: true}, echoProgram)
+	t.Cleanup(m.Close)
+	srv, err := NewServer(m, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+	var writes, written atomic.Int64
+	r, err := DialRTLWith(srv.Addr(), DialOptions{
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := net.DialTimeout("tcp", addr, timeout)
+			return writeCounter{Conn: c, n: &writes, bytes: &written}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	local := NewMachine(Config{Core: BOOM, Gemmini: true}, echoProgram)
+	t.Cleanup(local.Close)
+
+	var short, full int
+	for i := 0; i < 12; i++ {
+		got, _ := r.Pull()
+		want, _ := local.Pull()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: pulled %d packets, local %d", i, len(got), len(want))
+		}
+		var push []packet.Packet
+		if i%3 == 0 {
+			push = []packet.Packet{{Type: packet.DepthReq}}
+		}
+		r.Push(push)
+		local.Push(push)
+		requested := 1 + i%5
+		before := writes.Load()
+		remote, wantMarks := make([]QuantumMark, requested), make([]QuantumMark, requested)
+		n, err := r.StepRun(20_000, remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := writes.Load() - before; w != 1 {
+			t.Errorf("run %d made %d writes, want 1", i, w)
+		}
+		wantN, _ := local.StepRun(20_000, wantMarks)
+		if n != wantN || !reflect.DeepEqual(remote[:n], wantMarks[:wantN]) {
+			t.Fatalf("run %d: remote %d marks %+v, local %d %+v", i, n, remote[:n], wantN, wantMarks[:wantN])
+		}
+		if n < requested {
+			short++
+		} else {
+			full++
+		}
+		if r.Cycle() != local.Cycle() || r.Stats() != local.Stats() || r.EnergyBreakdown() != local.EnergyBreakdown() {
+			t.Fatalf("run %d: remote status differs from the local machine's", i)
+		}
+	}
+	if short == 0 || full == 0 {
+		t.Fatalf("schedule made %d short and %d full runs; want both", short, full)
+	}
+}
+
+// encodeSnap gob-encodes a machine image as RTLSnapData carries it.
+func encodeSnap(t testing.TB, st *SnapState) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRTLSnapReply feeds arbitrary bytes to the RTLSnapData decoder (the
+// RTLRestore request's too). It must fail with an error or decode, never
+// panic, and a decoded image must re-encode to bytes that decode and
+// re-encode to themselves. Seeds are real captures: a pristine echo
+// machine, and one stepped with a request in flight.
+func FuzzRTLSnapReply(f *testing.F) {
+	m := NewStateMachine(Config{Core: BOOM, Gemmini: true}, echoStateProgram{})
+	defer m.Close()
+	for i := 0; i < 2; i++ {
+		st, err := m.SnapState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		b := encodeSnap(f, st)
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		if err := m.Push([]packet.Packet{{Type: packet.DepthReq}}); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := m.Step(1_500); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := decodeSnap(b)
+		if err != nil {
+			return
+		}
+		once := encodeSnap(t, st)
+		again, err := decodeSnap(once)
+		if err != nil {
+			t.Fatalf("a re-encoded image does not decode: %v", err)
+		}
+		if twice := encodeSnap(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("image changed in a second round trip:\n%x\n%x", once, twice)
+		}
+	})
+}
+
+// noListener is a listener that never accepts: the handler fuzz target
+// drives the servers' handlers without the network.
+type noListener struct{}
+
+func (noListener) Accept() (net.Conn, error) { return nil, net.ErrClosed }
+func (noListener) Close() error              { return nil }
+func (noListener) Addr() net.Addr            { return &net.TCPAddr{} }
+
+// replyTypes maps each request type a server answers to the reply it
+// answers a well-formed one with.
+var replyTypes = map[packet.Type]packet.Type{
+	packet.RPCStepFrames: packet.RPCAck,
+	packet.RPCFrameRate:  packet.RPCFrameRate,
+	packet.RPCReset:      packet.RPCAck,
+	packet.RPCTelemetry:  packet.RPCTelemetry,
+	packet.CamReq:        packet.CamData,
+	packet.IMUReq:        packet.IMUData,
+	packet.DepthReq:      packet.DepthData,
+	packet.CmdVel:        packet.RPCAck,
+	packet.RTLStep:       packet.RTLStepped,
+	packet.RTLStepRun:    packet.RTLRunMarks,
+	packet.RTLPush:       packet.RPCAck,
+	packet.RTLPull:       packet.RTLBatch,
+	packet.RTLStatus:     packet.RTLStatusReply,
+	packet.RTLSnap:       packet.RTLSnapData,
+	packet.RTLRestore:    packet.RPCAck,
+}
+
+// envRequest reports whether t is served by the environment server.
+func envRequest(t packet.Type) bool {
+	return t>>8 == 0x02 || t == packet.CamReq || t == packet.IMUReq || t == packet.DepthReq || t == packet.CmdVel
+}
+
+// FuzzServerHandlers decodes each input as one request frame and hands it
+// to fresh environment and RTL servers' handlers, each over a fresh
+// simulator. Every request gets a reply from each, never a panic: the
+// server's own reply type, or an RPCError — always for an unknown type or
+// the other server's request, and for a bad payload. An RTL reply that
+// carries the status decodes with the client's decoder. A run request for
+// 0 quanta or more than MaxRunQuanta is refused without stepping the
+// machine. Requests to step more than 16 frames are skipped, to bound
+// each input's time, not as a server limit.
+func FuzzServerHandlers(f *testing.F) {
+	frame := func(t packet.Type, payload []byte) []byte {
+		b, err := packet.Packet{Type: t, Payload: payload}.Encode(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	u64s := func(v ...uint64) []byte {
+		var b []byte
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	for typ := range replyTypes {
+		f.Add(frame(typ, nil))
+	}
+	f.Add(frame(packet.RPCStepFrames, u64s(2)))
+	f.Add(frame(packet.RPCReset, u64s(0, 0, 0, 0)))
+	f.Add(frame(packet.CmdVel, packet.Cmd{VForward: 3}.Marshal().Payload))
+	f.Add(frame(packet.RTLStep, u64s(50_000)))
+	f.Add(frame(packet.RTLStepRun, u64s(10_000, 4)))
+	f.Add(frame(packet.RTLStepRun, u64s(10_000, 0)))
+	f.Add(frame(packet.RTLStepRun, u64s(10_000, MaxRunQuanta+1)))
+	f.Add(frame(packet.RTLPush, frame(packet.DepthReq, nil)))
+	f.Add(frame(packet.Type(0x0399), nil))
+	m := NewStateMachine(Config{Core: BOOM, Gemmini: true}, echoStateProgram{})
+	pristine, err := m.SnapState()
+	m.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame(packet.RTLRestore, encodeSnap(f, pristine)))
+	tunnel := world.Tunnel()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, n, err := packet.Decode(b)
+		if err != nil || n != len(b) {
+			return // not one whole frame: FuzzDecode's ground
+		}
+		if frames, err := req.AsU64(); req.Type == packet.RPCStepFrames && err == nil && frames > 16 {
+			return
+		}
+		sim, err := env.New(env.DefaultConfig(tunnel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envReply := env.NewServerOn(sim, noListener{}).Handler()(req)
+		m := NewStateMachine(Config{Core: BOOM, Gemmini: true}, echoStateProgram{})
+		defer m.Close()
+		srv := NewServerOn(m, noListener{})
+		srv.SetRestorer(func() (Config, StateProgram, error) {
+			return Config{Core: BOOM, Gemmini: true}, echoStateProgram{}, nil
+		})
+		rtlReply := srv.Handler()(req)
+		if srv.m != m { // an RTLRestore replaced it
+			defer srv.m.Close()
+		}
+
+		want, known := replyTypes[req.Type]
+		for _, c := range []struct {
+			server string
+			reply  packet.Packet
+			serves bool
+		}{{"env", envReply, known && envRequest(req.Type)}, {"RTL", rtlReply, known && !envRequest(req.Type)}} {
+			if c.reply.Type == packet.RPCError {
+				if len(c.reply.Payload) == 0 {
+					t.Errorf("%s server refused %v with an empty error", c.server, req.Type)
+				}
+				continue
+			}
+			if !c.serves || c.reply.Type != want {
+				t.Errorf("%s server answered %v with %v", c.server, req.Type, c.reply.Type)
+			}
+		}
+		switch rtlReply.Type {
+		case packet.RTLStepped:
+			_, _, err = decodeStepped(rtlReply.Payload)
+		case packet.RTLBatch:
+			_, _, err = decodeBatchReply(nil, rtlReply.Payload)
+		case packet.RTLStatusReply:
+			_, err = decodeStatus(rtlReply.Payload)
+		case packet.RTLRunMarks:
+			_, _, err = decodeRunMarks(make([]QuantumMark, binary.LittleEndian.Uint64(req.Payload[8:])), rtlReply.Payload)
+		case packet.RTLSnapData:
+			_, err = decodeSnap(rtlReply.Payload)
+		}
+		if err != nil {
+			t.Errorf("the RTL server's %v reply does not decode: %v", rtlReply.Type, err)
+		}
+		if req.Type == packet.RTLStepRun {
+			if _, _, err := decodeRunRequest(req.Payload); err != nil {
+				if rtlReply.Type != packet.RPCError {
+					t.Errorf("a malformed run request (%v) was answered with %v", err, rtlReply.Type)
+				}
+				if st := m.Stats(); st.Syncs != 0 || m.Cycle() != 0 {
+					t.Errorf("a refused run request stepped the machine: %d quanta, cycle %d", st.Syncs, m.Cycle())
 				}
 			}
 		}

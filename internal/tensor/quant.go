@@ -347,18 +347,15 @@ func ConvI8WS(ws *Workspace, x *Tensor, wq *PackedI8, sw float32, ep Epilogue, k
 	qp := ChooseQuantParams(x.Data)
 	qx := ws.GetI8(hp, wp, cp)
 	quantizePadInto(qx.Data, x.Data, h, w, c, cp, pad, 1/qp.Scale)
-	off := ws.GetI32(wq.K / 2)
+	vec, off := ws.convScratch(n, wq.K/2)
 	acc := ws.GetI32(m, n)
 	kern := ActiveKernel()
-	matMulI8(acc.Data, convPairs(qx.Data, off.Data, cp, hp, wp, kh, kw, stride, outW), wq, m, kern)
-	ws.PutI32(off)
+	matMulI8(acc.Data, convPairs(qx.Data, off, cp, hp, wp, kh, kw, stride, outW), wq, m, kern)
 	ws.PutI8(qx)
 
-	vec := ws.Get(3 * n)
 	out := ws.Get(outH, outW, n)
-	t := ep.resolve(vec.Data, m, n)
+	t := ep.resolve(vec, m, n)
 	t.apply(out.Data, acc.Data, qp.Scale*sw, 0, m, n, kern)
-	ws.Put(vec)
 	ws.PutI32(acc)
 	return out
 }

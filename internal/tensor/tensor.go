@@ -156,13 +156,10 @@ func Conv2DWS(ws *Workspace, x, w, wt *Tensor, ep Epilogue, stride, pad int) *Te
 		padInto(padded.Data, x.Data, h, wd, inC, pad)
 		src = padded.Data
 	}
-	off := ws.GetI32(k)
-	vec := ws.Get(3 * outC)
+	vec, off := ws.convScratch(outC, k)
 	out := ws.Get(outH, outW, outC)
-	gemm(out.Data, convA(src, off.Data, inC, h+2*pad, wd+2*pad, kh, kw, stride, outW),
-		wt.Data, m, k, outC, ep.resolve(vec.Data, m, outC))
-	ws.Put(vec)
-	ws.PutI32(off)
+	gemm(out.Data, convA(src, off, inC, h+2*pad, wd+2*pad, kh, kw, stride, outW),
+		wt.Data, m, k, outC, ep.resolve(vec, m, outC))
 	ws.Put(padded)
 	return out
 }

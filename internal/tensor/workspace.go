@@ -11,7 +11,9 @@ package tensor
 // stranding a trail of undersized buffers.
 //
 // Int8/int32 scratch for the quantized inference path is pooled separately
-// via GetI8/PutI8 and GetI32/PutI32 with the same contract.
+// via GetI8/PutI8 and GetI32/PutI32 with the same contract. A convolution's
+// own per-call scratch, its tail vector and offset table, is neither: the
+// workspace keeps one buffer of each (convScratch).
 //
 // Contract: a tensor obtained from Get must not be used after it is Put back
 // (no aliasing of in-flight buffers), and a Workspace must not be shared
@@ -27,6 +29,11 @@ type Workspace struct {
 
 	freeI32  []*I32
 	ownedI32 map[*I32]struct{}
+
+	// tail and offs are the scratch of the convolution running on the
+	// workspace (convScratch), kept apart from the pools.
+	tail []float32
+	offs []int32
 }
 
 // NewWorkspace returns an empty workspace.
@@ -80,6 +87,29 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 	t.Shape = append(t.Shape[:0], shape...)
 	w.owned[t] = struct{}{}
 	return t
+}
+
+// convScratch returns one convolution's scratch: 3·n floats for its
+// resolved tail (bias, BN scales and shifts) over n output channels, and k
+// int32s for its operand offset table. Only one conv runs on a workspace at
+// a time, so each is a single grow-only buffer, regrown to four times the
+// request: a ResNet's widths double stage by stage, so ResNet14 regrows
+// each once or twice, not at every stage. Drawn from the pools, these small
+// buffers cost a fresh workspace more than themselves: a pool grows its
+// largest free buffer when none fits, so a longer offset table took the
+// int8 accumulator's memory, and the tail vector held a buffer an
+// activation would have reused.
+func (w *Workspace) convScratch(n, k int) ([]float32, []int32) {
+	if w == nil {
+		return make([]float32, 3*n), make([]int32, k)
+	}
+	if cap(w.tail) < 3*n {
+		w.tail = make([]float32, 4*3*n)
+	}
+	if cap(w.offs) < k {
+		w.offs = make([]int32, 4*k)
+	}
+	return w.tail[:3*n], w.offs[:k]
 }
 
 func (w *Workspace) takeFree(i int) *Tensor {

@@ -3,6 +3,11 @@
 //
 // All types are value types; operations return new values and never mutate
 // their receivers, so they are safe to share across goroutines.
+//
+// Every float product is written float64(x*y), which rounds it: on arm64
+// Go otherwise fuses x*y + z into one rounding (FMADDD), also across an
+// inlined call such as p.Add(v.Scale(dt)), and results would differ from
+// amd64's. On amd64 the conversions change nothing.
 package vec
 
 import (
@@ -29,20 +34,22 @@ func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
 // Scale returns v scaled by s.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
+func (v Vec3) Scale(s float64) Vec3 {
+	return Vec3{float64(v.X * s), float64(v.Y * s), float64(v.Z * s)}
+}
 
 // Neg returns −v.
 func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 
 // Dot returns the dot product v·w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+func (v Vec3) Dot(w Vec3) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) + float64(v.Z*w.Z) }
 
 // Cross returns the cross product v×w.
 func (v Vec3) Cross(w Vec3) Vec3 {
 	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
+		float64(v.Y*w.Z) - float64(v.Z*w.Y),
+		float64(v.Z*w.X) - float64(v.X*w.Z),
+		float64(v.X*w.Y) - float64(v.Y*w.X),
 	}
 }
 
@@ -63,7 +70,9 @@ func (v Vec3) Unit() Vec3 {
 }
 
 // Mul returns the component-wise (Hadamard) product of v and w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
+func (v Vec3) Mul(w Vec3) Vec3 {
+	return Vec3{float64(v.X * w.X), float64(v.Y * w.Y), float64(v.Z * w.Z)}
+}
 
 // Clamp limits every component of v to [-lim, lim]; lim must be >= 0.
 func (v Vec3) Clamp(lim float64) Vec3 {
@@ -107,9 +116,9 @@ func Identity3() Mat3 {
 // MulVec returns m·v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{
-		m[0][0]*v.X + m[0][1]*v.Y + m[0][2]*v.Z,
-		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
-		m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
+		float64(m[0][0]*v.X) + float64(m[0][1]*v.Y) + float64(m[0][2]*v.Z),
+		float64(m[1][0]*v.X) + float64(m[1][1]*v.Y) + float64(m[1][2]*v.Z),
+		float64(m[2][0]*v.X) + float64(m[2][1]*v.Y) + float64(m[2][2]*v.Z),
 	}
 }
 
@@ -119,7 +128,7 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 3; k++ {
-				r[i][j] += m[i][k] * n[k][j]
+				r[i][j] += float64(m[i][k] * n[k][j])
 			}
 		}
 	}
@@ -150,7 +159,7 @@ func IdentityQuat() Quat { return Quat{W: 1} }
 func QuatFromAxisAngle(axis Vec3, angle float64) Quat {
 	a := axis.Unit()
 	s, c := math.Sincos(angle / 2)
-	return Quat{W: c, X: a.X * s, Y: a.Y * s, Z: a.Z * s}
+	return Quat{W: c, X: float64(a.X * s), Y: float64(a.Y * s), Z: float64(a.Z * s)}
 }
 
 // QuatFromEuler builds a quaternion from roll (about X), pitch (about Y), and
@@ -161,22 +170,22 @@ func QuatFromEuler(roll, pitch, yaw float64) Quat {
 	sp, cp := math.Sincos(pitch / 2)
 	sy, cy := math.Sincos(yaw / 2)
 	return Quat{
-		W: cr*cp*cy + sr*sp*sy,
-		X: sr*cp*cy - cr*sp*sy,
-		Y: cr*sp*cy + sr*cp*sy,
-		Z: cr*cp*sy - sr*sp*cy,
+		W: float64(cr*cp*cy) + float64(sr*sp*sy),
+		X: float64(sr*cp*cy) - float64(cr*sp*sy),
+		Y: float64(cr*sp*cy) + float64(sr*cp*sy),
+		Z: float64(cr*cp*sy) - float64(sr*sp*cy),
 	}
 }
 
 // Euler returns the roll, pitch, yaw angles (Z-Y-X convention) of q.
 func (q Quat) Euler() (roll, pitch, yaw float64) {
 	// roll (x-axis rotation)
-	sinr := 2 * (q.W*q.X + q.Y*q.Z)
-	cosr := 1 - 2*(q.X*q.X+q.Y*q.Y)
+	sinr := 2 * (float64(q.W*q.X) + float64(q.Y*q.Z))
+	cosr := 1 - float64(2*(float64(q.X*q.X)+float64(q.Y*q.Y)))
 	roll = math.Atan2(sinr, cosr)
 
 	// pitch (y-axis rotation)
-	sinp := 2 * (q.W*q.Y - q.Z*q.X)
+	sinp := 2 * (float64(q.W*q.Y) - float64(q.Z*q.X))
 	if math.Abs(sinp) >= 1 {
 		pitch = math.Copysign(math.Pi/2, sinp)
 	} else {
@@ -184,8 +193,8 @@ func (q Quat) Euler() (roll, pitch, yaw float64) {
 	}
 
 	// yaw (z-axis rotation)
-	siny := 2 * (q.W*q.Z + q.X*q.Y)
-	cosy := 1 - 2*(q.Y*q.Y+q.Z*q.Z)
+	siny := 2 * (float64(q.W*q.Z) + float64(q.X*q.Y))
+	cosy := 1 - float64(2*(float64(q.Y*q.Y)+float64(q.Z*q.Z)))
 	yaw = math.Atan2(siny, cosy)
 	return roll, pitch, yaw
 }
@@ -193,10 +202,10 @@ func (q Quat) Euler() (roll, pitch, yaw float64) {
 // Mul returns the quaternion product q·r (apply r first, then q).
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{
-		W: q.W*r.W - q.X*r.X - q.Y*r.Y - q.Z*r.Z,
-		X: q.W*r.X + q.X*r.W + q.Y*r.Z - q.Z*r.Y,
-		Y: q.W*r.Y - q.X*r.Z + q.Y*r.W + q.Z*r.X,
-		Z: q.W*r.Z + q.X*r.Y - q.Y*r.X + q.Z*r.W,
+		W: float64(q.W*r.W) - float64(q.X*r.X) - float64(q.Y*r.Y) - float64(q.Z*r.Z),
+		X: float64(q.W*r.X) + float64(q.X*r.W) + float64(q.Y*r.Z) - float64(q.Z*r.Y),
+		Y: float64(q.W*r.Y) - float64(q.X*r.Z) + float64(q.Y*r.W) + float64(q.Z*r.X),
+		Z: float64(q.W*r.Z) + float64(q.X*r.Y) - float64(q.Y*r.X) + float64(q.Z*r.W),
 	}
 }
 
@@ -205,7 +214,7 @@ func (q Quat) Conj() Quat { return Quat{W: q.W, X: -q.X, Y: -q.Y, Z: -q.Z} }
 
 // Norm returns the quaternion magnitude.
 func (q Quat) Norm() float64 {
-	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
+	return math.Sqrt(float64(q.W*q.W) + float64(q.X*q.X) + float64(q.Y*q.Y) + float64(q.Z*q.Z))
 }
 
 // Unit returns q normalized to unit magnitude; the zero quaternion maps to
@@ -224,7 +233,7 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 	u := Vec3{q.X, q.Y, q.Z}
 	s := q.W
 	return u.Scale(2 * u.Dot(v)).
-		Add(v.Scale(s*s - u.Dot(u))).
+		Add(v.Scale(float64(s*s) - u.Dot(u))).
 		Add(u.Cross(v).Scale(2 * s))
 }
 
@@ -232,9 +241,9 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 func (q Quat) Mat() Mat3 {
 	w, x, y, z := q.W, q.X, q.Y, q.Z
 	return Mat3{
-		{1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y)},
+		{1 - float64(2*(float64(y*y)+float64(z*z))), 2 * (float64(x*y) - float64(w*z)), 2 * (float64(x*z) + float64(w*y))},
+		{2 * (float64(x*y) + float64(w*z)), 1 - float64(2*(float64(x*x)+float64(z*z))), 2 * (float64(y*z) - float64(w*x))},
+		{2 * (float64(x*z) - float64(w*y)), 2 * (float64(y*z) + float64(w*x)), 1 - float64(2*(float64(x*x)+float64(y*y)))},
 	}
 }
 
@@ -244,10 +253,10 @@ func (q Quat) Integrate(omega Vec3, dt float64) Quat {
 	dq := Quat{W: 0, X: omega.X, Y: omega.Y, Z: omega.Z}
 	qd := q.Mul(dq)
 	out := Quat{
-		W: q.W + 0.5*qd.W*dt,
-		X: q.X + 0.5*qd.X*dt,
-		Y: q.Y + 0.5*qd.Y*dt,
-		Z: q.Z + 0.5*qd.Z*dt,
+		W: q.W + float64(0.5*qd.W*dt),
+		X: q.X + float64(0.5*qd.X*dt),
+		Y: q.Y + float64(0.5*qd.Y*dt),
+		Z: q.Z + float64(0.5*qd.Z*dt),
 	}
 	return out.Unit()
 }
@@ -276,4 +285,4 @@ func Deg(d float64) float64 { return d * math.Pi / 180 }
 func ToDeg(r float64) float64 { return r * 180 / math.Pi }
 
 // Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
+func Lerp(a, b, t float64) float64 { return a + float64((b-a)*t) }

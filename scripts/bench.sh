@@ -15,8 +15,9 @@
 #     faultnet wrapper with nothing armed, and over the resilient transport
 #     (replay window, deadlines, CRCs); and the remote-RTL quantum
 #     (BenchmarkQuantumRemoteRTL: a quiet quantum, where only the step
-#     reaches the wire, and one whose program sends a packet, which adds
-#     the wire drain);
+#     reaches the wire, one whose program sends a packet, which adds the
+#     wire drain, and quiet-run, the quiet program granted runs of 16
+#     quanta, one round trip per run, still per quantum);
 #   - the fine-granularity quantum (BenchmarkQuantumFine at -cpu 1):
 #     Figure 15's synthetic program in process and overlapped at 10k
 #     cycles per quantum, where nearly every quantum steps no frame;

@@ -88,26 +88,37 @@ echo "== portable build (noasm, arm64) =="
 # avx2 rows skip), and a cross-compile of everything for arm64. On arm64 Go
 # fuses x*y + z into one rounding (FMADDS) unless the product is converted
 # explicitly, which would make the portable kernels' results differ from
-# amd64's: internal/tensor's arm64 build must contain no fused
+# amd64's: the arm64 builds of internal/tensor, and of the synchronizer
+# (internal/core), the environment (internal/env) and its vector math
+# (internal/vec, whose methods inline into env), must contain no fused
 # multiply-add.
 go test -count=1 -tags noasm -run "$parity_run" ./internal/tensor/ ./internal/dnn/
 GOARCH=arm64 go build ./...
-listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ 2>&1)
-fused=$(echo "$listing" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' || true)
-if ! echo "$listing" | grep -q STEXT || [ -n "$fused" ]; then
-    echo "$fused" >&2
-    echo "portable build: internal/tensor's arm64 listing is missing or has fused multiply-adds" >&2
-    exit 1
-fi
+for pkg in tensor core env vec; do
+    listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/$pkg/ 2>&1)
+    fused=$(echo "$listing" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' || true)
+    if ! echo "$listing" | grep -q STEXT || [ -n "$fused" ]; then
+        echo "$fused" >&2
+        echo "portable build: internal/$pkg's arm64 listing is missing or has fused multiply-adds" >&2
+        exit 1
+    fi
+done
 
 echo "== fingerprint parity matrix =="
 # Determinism fingerprints: the rolling per-quantum FNV-1a chain must be
 # identical local vs TCP-remote RTL, the fingerprint log must round-trip,
 # and the live-divergence bisector must localize an injected bit flip to
-# the quantum where it happened. The same set as make fingerparity.
+# the quantum where it happened; and a mission whose frame-less quanta
+# are granted in runs (core.RunRTL) must equal the one stepping every
+# quantum alone, in process and over TCP, across granularities, exchange
+# periods, overlap modes and StepQuanta chunks. The same set as make
+# fingerparity.
 finger_run='TestFingerprintParityLocalRemote|TestFingerprintLogRoundTrip|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum'
 require_tests "$finger_run" ./internal/experiments/
 go test -race -count=1 -run "$finger_run" ./internal/experiments/
+run_run='TestRunMatchesSingleSteps|TestRunStopsAtMissionComplete|TestRunProgramExit'
+require_tests "$run_run" ./internal/core/
+go test -race -count=1 -run "$run_run" ./internal/core/
 
 echo "== snapshot parity matrix =="
 # Warm-start correctness: snapshot -> restore -> run must be byte-identical
@@ -150,11 +161,13 @@ scen_run='TestScenarioFuzz|TestInjectedFault'
 require_tests "$scen_run" ./internal/experiments/fuzz/
 ROSE_SCENARIOFUZZ_SEEDS=6 go test -race -count=1 -run "$scen_run" ./internal/experiments/fuzz/
 
-echo "== fuzz smoke (70s) =="
+echo "== fuzz smoke (90s) =="
 # A short native-fuzzing burst per decoder of outside bytes: packet framing
 # (buffer and stream decoders, including the resilience extension + CRC),
-# the telemetry codec, the remote-RTL reply payloads (status codec and
-# packet batch), the remote-RTL restore path (a gob SnapState restored into
+# the telemetry codec, the remote-RTL reply payloads (status codec,
+# packet batch and run marks) and its machine image (RTLSnapData), both
+# servers' request handlers (one request frame each, to fresh simulators),
+# the remote-RTL restore path (a gob SnapState restored into
 # the machine of every resumable controller — static and dynamic
 # ControlLoop, ScriptedLoop — and stepped), rose-snap/1 snapshot images, and
 # fingerprint logs. Each -fuzz pattern must match exactly one target: go
@@ -174,6 +187,8 @@ fuzz_smoke ./internal/packet/ 'FuzzDecode$'
 fuzz_smoke ./internal/packet/ 'FuzzReaderNext$'
 fuzz_smoke ./internal/env/ 'FuzzDecodeTelemetry$'
 fuzz_smoke ./internal/soc/ 'FuzzRTLReply$'
+fuzz_smoke ./internal/soc/ 'FuzzRTLSnapReply$'
+fuzz_smoke ./internal/soc/ 'FuzzServerHandlers$'
 fuzz_smoke ./internal/app/ 'FuzzRestoreMachine$'
 fuzz_smoke ./internal/snapshot/ 'FuzzImageDecode$'
 fuzz_smoke ./internal/experiments/ 'FuzzParseFingerprintLog$'
